@@ -319,192 +319,14 @@ def cmd_fit(cfg, dataset_path) -> int:
 
 # -- check ----------------------------------------------------------------------
 
-# condition id -> checker family; DEF2-JOINT-* are library-only (they need an
-# explicit input-evolution map that a fitted state model does not carry)
-_FAMILY_BY_ID = {
-    "DEF1-AUTON": "DEF1", "DEF1-CTRL": "DEF1", "DEF1-JOINT": "DEF1",
-    "DEF2-AUTON": "DEF2", "DEF2-CTRL-X": "DEF2", "DEF2-CTRL-U": "DEF2",
-    "DEF2-JOINT-X": None, "DEF2-JOINT-U": None,
-    "T2-C1": "T2", "T2-C2": "T2", "T2-C3": "T2",
-    "COR1-FXU": "COR1", "COR2-PAIRWISE": "COR2",
-    "COR3-KMA-B": "COR3", "COR3-KMA-L": "COR3",
-    "T3-C1": "T3", "T3-C2": "T3",
-    "KAISER": "KAISER",
-    "T4-C1": "T4", "T4-C2": "T4", "T4-C3": "T4", "T4-C4": "T4",
-    "COR4-FXU": "COR4",
-    "COR5-PAIRWISE-U": "COR5", "COR5-PAIRWISE-X": "COR5",
-    "COR6-B": "COR6",
-    "T5-C1": "T5", "T5-C2": "T5",
-    "COR7-C1": "T5", "COR7-C2": "T5",
-    "COR8-C1": "T5", "COR8-C2": "T5",
-}
-
-
-def _model_accepts(cid: str, model) -> tuple[bool, str]:
-    """Whether a condition id can be evaluated for a fitted model.
-
-    Returns (ok, requirement description used in mismatch errors).
-    """
-    v, tk = model.variant, model.time_kind
-    has_input = v != "affine" or model.B is not None
-    state_eigen = v == "eigen" and not model.joint_observables
-    table = {
-        "DEF1-AUTON": (v == "affine" and model.B is None and tk == "continuous",
-                       "continuous-time autonomous affine models (no input matrix)"),
-        "DEF1-CTRL": (tk == "continuous" and has_input
-                      and not (v == "eigen" and model.joint_observables),
-                      "continuous-time controlled models with state observables"),
-        "DEF1-JOINT": (False,
-                       "an input-rate signal; use check_def1 with u_dot directly"),
-        "DEF2-AUTON": (v == "affine" and model.B is None and tk == "discrete",
-                       "discrete-time autonomous affine models (no input matrix)"),
-        "DEF2-CTRL-X": (tk == "discrete" and has_input and v != "eigen",
-                        "discrete-time controlled models"),
-        "DEF2-CTRL-U": (tk == "discrete" and has_input and v != "eigen",
-                        "discrete-time controlled models"),
-        "DEF2-JOINT-X": (False,
-                         "an input-evolution map; use check_def2_joint directly"),
-        "DEF2-JOINT-U": (False,
-                         "an input-evolution map; use check_def2_joint directly"),
-        "T2": (v == "separable" and tk == "continuous",
-               "continuous-time separable models"),
-        "T4": (v == "separable" and tk == "discrete",
-               "discrete-time separable models"),
-        "T3": (v in ("joint", "bilinear") and tk == "continuous",
-               "continuous-time joint or bilinear models"),
-        "T5": (v in ("joint", "bilinear") and tk == "discrete",
-               "discrete-time joint or bilinear models"),
-        "COR1": (v in ("affine", "separable") and tk == "continuous",
-                 "continuous-time affine or separable models"),
-        "COR2": (v in ("affine", "separable") and tk == "continuous",
-                 "continuous-time affine or separable models"),
-        "COR3": (v == "affine" and tk == "continuous",
-                 "continuous-time affine models"),
-        "COR4": (v in ("affine", "separable") and tk == "discrete",
-                 "discrete-time affine or separable models"),
-        "COR5": (v == "separable" and tk == "discrete",
-                 "discrete-time separable models"),
-        "COR6": (v == "affine" and tk == "discrete",
-                 "discrete-time affine models"),
-        "KAISER": (v == "eigen" and tk == "continuous",
-                   "continuous-time eigen models"),
-    }
-    key = cid if cid in table else _FAMILY_BY_ID[cid]
-    ok, requirement = table[key]
-    return ok, requirement
-
-
-def _family_reports(family: str, system, model, grid, tol, seed) -> list:
-    """Run one checker family for a fitted model and return its reports."""
-    import numpy as np
-
-    from . import consistency as C
-    from .formulations import bilinear_to_joint
-
-    if family in ("T3", "T5") and model.variant == "bilinear":
-        model = bilinear_to_joint(model)
-
-    if family == "DEF1":
-        return [C.check_def1(system, model, grid, tolerance=tol)]
-    if family == "DEF2":
-        return C.check_def2(system, model, grid, tolerance=tol)
-    if family == "T2":
-        return C.check_theorem2(system, model.dict_x, model.dict_u,
-                                model.K_x, model.K_u, grid, tolerance=tol)
-    if family == "COR1":
-        return [C.check_corollary1(system, model.dict_x, grid, tolerance=tol)]
-    if family == "COR2":
-        return [C.check_corollary2(system, model.dict_x, grid, seed=seed, tolerance=tol)]
-    if family == "COR3":
-        B = model.B if model.B is not None else np.zeros((model.K.shape[0], system.input_dim))
-        return C.check_corollary3_kma(system, model.dict_x, model.K, B, grid,
-                                      seed=seed, tolerance=tol)
-    if family == "T3":
-        return C.check_theorem3(system, model.dict_x, model.dict_xu,
-                                model.K_x, model.K_xu, grid, tolerance=tol)
-    if family == "KAISER":
-        return [C.check_kaiser(system, model.eigendict, model.Lam, grid, tolerance=tol)]
-    if family == "T4":
-        return C.check_theorem4(system, model.dict_x, model.dict_u,
-                                model.K_x, model.K_u, grid, tolerance=tol)
-    if family == "COR4":
-        return [C.check_corollary4(system, model.dict_x, grid, tolerance=tol)]
-    if family == "COR5":
-        return C.check_corollary5(system, model.dict_x, grid, seed=seed, tolerance=tol)
-    if family == "COR6":
-        B = model.B if model.B is not None else np.zeros((model.K.shape[0], system.input_dim))
-        return C.check_corollary6(system, model.dict_x, model.K, B, grid, tolerance=tol)
-    if family == "T5":
-        return C.check_theorem5(system, model.dict_x, model.dict_xu,
-                                model.K_x, model.K_xu, grid, tolerance=tol)
-    raise UsageError(f"unknown checker family {family!r}")
-
-
-def _applicable_families(model) -> list[str]:
-    """Families that apply to a fitted model, in canonical report order."""
-    v, tk = model.variant, model.time_kind
-    if tk == "continuous":
-        families = ["DEF1"]
-        if v == "affine":
-            families += ["COR3"]
-        elif v == "separable":
-            families += ["T2", "COR1", "COR2"]
-        elif v in ("joint", "bilinear"):
-            families += ["T3"]
-        elif v == "eigen":
-            families = (["DEF1"] if not model.joint_observables else []) + ["KAISER"]
-    else:
-        families = ["DEF2"]
-        if v == "affine":
-            families += ["COR6"]
-        elif v == "separable":
-            families += ["T4", "COR4", "COR5"]
-        elif v in ("joint", "bilinear"):
-            families += ["T5"]
-        else:
-            raise UsageError("eigen models are continuous-time only")
-    return families
-
-
 def _run_checks(system, model, grid, tol, seed, requested) -> tuple[list, list]:
-    """Evaluate conditions for a model; returns (reports, skipped notes).
+    """consistency.check_model, with an inapplicable explicit request as a usage error."""
+    from .consistency import InapplicableConditionError, check_model
 
-    requested = None means "all-applicable": every family for the model's
-    variant and time kind runs, and a family whose hypothesis fails on this
-    system is skipped with a note instead of aborting. An explicit id list
-    is strict: inapplicable ids are usage errors and hypothesis violations
-    propagate.
-    """
-    from .consistency import HypothesisViolationError
-
-    skipped = []
-    if requested is None:
-        reports = []
-        for family in _applicable_families(model):
-            try:
-                reports.extend(_family_reports(family, system, model, grid, tol, seed))
-            except (HypothesisViolationError, ValueError) as exc:
-                skipped.append((family, str(exc)))
-        if model.variant == "eigen" and model.joint_observables:
-            skipped.append(("DEF1", "input-rate signal unavailable in batch mode"))
-        return reports, skipped
-
-    families = []
-    for cid in requested:
-        ok, requirement = _model_accepts(cid, model)
-        if not ok:
-            raise UsageError(
-                f"condition {cid} requires {requirement}; the loaded model is a "
-                f"{model.time_kind}-time {model.variant} model"
-            )
-        family = _FAMILY_BY_ID[cid]
-        if family not in families:
-            families.append(family)
-    reports = []
-    for family in families:
-        reports.extend(_family_reports(family, system, model, grid, tol, seed))
-    wanted = set(requested)
-    return [r for r in reports if r.condition in wanted], skipped
+    try:
+        return check_model(system, model, grid, tol, seed, requested)
+    except InapplicableConditionError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_check(cfg, model_path, pairwise_seed=None) -> int:

@@ -11,6 +11,8 @@ conditions test a fitted model's represented dynamics directly; the T*/COR*
 conditions test operator matrices against a system's decomposition pieces
 f_x, f_u, f_xu and the dictionary Jacobians, and come in continuous
 (T2/T3/COR1-3 and the eigen condition) and discrete (T4/T5/COR4-8) families.
+CONDITIONS is the one table of which checker family evaluates each id and
+which fitted models it applies to; check_model runs a model through it.
 """
 
 from __future__ import annotations
@@ -19,19 +21,25 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .dynamics import ControlledSystem, EvaluationGrid
+from .formulations import VARIANTS, bilinear_to_joint
 from .observables import Dictionary, JointDictionary
 
 __all__ = [
+    "CONDITIONS",
     "CONDITION_IDS",
     "DEFAULT_TOLERANCE",
     "NECESSITY_QUALIFIER",
+    "Condition",
     "ConsistencyReport",
     "ConsistencySummary",
     "HypothesisViolationError",
+    "InapplicableConditionError",
+    "check_model",
     "check_def1",
     "check_def2",
     "check_def2_joint",
@@ -54,21 +62,66 @@ __all__ = [
     "REPORT_SCHEMA_VERSION",
 ]
 
-CONDITION_IDS = (
-    "DEF1-AUTON", "DEF1-CTRL", "DEF1-JOINT",
-    "DEF2-AUTON", "DEF2-CTRL-X", "DEF2-CTRL-U", "DEF2-JOINT-X", "DEF2-JOINT-U",
-    "T2-C1", "T2-C2", "T2-C3",
-    "COR1-FXU", "COR2-PAIRWISE",
-    "COR3-KMA-B", "COR3-KMA-L",
-    "T3-C1", "T3-C2",
-    "KAISER",
-    "T4-C1", "T4-C2", "T4-C3", "T4-C4",
-    "COR4-FXU", "COR5-PAIRWISE-U", "COR5-PAIRWISE-X",
-    "COR6-B",
-    "T5-C1", "T5-C2",
-    "COR7-C1", "COR7-C2",
-    "COR8-C1", "COR8-C2",
-)
+
+class Condition(NamedTuple):
+    """One row of the condition table."""
+
+    family: str | None  # checker family; None for library-only conditions
+    applies: Callable  # fitted model -> whether the CLI can evaluate the id for it
+    requirement: str  # what `applies` asks of the model, for mismatch errors
+
+
+def _autonomous(model) -> bool:
+    return model.variant == "affine" and model.B is None
+
+
+def _controlled(model) -> bool:
+    # an input channel, and observables of the state alone
+    return not _autonomous(model) and not getattr(model, "joint_observables", False)
+
+
+def _row(family, time_kind, variants, what=None, narrow=None) -> Condition:
+    return Condition(
+        family,
+        lambda m: (m.time_kind == time_kind and m.variant in variants
+                   and (narrow is None or narrow(m))),
+        f"{time_kind}-time {what or ' or '.join(variants) + ' models'}",
+    )
+
+
+def _library_only(what) -> Condition:
+    return Condition(None, lambda m: False, what)
+
+
+# condition id -> (family, applicability, requirement), in canonical report order
+CONDITIONS = {
+    "DEF1-AUTON": _row("DEF1", "continuous", ("affine",),
+                       "autonomous affine models (no input matrix)", _autonomous),
+    "DEF1-CTRL": _row("DEF1", "continuous", VARIANTS,
+                      "controlled models with state observables", _controlled),
+    "DEF1-JOINT": _library_only("an input-rate signal; use check_def1 with u_dot directly"),
+    "DEF2-AUTON": _row("DEF2", "discrete", ("affine",),
+                       "autonomous affine models (no input matrix)", _autonomous),
+    **dict.fromkeys(("DEF2-CTRL-X", "DEF2-CTRL-U"),
+                    _row("DEF2", "discrete", VARIANTS, "controlled models", _controlled)),
+    **dict.fromkeys(("DEF2-JOINT-X", "DEF2-JOINT-U"),
+                    _library_only("an input-evolution map; use check_def2_joint directly")),
+    **dict.fromkeys(("T2-C1", "T2-C2", "T2-C3"), _row("T2", "continuous", ("separable",))),
+    "COR1-FXU": _row("COR1", "continuous", ("affine", "separable")),
+    "COR2-PAIRWISE": _row("COR2", "continuous", ("affine", "separable")),
+    **dict.fromkeys(("COR3-KMA-B", "COR3-KMA-L"), _row("COR3", "continuous", ("affine",))),
+    **dict.fromkeys(("T3-C1", "T3-C2"), _row("T3", "continuous", ("joint", "bilinear"))),
+    "KAISER": _row("KAISER", "continuous", ("eigen",)),
+    **dict.fromkeys(("T4-C1", "T4-C2", "T4-C3", "T4-C4"), _row("T4", "discrete", ("separable",))),
+    "COR4-FXU": _row("COR4", "discrete", ("affine", "separable")),
+    **dict.fromkeys(("COR5-PAIRWISE-U", "COR5-PAIRWISE-X"),
+                    _row("COR5", "discrete", ("separable",))),
+    "COR6-B": _row("COR6", "discrete", ("affine",)),
+    **dict.fromkeys(("T5-C1", "T5-C2", "COR7-C1", "COR7-C2", "COR8-C1", "COR8-C2"),
+                    _row("T5", "discrete", ("joint", "bilinear"))),
+}
+
+CONDITION_IDS = tuple(CONDITIONS)
 
 DEFAULT_TOLERANCE = 1e-6
 REPORT_SCHEMA_VERSION = 1
@@ -102,6 +155,10 @@ class HypothesisViolationError(ValueError):
             f"hypothesis violated: {hypothesis}; "
             f"max violation {self.max_violation:.6g}{loc}"
         )
+
+
+class InapplicableConditionError(ValueError):
+    """A condition does not apply to the supplied model or dictionary."""
 
 
 @dataclass
@@ -200,6 +257,19 @@ def _inf(arr) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
+def _worst(points, fn):
+    """(largest _inf(fn(p)) over points, its point); a non-finite norm counts
+    as inf, so NaN cannot pass a hypothesis guard."""
+    worst, worst_at = 0.0, None
+    for p in points:
+        v = _inf(fn(p))
+        if not np.isfinite(v):
+            v = np.inf
+        if v > worst:
+            worst, worst_at = v, p
+    return worst, worst_at
+
+
 def _fx(system, x):
     return np.asarray(system.f_x(np.asarray(x, dtype=float)), dtype=float)
 
@@ -228,7 +298,7 @@ def _require_time_kind(system: ControlledSystem, kind: str, checker: str):
 
 def _require_state_inclusive(dict_x: Dictionary, checker: str):
     if not dict_x.state_inclusive:
-        raise ValueError(
+        raise InapplicableConditionError(
             f"{checker} is inapplicable: the dictionary is not state-inclusive "
             "(it must contain every coordinate observable)"
         )
@@ -237,37 +307,24 @@ def _require_state_inclusive(dict_x: Dictionary, checker: str):
 def _check_sep_hypotheses(system, dict_u, grid, tol=_HYPOTHESIS_TOL):
     """Hypotheses shared by the separable-formulation conditions."""
     v = _inf(_fu(system, np.zeros(system.input_dim)))
-    if v > tol:
+    if not v <= tol:
         raise HypothesisViolationError("f_u(0) = 0", v)
     u0 = np.zeros(system.input_dim)
-    worst_x, worst_v = None, 0.0
-    for x in grid.states:
-        v = _inf(_fxu(system, x, u0))
-        if v > worst_v:
-            worst_x, worst_v = x, v
-    if worst_v > tol:
-        raise HypothesisViolationError("f_xu(x, 0) = 0", worst_v, where=worst_x)
+    worst, worst_x = _worst(grid.states, lambda x: _fxu(system, x, u0))
+    if worst > tol:
+        raise HypothesisViolationError("f_xu(x, 0) = 0", worst, where=worst_x)
     x0 = np.zeros(system.state_dim)
-    worst_u, worst_v = None, 0.0
-    for u in grid.inputs:
-        v = _inf(_fxu(system, x0, u))
-        if v > worst_v:
-            worst_u, worst_v = u, v
-    if worst_v > tol:
-        raise HypothesisViolationError("f_xu(0, u) = 0", worst_v, where=worst_u)
+    worst, worst_u = _worst(grid.inputs, lambda u: _fxu(system, x0, u))
+    if worst > tol:
+        raise HypothesisViolationError("f_xu(0, u) = 0", worst, where=worst_u)
     if dict_u is not None:
         v = _inf(dict_u.evaluate(np.zeros(dict_u.input_dim)))
-        if v > tol:
+        if not v <= tol:
             raise HypothesisViolationError("psi_u(0) = 0", v)
 
 
 def _check_fxu_vanishes(system, grid, tol=_HYPOTHESIS_TOL):
-    X, U = _product_points(grid)
-    worst, worst_at = 0.0, None
-    for x, u in zip(X, U):
-        v = _inf(_fxu(system, x, u))
-        if v > worst:
-            worst, worst_at = v, (x, u)
+    worst, worst_at = _worst(zip(*_product_points(grid)), lambda xu: _fxu(system, *xu))
     if worst > tol:
         raise HypothesisViolationError("f_xu(x, u) = 0", worst, where=worst_at)
 
@@ -583,11 +640,7 @@ def check_theorem3(system: ControlledSystem, dict_x: Dictionary,
     L_xu = np.asarray(L_xu, dtype=float)
 
     u0 = np.zeros(system.input_dim)
-    worst, worst_x = 0.0, None
-    for x in grid.states:
-        v = _inf(dict_xu.evaluate(x, u0))
-        if v > worst:
-            worst, worst_x = v, x
+    worst, worst_x = _worst(grid.states, lambda x: dict_xu.evaluate(x, u0))
     if worst > _HYPOTHESIS_TOL:
         raise HypothesisViolationError("psi_xu(x, 0) = 0", worst, where=worst_x)
 
@@ -805,11 +858,7 @@ def check_theorem5(system: ControlledSystem, dict_x: Dictionary,
     K_xu = np.asarray(K_xu, dtype=float)
     u0 = np.zeros(system.input_dim)
 
-    worst, worst_x = 0.0, None
-    for x in grid.states:
-        v = _inf(dict_xu.evaluate(x, u0))
-        if v > worst:
-            worst, worst_x = v, x
+    worst, worst_x = _worst(grid.states, lambda x: dict_xu.evaluate(x, u0))
     cross_dict_ok = worst <= _HYPOTHESIS_TOL
 
     res_t5c1 = np.empty(len(grid.states))
@@ -853,6 +902,93 @@ def check_theorem5(system: ControlledSystem, dict_x: Dictionary,
         ConsistencyReport("COR8-C2", tolerance, {"x": X, "u": U}, res_c8c2),
     ])
     return reports
+
+
+# -- fitted models through the condition table -------------------------------------
+
+
+def _input_matrix(system, model):
+    # an autonomous affine model has the zero input matrix
+    return model.B if model.B is not None else np.zeros((model.K.shape[0], system.input_dim))
+
+
+def _joint_operators(model):
+    # operator-family conditions see a bilinear model in its joint form
+    joint = bilinear_to_joint(model) if model.variant == "bilinear" else model
+    return joint.dict_x, joint.dict_xu, joint.K_x, joint.K_xu
+
+
+# family -> its public checker for a fitted model, (system, model, grid, tol, seed)
+# -> reports; checkers are looked up by name at call time, so a rebound one is used
+_FAMILY_CHECKS = {
+    "DEF1": lambda s, m, g, tol, seed: [check_def1(s, m, g, tolerance=tol)],
+    "DEF2": lambda s, m, g, tol, seed: check_def2(s, m, g, tolerance=tol),
+    "T2": lambda s, m, g, tol, seed: check_theorem2(
+        s, m.dict_x, m.dict_u, m.K_x, m.K_u, g, tolerance=tol),
+    "COR1": lambda s, m, g, tol, seed: [check_corollary1(s, m.dict_x, g, tolerance=tol)],
+    "COR2": lambda s, m, g, tol, seed: [
+        check_corollary2(s, m.dict_x, g, seed=seed, tolerance=tol)],
+    "COR3": lambda s, m, g, tol, seed: check_corollary3_kma(
+        s, m.dict_x, m.K, _input_matrix(s, m), g, seed=seed, tolerance=tol),
+    "T3": lambda s, m, g, tol, seed: check_theorem3(s, *_joint_operators(m), g, tolerance=tol),
+    "KAISER": lambda s, m, g, tol, seed: [check_kaiser(s, m.eigendict, m.Lam, g, tolerance=tol)],
+    "T4": lambda s, m, g, tol, seed: check_theorem4(
+        s, m.dict_x, m.dict_u, m.K_x, m.K_u, g, tolerance=tol),
+    "COR4": lambda s, m, g, tol, seed: [check_corollary4(s, m.dict_x, g, tolerance=tol)],
+    "COR5": lambda s, m, g, tol, seed: check_corollary5(s, m.dict_x, g, seed=seed, tolerance=tol),
+    "COR6": lambda s, m, g, tol, seed: check_corollary6(
+        s, m.dict_x, m.K, _input_matrix(s, m), g, tolerance=tol),
+    "T5": lambda s, m, g, tol, seed: check_theorem5(s, *_joint_operators(m), g, tolerance=tol),
+}
+
+# COR3 already returns the COR1/COR2 reports, and COR6 the COR4 report
+_SUBSUMED = {"COR3": ("COR1", "COR2"), "COR6": ("COR4",)}
+
+
+def _families(ids) -> list:
+    return list(dict.fromkeys(CONDITIONS[cid].family for cid in ids))
+
+
+def check_model(system: ControlledSystem, model, grid: EvaluationGrid,
+                tolerance: float = DEFAULT_TOLERANCE, seed: int = 0,
+                conditions=None) -> tuple[list, list]:
+    """Evaluate table conditions for a fitted model; returns (reports, skipped).
+
+    conditions = None runs every family with an id whose CONDITIONS row
+    applies to the model; a family whose hypothesis fails, or which is
+    inapplicable to the model's dictionary, is skipped with a
+    (family, reason) note, and any other error propagates. An explicit id
+    list is strict: an id whose row does not apply raises
+    InapplicableConditionError, hypothesis violations propagate, and only
+    the requested reports are returned. seed drives the pairwise samples.
+    """
+    def run(family):
+        return _FAMILY_CHECKS[family](system, model, grid, tolerance, seed)
+
+    if conditions is None:
+        families = _families(cid for cid, c in CONDITIONS.items() if c.applies(model))
+        subsumed = {f for family in families for f in _SUBSUMED.get(family, ())}
+        reports, skipped = [], []
+        for family in families:
+            if family in subsumed:
+                continue
+            try:
+                reports.extend(run(family))
+            except (HypothesisViolationError, InapplicableConditionError) as exc:
+                skipped.append((family, str(exc)))
+        if getattr(model, "joint_observables", False):
+            skipped.append(("DEF1", "input-rate signal unavailable in batch mode"))
+        return reports, skipped
+
+    for cid in conditions:
+        if not CONDITIONS[cid].applies(model):
+            raise InapplicableConditionError(
+                f"condition {cid} requires {CONDITIONS[cid].requirement}; the loaded "
+                f"model is a {model.time_kind}-time {model.variant} model"
+            )
+    wanted = set(conditions)
+    reports = [r for family in _families(conditions) for r in run(family)]
+    return [r for r in reports if r.condition in wanted], []
 
 
 # -- summaries and serialization ---------------------------------------------------

@@ -26,6 +26,7 @@ from .observables import (
     Dictionary,
     JointDictionary,
     bilinear_cross_dictionary,
+    _bilinear_jacobian_u,
     build_dictionary,
     joint_dictionary_from_spec,
 )
@@ -70,6 +71,9 @@ class KoopmanModel:
     """
 
     variant = "abstract"
+    # payload dictionary key -> attribute, and operator attributes, for to_payload
+    _payload_dictionaries: dict = {}
+    _payload_operators: tuple = ()
 
     def __init__(self, time_kind: str, state_dim: int, input_dim: int):
         if time_kind not in ("discrete", "continuous"):
@@ -97,8 +101,12 @@ class KoopmanModel:
 
     # -- represented dynamics -------------------------------------------------
 
-    def _apply(self, x, u) -> np.ndarray:
+    def _advance(self, z, x, u) -> np.ndarray:
+        """Represented next lift (or lift rate) from lifted coordinates z and (x, u)."""
         raise NotImplementedError
+
+    def _apply(self, x, u) -> np.ndarray:
+        return self._advance(self.dict_x.evaluate(x), x, u)
 
     def lift(self, x) -> np.ndarray:
         """Lifted coordinates psi_x(x)."""
@@ -131,6 +139,32 @@ class KoopmanModel:
         return self.dict_x.size
 
     # -- serialization scaffold -----------------------------------------------
+
+    def _dictionary_specs(self) -> dict:
+        return {
+            key: _require_spec(getattr(self, attr), f"{key} dictionary")
+            for key, attr in self._payload_dictionaries.items()
+        }
+
+    def to_payload(self) -> dict:
+        operators = {}
+        for name in self._payload_operators:
+            op = getattr(self, name)
+            operators[name] = (
+                None if op is None
+                else [K.tolist() for K in op] if isinstance(op, list)
+                else op.tolist()
+            )
+        return {
+            "schema_version": MODEL_SCHEMA_VERSION,
+            "variant": self.variant,
+            "time_kind": self.time_kind,
+            "state_dim": self.state_dim,
+            "input_dim": self.input_dim,
+            "dictionaries": self._dictionary_specs(),
+            "operators": operators,
+            "metadata": self._metadata(),
+        }
 
     def _metadata(self) -> dict:
         return {
@@ -176,6 +210,8 @@ class AffineModel(KoopmanModel):
     """
 
     variant = "affine"
+    _payload_dictionaries = {"state": "dict_x"}
+    _payload_operators = ("K", "B")
 
     def __init__(self, dictionary: Dictionary, K, B, time_kind: str, input_dim: int | None = None):
         K = np.asarray(K, dtype=float)
@@ -194,8 +230,8 @@ class AffineModel(KoopmanModel):
         self.K = K
         self.B = B
 
-    def _apply(self, x, u):
-        out = self.K @ self.dict_x.evaluate(x)
+    def _advance(self, z, x, u):
+        out = self.K @ z
         if self.B is not None:
             out = out + self.B @ np.asarray(u, dtype=float)
         return out
@@ -208,26 +244,13 @@ class AffineModel(KoopmanModel):
             raise ValueError("autonomous affine model has no input channel")
         return self.B.copy()
 
-    def to_payload(self) -> dict:
-        return {
-            "schema_version": MODEL_SCHEMA_VERSION,
-            "variant": self.variant,
-            "time_kind": self.time_kind,
-            "state_dim": self.state_dim,
-            "input_dim": self.input_dim,
-            "dictionaries": {"state": _require_spec(self.dict_x, "state dictionary")},
-            "operators": {
-                "K": self.K.tolist(),
-                "B": None if self.B is None else self.B.tolist(),
-            },
-            "metadata": self._metadata(),
-        }
-
 
 class SeparableModel(KoopmanModel):
     """psi_x(x_{k+1}) = K_x psi_x(x_k) + K_u psi_u(u_k)."""
 
     variant = "separable"
+    _payload_dictionaries = {"state": "dict_x", "input": "dict_u"}
+    _payload_operators = ("K_x", "K_u")
 
     def __init__(self, dict_x: Dictionary, dict_u: Dictionary, K_x, K_u, time_kind: str):
         K_x = np.asarray(K_x, dtype=float)
@@ -242,8 +265,8 @@ class SeparableModel(KoopmanModel):
         self.K_x = K_x
         self.K_u = K_u
 
-    def _apply(self, x, u):
-        return self.K_x @ self.dict_x.evaluate(x) + self.K_u @ self.dict_u.evaluate(u)
+    def _advance(self, z, x, u):
+        return self.K_x @ z + self.K_u @ self.dict_u.evaluate(u)
 
     def _jac_x(self, x, u):
         return self.K_x @ self.dict_x.jacobian(x)
@@ -251,26 +274,13 @@ class SeparableModel(KoopmanModel):
     def _jac_u(self, x, u):
         return self.K_u @ self.dict_u.jacobian(u)
 
-    def to_payload(self) -> dict:
-        return {
-            "schema_version": MODEL_SCHEMA_VERSION,
-            "variant": self.variant,
-            "time_kind": self.time_kind,
-            "state_dim": self.state_dim,
-            "input_dim": self.input_dim,
-            "dictionaries": {
-                "state": _require_spec(self.dict_x, "state dictionary"),
-                "input": _require_spec(self.dict_u, "input dictionary"),
-            },
-            "operators": {"K_x": self.K_x.tolist(), "K_u": self.K_u.tolist()},
-            "metadata": self._metadata(),
-        }
-
 
 class JointModel(KoopmanModel):
     """psi_x(x_{k+1}) = K_x psi_x(x_k) + K_xu psi_xu(x_k, u_k)."""
 
     variant = "joint"
+    _payload_dictionaries = {"state": "dict_x", "cross": "dict_xu"}
+    _payload_operators = ("K_x", "K_xu")
 
     def __init__(self, dict_x: Dictionary, dict_xu: JointDictionary, K_x, K_xu, time_kind: str):
         K_x = np.asarray(K_x, dtype=float)
@@ -287,8 +297,8 @@ class JointModel(KoopmanModel):
         self.K_x = K_x
         self.K_xu = K_xu
 
-    def _apply(self, x, u):
-        return self.K_x @ self.dict_x.evaluate(x) + self.K_xu @ self.dict_xu.evaluate(x, u)
+    def _advance(self, z, x, u):
+        return self.K_x @ z + self.K_xu @ self.dict_xu.evaluate(x, u)
 
     def _jac_x(self, x, u):
         return self.K_x @ self.dict_x.jacobian(x) + self.K_xu @ self.dict_xu.jacobian_x(x, u)
@@ -296,26 +306,13 @@ class JointModel(KoopmanModel):
     def _jac_u(self, x, u):
         return self.K_xu @ self.dict_xu.jacobian_u(x, u)
 
-    def to_payload(self) -> dict:
-        return {
-            "schema_version": MODEL_SCHEMA_VERSION,
-            "variant": self.variant,
-            "time_kind": self.time_kind,
-            "state_dim": self.state_dim,
-            "input_dim": self.input_dim,
-            "dictionaries": {
-                "state": _require_spec(self.dict_x, "state dictionary"),
-                "cross": _require_spec(self.dict_xu, "cross dictionary"),
-            },
-            "operators": {"K_x": self.K_x.tolist(), "K_xu": self.K_xu.tolist()},
-            "metadata": self._metadata(),
-        }
-
 
 class BilinearModel(KoopmanModel):
     """psi_x(x_{k+1}) = K(u_k) psi_x(x_k) with K(u) = sum_i psi_u_i(u) K_i."""
 
     variant = "bilinear"
+    _payload_dictionaries = {"state": "dict_x", "input": "dict_u"}
+    _payload_operators = ("K_terms",)
 
     def __init__(self, dict_x: Dictionary, dict_u: Dictionary, K_terms, time_kind: str):
         K_terms = [np.asarray(K, dtype=float) for K in K_terms]
@@ -341,35 +338,14 @@ class BilinearModel(KoopmanModel):
             out = out + wi * K
         return out
 
-    def _apply(self, x, u):
-        return self.K_of(u) @ self.dict_x.evaluate(x)
+    def _advance(self, z, x, u):
+        return self.K_of(u) @ z
 
     def _jac_x(self, x, u):
         return self.K_of(u) @ self.dict_x.jacobian(x)
 
     def _jac_u(self, x, u):
-        px = self.dict_x.evaluate(x)
-        Ju = self.dict_u.jacobian(u)  # (N_u, m)
-        cols = [
-            sum(Ju[i, j] * (self.K_terms[i] @ px) for i in range(len(self.K_terms)))
-            for j in range(self.input_dim)
-        ]
-        return np.stack(cols, axis=1)
-
-    def to_payload(self) -> dict:
-        return {
-            "schema_version": MODEL_SCHEMA_VERSION,
-            "variant": self.variant,
-            "time_kind": self.time_kind,
-            "state_dim": self.state_dim,
-            "input_dim": self.input_dim,
-            "dictionaries": {
-                "state": _require_spec(self.dict_x, "state dictionary"),
-                "input": _require_spec(self.dict_u, "input dictionary"),
-            },
-            "operators": {"K_terms": [K.tolist() for K in self.K_terms]},
-            "metadata": self._metadata(),
-        }
+        return _bilinear_jacobian_u(self.dict_x, self.dict_u, self.K_terms, x, u)
 
 
 class EigenModel(KoopmanModel):
@@ -382,6 +358,7 @@ class EigenModel(KoopmanModel):
     """
 
     variant = "eigen"
+    _payload_operators = ("eigenvalues",)
 
     def __init__(self, eigendict, eigenvalues, input_dim: int = 0):
         self.joint_observables = isinstance(eigendict, JointDictionary)
@@ -438,21 +415,12 @@ class EigenModel(KoopmanModel):
     def lifted_dim(self) -> int:
         return self.eigendict.size
 
-    def to_payload(self) -> dict:
+    def _dictionary_specs(self) -> dict:
         return {
-            "schema_version": MODEL_SCHEMA_VERSION,
-            "variant": self.variant,
-            "time_kind": self.time_kind,
-            "state_dim": self.state_dim,
-            "input_dim": self.input_dim,
-            "dictionaries": {
-                "eigen": {
-                    "joint": self.joint_observables,
-                    "spec": _require_spec(self.eigendict, "eigenfunction dictionary"),
-                }
-            },
-            "operators": {"eigenvalues": self.eigenvalues.tolist()},
-            "metadata": self._metadata(),
+            "eigen": {
+                "joint": self.joint_observables,
+                "spec": _require_spec(self.eigendict, "eigenfunction dictionary"),
+            }
         }
 
 
@@ -478,6 +446,14 @@ def _check_data_dims(data: SnapshotDataset, dict_x: Dictionary):
         )
 
 
+def _check_input_dims(data: SnapshotDataset, dict_u: Dictionary):
+    if dict_u.input_dim != data.input_dim:
+        raise ValueError(
+            f"input dictionary is over R^{dict_u.input_dim} but data has "
+            f"input dimension {data.input_dim}"
+        )
+
+
 def _require_samples(n: int, unknowns: int, what: str):
     if n < unknowns:
         raise ValueError(
@@ -499,6 +475,43 @@ def _finish(model: KoopmanModel, data: SnapshotDataset, residual: float, ridge: 
     return model
 
 
+def _time_kind(data: SnapshotDataset) -> str:
+    return "discrete" if data.kind == "discrete-pairs" else "continuous"
+
+
+def _fit_blocks(data: SnapshotDataset, dict_x: Dictionary, blocks, ridge: float, build,
+                rank_fallback=None) -> KoopmanModel:
+    """One regression of the lift targets on stacked feature blocks.
+
+    Stacks the (n, k_i) blocks into the design matrix, solves for Theta,
+    and calls build(operators, time_kind) with Theta split into one
+    (N_x, k_i) operator per block. rank_fallback(err, G, T), when given,
+    handles a rank-deficient design: it returns Theta or raises.
+    """
+    T = _lift_targets(data, dict_x)
+    G = np.hstack(blocks)
+    try:
+        Theta = solve_least_squares(G, T, ridge=ridge)
+    except RankDeficiencyError as err:
+        if rank_fallback is None:
+            raise
+        Theta = rank_fallback(err, G, T)
+    splits = np.cumsum([block.shape[1] for block in blocks])[:-1]
+    model = build([part.T for part in np.split(Theta, splits)], _time_kind(data))
+    return _finish(model, data, _rms(G @ Theta - T, data.n_samples), ridge)
+
+
+def _zero_input_error(data: SnapshotDataset, consequence: str):
+    """Rank fallback naming identically zero inputs as the cause."""
+    def fallback(err, G, T):
+        if np.all(data.U == 0.0):
+            raise RankDeficiencyError(
+                err.rank, G.shape[1], f"inputs are identically zero, so {consequence}"
+            ) from None
+        raise err
+    return fallback
+
+
 def fit_affine(data: SnapshotDataset, dict_x: Dictionary, ridge: float = 0.0) -> AffineModel:
     """Least-squares (K, B) with constant input coefficients.
 
@@ -509,24 +522,12 @@ def fit_affine(data: SnapshotDataset, dict_x: Dictionary, ridge: float = 0.0) ->
     N, m = data.n_samples, data.input_dim
     _require_samples(N, dict_x.size + m, "the affine fit")
     Psi = dict_x.evaluate_batch(data.X)
-    T = _lift_targets(data, dict_x)
-    G = np.hstack([Psi, data.U]) if m else Psi
-    try:
-        Theta = solve_least_squares(G, T, ridge=ridge)
-    except RankDeficiencyError as err:
-        if m and np.all(data.U == 0.0):
-            raise RankDeficiencyError(
-                err.rank,
-                G.shape[1],
-                "inputs are identically zero, so the input operator B is "
-                "unidentifiable; add ridge regularization or excite the input",
-            ) from None
-        raise
-    K = Theta[: dict_x.size].T
-    B = Theta[dict_x.size :].T if m else None
-    time_kind = "discrete" if data.kind == "discrete-pairs" else "continuous"
-    model = AffineModel(dict_x, K, B, time_kind, input_dim=m)
-    return _finish(model, data, _rms(G @ Theta - T, N), ridge)
+    return _fit_blocks(
+        data, dict_x, [Psi, data.U] if m else [Psi], ridge,
+        lambda ops, tk: AffineModel(dict_x, ops[0], ops[1] if m else None, tk, input_dim=m),
+        _zero_input_error(data, "the input operator B is unidentifiable; add ridge "
+                                "regularization or excite the input") if m else None,
+    )
 
 
 def fit_separable(data: SnapshotDataset, dict_x: Dictionary, dict_u: Dictionary,
@@ -538,33 +539,14 @@ def fit_separable(data: SnapshotDataset, dict_x: Dictionary, dict_u: Dictionary,
             "input dictionary must vanish at u = 0; wrap it with "
             "subtract_value_at_zero or drop the constant"
         )
-    if dict_u.input_dim != data.input_dim:
-        raise ValueError(
-            f"input dictionary is over R^{dict_u.input_dim} but data has "
-            f"input dimension {data.input_dim}"
-        )
-    N = data.n_samples
-    _require_samples(N, dict_x.size + dict_u.size, "the separable fit")
-    Psi_x = dict_x.evaluate_batch(data.X)
-    Psi_u = dict_u.evaluate_batch(data.U)
-    G = np.hstack([Psi_x, Psi_u])
-    T = _lift_targets(data, dict_x)
-    try:
-        Theta = solve_least_squares(G, T, ridge=ridge)
-    except RankDeficiencyError as err:
-        if np.all(data.U == 0.0):
-            raise RankDeficiencyError(
-                err.rank,
-                G.shape[1],
-                "inputs are identically zero, so the input observables never "
-                "vary and K_u is unidentifiable; add ridge or excite the input",
-            ) from None
-        raise
-    K_x = Theta[: dict_x.size].T
-    K_u = Theta[dict_x.size :].T
-    time_kind = "discrete" if data.kind == "discrete-pairs" else "continuous"
-    model = SeparableModel(dict_x, dict_u, K_x, K_u, time_kind)
-    return _finish(model, data, _rms(G @ Theta - T, N), ridge)
+    _check_input_dims(data, dict_u)
+    _require_samples(data.n_samples, dict_x.size + dict_u.size, "the separable fit")
+    return _fit_blocks(
+        data, dict_x, [dict_x.evaluate_batch(data.X), dict_u.evaluate_batch(data.U)], ridge,
+        lambda ops, tk: SeparableModel(dict_x, dict_u, *ops, tk),
+        _zero_input_error(data, "the input observables never vary and K_u is "
+                                "unidentifiable; add ridge or excite the input"),
+    )
 
 
 def _check_cross_vanishes(dict_xu: JointDictionary, states: np.ndarray):
@@ -598,18 +580,13 @@ def fit_joint(data: SnapshotDataset, dict_x: Dictionary, dict_xu: JointDictionar
     N = data.n_samples
     Psi_x = dict_x.evaluate_batch(data.X)
     Psi_xu = dict_xu.evaluate_batch(data.X, data.U)
-    T = _lift_targets(data, dict_x)
-    time_kind = "discrete" if data.kind == "discrete-pairs" else "continuous"
 
     if not two_stage:
         _require_samples(N, dict_x.size + dict_xu.size, "the joint fit")
-        G = np.hstack([Psi_x, Psi_xu])
-        Theta = solve_least_squares(G, T, ridge=ridge)
-        K_x = Theta[: dict_x.size].T
-        K_xu = Theta[dict_x.size :].T
-        model = JointModel(dict_x, dict_xu, K_x, K_xu, time_kind)
-        return _finish(model, data, _rms(G @ Theta - T, N), ridge)
+        return _fit_blocks(data, dict_x, [Psi_x, Psi_xu], ridge,
+                           lambda ops, tk: JointModel(dict_x, dict_xu, *ops, tk))
 
+    T = _lift_targets(data, dict_x)
     zero_rows = np.all(data.U == 0.0, axis=1)
     n0 = int(np.count_nonzero(zero_rows))
     _require_samples(n0, dict_x.size, "the zero-input stage of the two-stage fit")
@@ -632,7 +609,7 @@ def fit_joint(data: SnapshotDataset, dict_x: Dictionary, dict_xu: JointDictionar
         K_xu = solve_least_squares(Psi_xu[rest], T2, ridge=ridge).T
         fully = True
 
-    model = JointModel(dict_x, dict_xu, K_x, K_xu, time_kind)
+    model = JointModel(dict_x, dict_xu, K_x, K_xu, _time_kind(data))
     R = Psi_x @ K_x.T + Psi_xu @ K_xu.T - T
     _finish(model, data, _rms(R, N), ridge)
     model.fully_identified = fully
@@ -655,41 +632,30 @@ def fit_bilinear(data: SnapshotDataset, dict_x: Dictionary, dict_u: Dictionary,
             "input dictionary must contain the constant function so the "
             "zero-input operator K(0) is representable"
         )
-    if dict_u.input_dim != data.input_dim:
-        raise ValueError(
-            f"input dictionary is over R^{dict_u.input_dim} but data has "
-            f"input dimension {data.input_dim}"
-        )
-    N = data.n_samples
-    Nx, Nu = dict_x.size, dict_u.size
-    _require_samples(N, Nx * Nu, "the bilinear fit")
+    _check_input_dims(data, dict_u)
+    _require_samples(data.n_samples, dict_x.size * dict_u.size, "the bilinear fit")
     Psi_x = dict_x.evaluate_batch(data.X)
     Psi_u = dict_u.evaluate_batch(data.U)
-    # row k of G is kron(psi_u(u_k), psi_x(x_k)): one column block per input observable
-    G = np.einsum("ki,kj->kij", Psi_u, Psi_x).reshape(N, Nu * Nx)
-    T = _lift_targets(data, dict_x)
 
-    fully = True
-    model_notes = []
-    try:
-        Theta = solve_least_squares(G, T, ridge=ridge)
-    except RankDeficiencyError:
-        if np.all(data.U == data.U[0]):
-            # only K(u0) is identified; take the minimum-norm split
-            Theta = np.linalg.lstsq(G, T, rcond=None)[0]
-            fully = False
-            model_notes.append(
-                "inputs constant across all samples: only the combined operator "
-                "K(u0) is identified; the stored terms are its minimum-norm split"
-            )
-        else:
-            raise
-    K_terms = [Theta[i * Nx : (i + 1) * Nx].T for i in range(Nu)]
-    time_kind = "discrete" if data.kind == "discrete-pairs" else "continuous"
-    model = BilinearModel(dict_x, dict_u, K_terms, time_kind)
-    _finish(model, data, _rms(G @ Theta - T, N), ridge)
-    model.fully_identified = fully
-    model.notes.extend(model_notes)
+    notes = []
+
+    def constant_inputs(err, G, T):
+        if not np.all(data.U == data.U[0]):
+            raise err
+        notes.append(
+            "inputs constant across all samples: only the combined operator "
+            "K(u0) is identified; the stored terms are its minimum-norm split"
+        )
+        return np.linalg.lstsq(G, T, rcond=None)[0]
+
+    # block i holds psi_u_i(u_k) psi_x(x_k): the columns multiplying K_i
+    model = _fit_blocks(
+        data, dict_x, [Psi_u[:, [i]] * Psi_x for i in range(dict_u.size)], ridge,
+        lambda ops, tk: BilinearModel(dict_x, dict_u, ops, tk), constant_inputs,
+    )
+    if notes:
+        model.fully_identified = False
+        model.notes.extend(notes)
     return model
 
 
@@ -754,13 +720,7 @@ def bilinear_to_joint(model: BilinearModel) -> JointModel:
     K_x = model.K_of(np.zeros(model.input_dim))
     K_xu = np.eye(model.dict_x.size)
     out = JointModel(model.dict_x, dict_xu, K_x, K_xu, model.time_kind)
-    out.training_residual = model.training_residual
-    out.n_samples = model.n_samples
-    out.ridge = model.ridge
-    out.fully_identified = model.fully_identified
-    out.dt = model.dt
-    out.system_name = model.system_name
-    out.notes = list(model.notes)
+    out._restore_metadata(model._metadata())
     out.notes.append("derived from a bilinear model; cross dictionary is (K(u) - K(0)) psi_x")
     return out
 
@@ -835,39 +795,13 @@ def rollout(model: KoopmanModel, x0, controls, relift: str = "every-step",
             psi_next = model.lift_next(x, u)
             x = psi_next[idx]
         else:
-            z = model._advance_lifted(z, u)
+            z = model._advance(z, z[idx], u)
             x = z[idx]
         if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > divergence_bound:
             diverged = True
             break
         states.append(x.copy())
     return RolloutResult(np.array(states), diverged)
-
-
-def _affine_advance(self, z, u):
-    out = self.K @ z
-    if self.B is not None:
-        out = out + self.B @ np.asarray(u, dtype=float)
-    return out
-
-
-def _separable_advance(self, z, u):
-    return self.K_x @ z + self.K_u @ self.dict_u.evaluate(u)
-
-
-def _joint_advance(self, z, u):
-    x_hat = z[self.dict_x.state_index_map]
-    return self.K_x @ z + self.K_xu @ self.dict_xu.evaluate(x_hat, u)
-
-
-def _bilinear_advance(self, z, u):
-    return self.K_of(u) @ z
-
-
-AffineModel._advance_lifted = _affine_advance
-SeparableModel._advance_lifted = _separable_advance
-JointModel._advance_lifted = _joint_advance
-BilinearModel._advance_lifted = _bilinear_advance
 
 
 def model_residual(model: KoopmanModel, data: SnapshotDataset) -> float:

@@ -602,6 +602,17 @@ def build_joint_dictionary(state_dim, input_dim, state_degree, input_degree) -> 
     return MonomialJointDictionary(state_dim, input_dim, state_degree, input_degree)
 
 
+def _bilinear_jacobian_u(dict_x: Dictionary, dict_u: Dictionary, K_terms, x, u) -> np.ndarray:
+    """d/du of K(u) psi_x(x) with K(u) = sum_i psi_u_i(u) K_i, as an (N_x, m) array."""
+    px = dict_x.evaluate(x)
+    Ju = dict_u.jacobian(u)  # (N_u, m)
+    cols = [
+        sum(Ju[i, j] * (K_terms[i] @ px) for i in range(len(K_terms)))
+        for j in range(dict_u.input_dim)
+    ]
+    return np.stack(cols, axis=1)
+
+
 def bilinear_cross_dictionary(dict_x: Dictionary, dict_u: Dictionary, K_terms) -> CallableJointDictionary:
     """Cross term psi_xu(x, u) = (K(u) - K(0)) psi_x(x) induced by an
     input-dependent operator family K(u) = sum_i psi_u_i(u) K_i."""
@@ -620,13 +631,7 @@ def bilinear_cross_dictionary(dict_x: Dictionary, dict_u: Dictionary, K_terms) -
         return (K_of(u) - K0) @ dict_x.jacobian(x)
 
     def jac_u_fn(x, u):
-        px = dict_x.evaluate(x)
-        Ju = dict_u.jacobian(u)  # (N_u, m)
-        cols = [
-            sum(Ju[i, j] * (K_terms[i] @ px) for i in range(len(K_terms)))
-            for j in range(dict_u.input_dim)
-        ]
-        return np.stack(cols, axis=1)
+        return _bilinear_jacobian_u(dict_x, dict_u, K_terms, x, u)
 
     spec = None
     if dict_x.spec is not None and dict_u.spec is not None:

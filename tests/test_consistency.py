@@ -78,6 +78,33 @@ def x_and_xu_joint_dict():
     )
 
 
+class TestNonFiniteHypotheses:
+    def test_nan_cannot_pass_the_guards(self):
+        # f_xu is NaN wherever x != 0: f_xu(x, 0) = 0 and f_xu(x, u) = 0 are unverifiable
+        system = ControlledSystem(
+            "nan-cross", "continuous", 1, 1,
+            f_x=lambda x: -x,
+            f_u=lambda u: u,
+            f_xu=lambda x, u: np.where(x != 0.0, np.nan, 0.0),
+        )
+        grid = default_grid(system, points_per_axis=5)
+        with pytest.raises(HypothesisViolationError, match=r"f_xu\(x, u\) = 0.*inf"):
+            check_corollary2(system, identity(1), grid)
+        with pytest.raises(HypothesisViolationError, match=r"f_xu\(x, 0\) = 0.*inf"):
+            check_theorem2(system, identity(1), identity(1, "u"), [[-1.0]], [[1.0]], grid)
+
+    def test_nan_at_zero_input_fails_the_single_value_guard(self):
+        system = ControlledSystem(
+            "nan-input", "continuous", 1, 1,
+            f_x=lambda x: -x,
+            f_u=lambda u: np.where(u == 0.0, np.nan, u),
+            f_xu=lambda x, u: np.zeros(1),
+        )
+        with pytest.raises(HypothesisViolationError, match=r"f_u\(0\) = 0"):
+            check_theorem2(system, identity(1), identity(1, "u"), [[-1.0]], [[1.0]],
+                           default_grid(system, points_per_axis=5))
+
+
 def scalar_discrete(f_x, f_u, jac_fx, jac_fu, name="scalar-discrete"):
     return ControlledSystem(
         name, "discrete", 1, 1,
