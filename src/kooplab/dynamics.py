@@ -447,21 +447,21 @@ def builtin_system(name: str, **params) -> ControlledSystem:
 
 
 def decomposition_residuals(system: ControlledSystem, grid: EvaluationGrid) -> dict:
-    """Max violations of f_u(0) = 0, f_xu(x, 0) = 0, f_xu(0, u) = 0 over the grid."""
-    n, m = system.state_dim, system.input_dim
-    zx, zu = np.zeros(n), np.zeros(m)
-    fu0 = float(np.max(np.abs(np.asarray(system.f_u(zu), float)), initial=0.0))
-    fxu_x0 = max(
-        (float(np.max(np.abs(np.asarray(system.f_xu(x, zu), float)), initial=0.0))
-         for x in grid.states),
-        default=0.0,
-    )
-    fxu_0u = max(
-        (float(np.max(np.abs(np.asarray(system.f_xu(zx, u), float)), initial=0.0))
-         for u in grid.inputs),
-        default=0.0,
-    )
-    return {"f_u_at_zero": fu0, "f_xu_at_u_zero": fxu_x0, "f_xu_at_x_zero": fxu_0u}
+    """Max violations of f_u(0) = 0, f_xu(x, 0) = 0, f_xu(0, u) = 0 over the grid.
+
+    A non-finite value counts as an infinite violation, so NaN cannot pass.
+    """
+    zx, zu = np.zeros(system.state_dim), np.zeros(system.input_dim)
+    values = {
+        "f_u_at_zero": [system.f_u(zu)],
+        "f_xu_at_u_zero": [system.f_xu(x, zu) for x in grid.states],
+        "f_xu_at_x_zero": [system.f_xu(zx, u) for u in grid.inputs],
+    }
+    out = {}
+    for key, vals in values.items():
+        v = float(np.max(np.abs(np.asarray(vals, dtype=float)), initial=0.0))
+        out[key] = v if np.isfinite(v) else np.inf
+    return out
 
 
 def validate_decomposition(system: ControlledSystem, grid: EvaluationGrid, tol: float = 1e-10):

@@ -27,6 +27,7 @@ from .observables import (
     JointDictionary,
     bilinear_cross_dictionary,
     _bilinear_jacobian_u,
+    _bilinear_operator,
     build_dictionary,
     joint_dictionary_from_spec,
 )
@@ -332,11 +333,7 @@ class BilinearModel(KoopmanModel):
 
     def K_of(self, u) -> np.ndarray:
         """Input-dependent operator K(u) = sum_i psi_u_i(u) K_i."""
-        w = self.dict_u.evaluate(u)
-        out = np.zeros_like(self.K_terms[0])
-        for wi, K in zip(w, self.K_terms):
-            out = out + wi * K
-        return out
+        return _bilinear_operator(self.dict_u, self.K_terms, u)
 
     def _advance(self, z, x, u):
         return self.K_of(u) @ z

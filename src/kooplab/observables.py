@@ -602,6 +602,11 @@ def build_joint_dictionary(state_dim, input_dim, state_degree, input_degree) -> 
     return MonomialJointDictionary(state_dim, input_dim, state_degree, input_degree)
 
 
+def _bilinear_operator(dict_u: Dictionary, K_terms, u) -> np.ndarray:
+    """Input-dependent operator K(u) = sum_i psi_u_i(u) K_i."""
+    return sum(w * K for w, K in zip(dict_u.evaluate(u), K_terms))
+
+
 def _bilinear_jacobian_u(dict_x: Dictionary, dict_u: Dictionary, K_terms, x, u) -> np.ndarray:
     """d/du of K(u) psi_x(x) with K(u) = sum_i psi_u_i(u) K_i, as an (N_x, m) array."""
     px = dict_x.evaluate(x)
@@ -617,18 +622,13 @@ def bilinear_cross_dictionary(dict_x: Dictionary, dict_u: Dictionary, K_terms) -
     """Cross term psi_xu(x, u) = (K(u) - K(0)) psi_x(x) induced by an
     input-dependent operator family K(u) = sum_i psi_u_i(u) K_i."""
     K_terms = [np.asarray(K, dtype=float) for K in K_terms]
-    pu0 = dict_u.evaluate(np.zeros(dict_u.input_dim))
-    K0 = sum(w * K for w, K in zip(pu0, K_terms))
-
-    def K_of(u):
-        pu = dict_u.evaluate(u)
-        return sum(w * K for w, K in zip(pu, K_terms))
+    K0 = _bilinear_operator(dict_u, K_terms, np.zeros(dict_u.input_dim))
 
     def eval_fn(x, u):
-        return (K_of(u) - K0) @ dict_x.evaluate(x)
+        return (_bilinear_operator(dict_u, K_terms, u) - K0) @ dict_x.evaluate(x)
 
     def jac_x_fn(x, u):
-        return (K_of(u) - K0) @ dict_x.jacobian(x)
+        return (_bilinear_operator(dict_u, K_terms, u) - K0) @ dict_x.jacobian(x)
 
     def jac_u_fn(x, u):
         return _bilinear_jacobian_u(dict_x, dict_u, K_terms, x, u)

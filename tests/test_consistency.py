@@ -18,6 +18,7 @@ from kooplab.consistency import (
     check_def2,
     check_def2_joint,
     check_kaiser,
+    check_model,
     check_theorem2,
     check_theorem3,
     check_theorem4,
@@ -103,6 +104,29 @@ class TestNonFiniteHypotheses:
         with pytest.raises(HypothesisViolationError, match=r"f_u\(0\) = 0"):
             check_theorem2(system, identity(1), identity(1, "u"), [[-1.0]], [[1.0]],
                            default_grid(system, points_per_axis=5))
+
+
+class TestNonFiniteResiduals:
+    def test_checker_raises_naming_the_condition_and_first_point(self):
+        system = ControlledSystem(
+            "nan-cross", "continuous", 1, 1,
+            f_x=lambda x: -x,
+            f_u=lambda u: u,
+            f_xu=lambda x, u: np.where((x > 0.0) & (u > 0.0), np.nan, 0.0),
+        )
+        grid = EvaluationGrid(np.array([[-1.0], [1.0], [2.0]]), np.array([[-1.0], [0.5]]))
+        with pytest.raises(ValueError, match=r"COR1-FXU: non-finite residual nan at u=0.5; x=1.0"):
+            check_corollary1(system, identity(1), grid)
+
+    def test_check_model_propagates_instead_of_skipping(self):
+        # the dictionary's Jacobian is NaN for x > 1, so the DEF1 field is NaN there
+        dictionary = CustomDictionary(1, [
+            ("x1", lambda z: z[0], lambda z: [np.nan] if z[0] > 1.0 else [1.0]),
+        ])
+        system = builtin_system("bilinear-scalar", a=-1.0, b=0.0)
+        model = AffineModel(dictionary, [[-1.0]], [[0.0]], "continuous")
+        with pytest.raises(ValueError, match=r"DEF1-CTRL: non-finite residual nan at u=-1.0; x=2.0"):
+            check_model(system, model, default_grid(system, points_per_axis=5))
 
 
 def scalar_discrete(f_x, f_u, jac_fx, jac_fu, name="scalar-discrete"):
@@ -961,3 +985,99 @@ class TestGridRefinement:
                                      np.zeros((5, 5)), np.zeros((5, 1)), grid)
             t2_max.append(reports[2].max_residual)
         assert t2_max[0] <= t2_max[1] <= t2_max[2]
+
+
+class TestPerPointReference:
+    """The broadcast residual fields against per-point evaluation of their formulas.
+
+    Four states and three inputs, so a per-state/per-input broadcast mix-up
+    cannot pass; the expected fields loop over the product in state-major order.
+    """
+
+    STATES = np.array([[-1.5, 0.4], [-0.3, 1.2], [0.7, -0.8], [1.6, 0.9]])
+    INPUTS = np.array([[-0.9], [0.35], [1.1]])
+
+    @staticmethod
+    def system():
+        return ControlledSystem(
+            "cross-2d", "continuous", 2, 1,
+            f_x=lambda x: np.array([x[1], -x[0] - x[0] ** 3]),
+            f_u=lambda u: np.array([0.0, u[0] + u[0] ** 2]),
+            f_xu=lambda x, u: np.array([x[0] * u[0], x[1] * u[0] ** 2]),
+        )
+
+    def grid(self):
+        return EvaluationGrid(self.STATES, self.INPUTS)
+
+    def product(self):
+        return [(x, u) for x in self.STATES for u in self.INPUTS]
+
+    def assert_field(self, report, expected):
+        X, U = (np.array(a) for a in zip(*self.product()))
+        np.testing.assert_array_equal(report.points["x"], X)
+        np.testing.assert_array_equal(report.points["u"], U)
+        np.testing.assert_allclose(report.residuals, expected, rtol=1e-12, atol=1e-12)
+
+    def test_continuous_fields(self):
+        rng = np.random.default_rng(11)
+        system, grid = self.system(), self.grid()
+        dx, du = monomials(2, 2), monomials(1, 2, include_constant=False, var_prefix="u")
+        dxu = build_joint_dictionary(2, 1, 1, 1)
+        J0 = dx.jacobian(np.zeros(2))
+        L_x, L_u, L_xu = (rng.normal(size=(dx.size, k)) for k in (dx.size, du.size, dxu.size))
+
+        t2c3 = check_theorem2(system, dx, du, L_x, L_u, grid)[2]
+        self.assert_field(t2c3, [
+            np.max(np.abs((dx.jacobian(x) - J0) @ system.f_u(u)
+                          + dx.jacobian(x) @ system.f_xu(x, u)))
+            for x, u in self.product()])
+
+        t3c2 = check_theorem3(system, dx, dxu, L_x, L_xu, grid)[1]
+        self.assert_field(t3c2, [
+            np.max(np.abs(dx.jacobian(x) @ (system.f_u(u) + system.f_xu(x, u))
+                          - L_xu @ dxu.evaluate(x, u)))
+            for x, u in self.product()])
+
+        eig = monomials(2, 2, include_constant=False)
+        lam = rng.normal(size=eig.size)
+        kaiser = check_kaiser(system, eig, lam, grid)
+        self.assert_field(kaiser, [
+            np.max(np.abs(eig.jacobian(x) @ system.evaluate(x, u) - lam * eig.evaluate(x)))
+            for x, u in self.product()])
+
+    def test_discrete_fields(self):
+        rng = np.random.default_rng(12)
+        system, grid = discretize(self.system(), 0.1), self.grid()
+        dx, du = monomials(2, 2), monomials(1, 2, include_constant=False, var_prefix="u")
+        dxu = build_joint_dictionary(2, 1, 1, 1)
+        x0, u0 = np.zeros(2), np.zeros(1)
+
+        def J_next(x, u):
+            return dx.jacobian(system.evaluate(x, u))
+
+        K_x, K_u, K_xu, B = (rng.normal(size=(dx.size, k))
+                             for k in (dx.size, du.size, dxu.size, 1))
+        t4 = check_theorem4(system, dx, du, K_x, K_u, grid)
+        self.assert_field(t4[2], [
+            np.max(np.abs((J_next(x, u) - J_next(x0, u)) @ system.jacobian_fu(u)
+                          + J_next(x, u) @ system.jacobian_fxu_u(x, u)))
+            for x, u in self.product()])
+        self.assert_field(t4[3], [
+            np.max(np.abs((J_next(x, u) - J_next(x, u0)) @ system.jacobian_fx(x)
+                          + J_next(x, u) @ system.jacobian_fxu_x(x, u)))
+            for x, u in self.product()])
+
+        cor6 = check_corollary6(system, dx, K_x, B, grid)[1]
+        assert cor6.condition == "COR6-B"
+        self.assert_field(cor6, [
+            np.max(np.abs(J_next(x, u) @ system.jacobian_fu(u) - B))
+            for x, u in self.product()])
+
+        t5 = {r.condition: r for r in check_theorem5(system, dx, dxu, K_x, K_xu, grid)}
+        self.assert_field(t5["T5-C2"], [
+            np.max(np.abs(J_next(x, u) @ system.jacobian_u(x, u) - K_xu @ dxu.jacobian_u(x, u)))
+            for x, u in self.product()])
+        self.assert_field(t5["COR8-C2"], [
+            np.max(np.abs(J_next(x, u) @ (system.jacobian_fu(u) + system.jacobian_fxu_u(x, u))
+                          - K_xu @ dxu.jacobian_u(x, u)))
+            for x, u in self.product()])

@@ -157,6 +157,27 @@ class TestControlledSystem:
         with pytest.raises(ValueError, match="decomposition invariant"):
             validate_decomposition(bad, default_grid(bad, points_per_axis=3))
 
+    def test_validate_decomposition_rejects_nan(self):
+        grid = EvaluationGrid(np.array([[-1.0], [0.0], [1.0]]), np.array([[-1.0], [0.0], [1.0]]))
+        nan_at_zero = ControlledSystem(
+            "nan-input", "continuous", 1, 1,
+            f_x=lambda x: -x,
+            f_u=lambda u: np.where(u == 0.0, np.nan, u),
+            f_xu=lambda x, u: np.zeros(1),
+        )
+        with pytest.raises(ValueError, match="f_u_at_zero = inf"):
+            validate_decomposition(nan_at_zero, grid)
+        # NaN after a finite value: a running Python max would drop it
+        nan_cross = ControlledSystem(
+            "nan-cross", "continuous", 1, 1,
+            f_x=lambda x: -x,
+            f_u=lambda u: u,
+            f_xu=lambda x, u: np.where(x > 0.0, np.nan, 0.0),
+        )
+        assert decomposition_residuals(nan_cross, grid)["f_xu_at_u_zero"] == np.inf
+        with pytest.raises(ValueError, match="f_xu_at_u_zero = inf"):
+            validate_decomposition(nan_cross, grid)
+
     def test_validate_jacobians_catches_wrong_analytic(self):
         bad = ControlledSystem(
             "wrongjac", "continuous", 1, 0,
