@@ -437,12 +437,11 @@ def _compare_pipeline(cfg, out: Path) -> list[dict]:
         controls = rng.uniform(ulo, uhi, size=(_N_HELDOUT, _HORIZON, dsystem.input_dim))
     else:
         controls = np.zeros((_N_HELDOUT, _HORIZON, 0))
-    true_paths = []
-    for x0, us in zip(x0s, controls):
-        path = [np.asarray(x0, dtype=float)]
-        for u in us:
-            path.append(dsystem.evaluate(path[-1], u))
-        true_paths.append(np.array(path))
+    # every trajectory advances together: one stacked step per time step
+    path = [x0s]
+    for k in range(_HORIZON):
+        path.append(dsystem.evaluate(path[-1], controls[:, k]))
+    true_paths = np.stack(path, axis=1)
 
     grid = cfg.build_grid()
     rows = []

@@ -320,24 +320,12 @@ def _axes(system, grid):
 
 def _next_jacobian(system, jac, X, U, *args) -> np.ndarray:
     """J+ = jac(f(x, u), *args) at the aligned rows of X, U."""
-    return _stack(jac, _stack(system.evaluate, X, U), *args)
-
-
-def _dfdx(system, grid):
-    """(df_x/dx once per state, df/dx = df_x/dx + df_xu/dx on the product)."""
-    Dfx = _stack(system.jacobian_fx, grid.states)
-    return Dfx, _per_state(Dfx, grid) + _stack(system.jacobian_fxu_x, *_product_points(grid))
-
-
-def _dfdu(system, grid) -> np.ndarray:
-    """df/du = df_u/du (once per input) + df_xu/du on the product."""
-    Dfu = _stack(system.jacobian_fu, grid.inputs)
-    return _per_input(Dfu, grid) + _stack(system.jacobian_fxu_u, *_product_points(grid))
+    return _stack(jac, system.evaluate(X, U), *args)
 
 
 def _drift_residuals(system, dict_x, L, grid, J) -> np.ndarray:
     """|| J_psi_x(x) f_x(x) - L psi_x(x) || over the states, J = J_psi_x per state."""
-    F = _stack(system.f_x, grid.states)
+    F = system.f_x(grid.states)
     return _norms(_mv(J, F) - _mv(L, _stack(dict_x.evaluate, grid.states)))
 
 
@@ -360,10 +348,10 @@ def _check_sep_hypotheses(system, dict_u, grid, tol=_HYPOTHESIS_TOL):
     if not v <= tol:
         raise HypothesisViolationError("f_u(0) = 0", v)
     x_axis, u_axis = _axes(system, grid)
-    worst, worst_x = _worst(_stack(system.f_xu, *x_axis), grid.states)
+    worst, worst_x = _worst(system.f_xu(*x_axis), grid.states)
     if worst > tol:
         raise HypothesisViolationError("f_xu(x, 0) = 0", worst, where=worst_x)
-    worst, worst_u = _worst(_stack(system.f_xu, *u_axis), grid.inputs)
+    worst, worst_u = _worst(system.f_xu(*u_axis), grid.inputs)
     if worst > tol:
         raise HypothesisViolationError("f_xu(0, u) = 0", worst, where=worst_u)
     if dict_u is not None:
@@ -374,7 +362,7 @@ def _check_sep_hypotheses(system, dict_u, grid, tol=_HYPOTHESIS_TOL):
 
 def _check_fxu_vanishes(system, grid, tol=_HYPOTHESIS_TOL):
     X, U = _product_points(grid)
-    worst, worst_at = _worst(_stack(system.f_xu, X, U), X, U)
+    worst, worst_at = _worst(system.f_xu(X, U), X, U)
     if worst > tol:
         raise HypothesisViolationError("f_xu(x, u) = 0", worst, where=worst_at)
 
@@ -411,7 +399,7 @@ def check_def1(system: ControlledSystem, model, grid: EvaluationGrid,
     auton = _autonomous(model)
     g = grid.autonomous() if auton else grid
     X, U = _product_points(g)
-    F = _stack(system.evaluate, X, U)
+    F = system.evaluate(X, U)
     if joint:
         udot_fn = u_dot if callable(u_dot) else (lambda x, u: np.asarray(u_dot, dtype=float))
         Udot = _stack(udot_fn, X, U)
@@ -444,10 +432,10 @@ def check_def2(system: ControlledSystem, model, grid: EvaluationGrid,
     X, U = _product_points(g)
     points = {"x": X} if auton else {"x": X, "u": U}
     J = _next_jacobian(system, model.dict_x.jacobian, X, U)
-    res_x = _stack(model.lift_next_jac_x, X, U) - J @ _dfdx(system, g)[1]
+    res_x = _stack(model.lift_next_jac_x, X, U) - J @ system.jacobian_x(X, U)
     if auton:
         return [ConsistencyReport("DEF2-AUTON", tolerance, points, _norms(res_x))]
-    res_u = _stack(model.lift_next_jac_u, X, U) - J @ _dfdu(system, g)
+    res_u = _stack(model.lift_next_jac_u, X, U) - J @ system.jacobian_u(X, U)
     return [
         ConsistencyReport("DEF2-CTRL-X", tolerance, points, _norms(res_x)),
         ConsistencyReport("DEF2-CTRL-U", tolerance, points, _norms(res_u)),
@@ -481,10 +469,10 @@ def check_def2_joint(system: ControlledSystem, joint_dict: JointDictionary, K,
     if input_evolution is not None:
         u_map, u_jac = input_evolution
         U_next = _per_input(_stack(u_map, grid.inputs), grid)
-    X_next = _stack(system.evaluate, X, U)
+    X_next = system.evaluate(X, U)
     J_next = _stack(joint_dict.jacobian_x, X_next, U_next)
-    rhs_x = J_next @ _dfdx(system, grid)[1]
-    rhs_u = J_next @ _dfdu(system, grid)
+    rhs_x = J_next @ system.jacobian_x(X, U)
+    rhs_u = J_next @ system.jacobian_u(X, U)
     if input_evolution is not None:
         rhs_u = rhs_u + _stack(joint_dict.jacobian_u, X_next, U_next) @ _per_input(
             _stack(u_jac, grid.inputs), grid)
@@ -526,13 +514,13 @@ def check_theorem2(system: ControlledSystem, dict_x: Dictionary, dict_u: Diction
     L_u = np.asarray(L_u, dtype=float)
     J0 = dict_x.jacobian(np.zeros(system.state_dim))
     J = _stack(dict_x.jacobian, grid.states)
-    Fu = _stack(system.f_u, grid.inputs)
+    Fu = system.f_u(grid.inputs)
     X, U = _product_points(grid)
 
     res1 = _drift_residuals(system, dict_x, L_x, grid, J)
     res2 = _norms(_mv(J0, Fu) - _mv(L_u, _stack(dict_u.evaluate, grid.inputs)))
     Jp = _per_state(J, grid)
-    res3 = _norms(_mv(Jp - J0, _per_input(Fu, grid)) + _mv(Jp, _stack(system.f_xu, X, U)))
+    res3 = _norms(_mv(Jp - J0, _per_input(Fu, grid)) + _mv(Jp, system.f_xu(X, U)))
     return [
         ConsistencyReport("T2-C1", tolerance, {"x": grid.states}, res1),
         ConsistencyReport("T2-C2", tolerance, {"u": grid.inputs}, res2),
@@ -545,10 +533,10 @@ def _fxu_field_report(system, grid, condition, tolerance,
     X, U = _product_points(grid)
     details = {}
     if with_jacobians:
-        details = {"max_cross_jac_x": _inf(_stack(system.jacobian_fxu_x, X, U)),
-                   "max_cross_jac_u": _inf(_stack(system.jacobian_fxu_u, X, U))}
+        details = {"max_cross_jac_x": _inf(system.jacobian_fxu_x(X, U)),
+                   "max_cross_jac_u": _inf(system.jacobian_fxu_u(X, U))}
     return ConsistencyReport(condition, tolerance, {"x": X, "u": U},
-                             _norms(_stack(system.f_xu, X, U)), details=details)
+                             _norms(system.f_xu(X, U)), details=details)
 
 
 def check_corollary1(system: ControlledSystem, dict_x: Dictionary, grid: EvaluationGrid,
@@ -573,9 +561,14 @@ def check_corollary2(system: ControlledSystem, dict_x: Dictionary, grid: Evaluat
     """
     _require_time_kind(system, "continuous", "check_corollary2")
     _check_fxu_vanishes(system, grid)
+    return _pairwise_report(system, dict_x, grid, n_pairs, seed, tolerance)
+
+
+def _pairwise_report(system, dict_x, grid, n_pairs, seed, tolerance) -> ConsistencyReport:
+    """The COR2 field, once its hypothesis f_xu = 0 is settled."""
     i1, i2, iu = _sample_pair_indices(grid, n_pairs, seed, ("x", "x", "u"))
     J = _stack(dict_x.jacobian, grid.states)
-    res = _norms(_mv(J[i1] - J[i2], _stack(system.f_u, grid.inputs)[iu]))
+    res = _norms(_mv(J[i1] - J[i2], system.f_u(grid.inputs)[iu]))
     return ConsistencyReport(
         "COR2-PAIRWISE", tolerance,
         {"x1": grid.states[i1], "x2": grid.states[i2], "u": grid.inputs[iu]}, res
@@ -604,12 +597,12 @@ def check_corollary3_kma(system: ControlledSystem, dict_x: Dictionary, L, B,
     # worst violation of COR2's hypothesis f_xu = 0
     reports = [_fxu_field_report(system, grid, "COR1-FXU", tolerance)]
     if reports[0].max_residual <= _HYPOTHESIS_TOL:
-        reports.append(check_corollary2(system, dict_x, grid, n_pairs, seed, tolerance))
+        reports.append(_pairwise_report(system, dict_x, grid, n_pairs, seed, tolerance))
     else:
         reports[0].note = "cross term nonzero: pairwise condition skipped (its hypothesis fails)"
 
     J0 = dict_x.jacobian(np.zeros(system.state_dim))
-    res_b = _norms(J0 @ _stack(system.jacobian_fu, grid.inputs) - B)
+    res_b = _norms(J0 @ system.jacobian_fu(grid.inputs) - B)
     reports.append(ConsistencyReport("COR3-KMA-B", tolerance, {"u": grid.inputs}, res_b))
     res_l = _drift_residuals(system, dict_x, L, grid, _stack(dict_x.jacobian, grid.states))
     reports.append(ConsistencyReport("COR3-KMA-L", tolerance, {"x": grid.states}, res_l))
@@ -641,7 +634,7 @@ def check_theorem3(system: ControlledSystem, dict_x: Dictionary,
 
     J = _stack(dict_x.jacobian, grid.states)
     X, U = _product_points(grid)
-    cross = _per_input(_stack(system.f_u, grid.inputs), grid) + _stack(system.f_xu, X, U)
+    cross = _per_input(system.f_u(grid.inputs), grid) + system.f_xu(X, U)
     res2 = _norms(_mv(_per_state(J, grid), cross) - _mv(L_xu, _stack(dict_xu.evaluate, X, U)))
     return [
         ConsistencyReport("T3-C1", tolerance, {"x": grid.states},
@@ -681,7 +674,7 @@ def check_kaiser(system: ControlledSystem, eigendict, Lam, grid: EvaluationGrid,
     else:
         psi = _per_state(_stack(eigendict.evaluate, grid.states), grid)
         J = _per_state(_stack(eigendict.jacobian, grid.states), grid)
-    res = _norms(_mv(J, _stack(system.evaluate, X, U)) - lam * psi)
+    res = _norms(_mv(J, system.evaluate(X, U)) - lam * psi)
     return ConsistencyReport("KAISER", tolerance, {"x": X, "u": U}, res)
 
 
@@ -711,8 +704,8 @@ def check_theorem4(system: ControlledSystem, dict_x: Dictionary, dict_u: Diction
     K_u = np.asarray(K_u, dtype=float)
     x_axis, u_axis = _axes(system, grid)
     X, U = _product_points(grid)
-    Dfx = _stack(system.jacobian_fx, grid.states)
-    Dfu = _stack(system.jacobian_fu, grid.inputs)
+    Dfx = system.jacobian_fx(grid.states)
+    Dfu = system.jacobian_fu(grid.inputs)
     J_x0 = _next_jacobian(system, dict_x.jacobian, *x_axis)
     J_0u = _next_jacobian(system, dict_x.jacobian, *u_axis)
     J = _next_jacobian(system, dict_x.jacobian, X, U)
@@ -720,9 +713,9 @@ def check_theorem4(system: ControlledSystem, dict_x: Dictionary, dict_u: Diction
     res1 = _norms(J_x0 @ Dfx - K_x @ _stack(dict_x.jacobian, grid.states))
     res2 = _norms(J_0u @ Dfu - K_u @ _stack(dict_u.jacobian, grid.inputs))
     res3 = _norms((J - _per_input(J_0u, grid)) @ _per_input(Dfu, grid)
-                  + J @ _stack(system.jacobian_fxu_u, X, U))
+                  + J @ system.jacobian_fxu_u(X, U))
     res4 = _norms((J - _per_state(J_x0, grid)) @ _per_state(Dfx, grid)
-                  + J @ _stack(system.jacobian_fxu_x, X, U))
+                  + J @ system.jacobian_fxu_x(X, U))
     return [
         ConsistencyReport("T4-C1", tolerance, {"x": grid.states}, res1),
         ConsistencyReport("T4-C2", tolerance, {"u": grid.inputs}, res2),
@@ -763,9 +756,9 @@ def check_corollary5(system: ControlledSystem, dict_x: Dictionary, grid: Evaluat
 
     J_11 = _next_jacobian(system, dict_x.jacobian, X1, U1)
     res_u = _norms((J_11 - _next_jacobian(system, dict_x.jacobian, X2, U1))
-                   @ _stack(system.jacobian_fu, grid.inputs)[j1])
+                   @ system.jacobian_fu(grid.inputs)[j1])
     res_x = _norms((J_11 - _next_jacobian(system, dict_x.jacobian, X1, U2))
-                   @ _stack(system.jacobian_fx, grid.states)[i1])
+                   @ system.jacobian_fx(grid.states)[i1])
     return [
         ConsistencyReport(
             "COR5-PAIRWISE-U", tolerance, {"x1": X1, "x2": X2, "u1": U1}, res_u
@@ -791,7 +784,7 @@ def check_corollary6(system: ControlledSystem, dict_x: Dictionary, K, B,
     reports = [_fxu_field_report(system, grid, "COR4-FXU", tolerance, with_jacobians=True)]
     X, U = _product_points(grid)
     J = _next_jacobian(system, dict_x.jacobian, X, U)
-    res = _norms(J @ _per_input(_stack(system.jacobian_fu, grid.inputs), grid) - B)
+    res = _norms(J @ _per_input(system.jacobian_fu(grid.inputs), grid) - B)
     reports.append(ConsistencyReport("COR6-B", tolerance, {"x": X, "u": U}, res))
     return reports
 
@@ -824,18 +817,17 @@ def check_theorem5(system: ControlledSystem, dict_x: Dictionary,
     x_axis, _ = _axes(system, grid)
     worst, worst_x = _worst(_stack(dict_xu.evaluate, *x_axis), grid.states)
 
-    Dfx, Df_x0 = _dfdx(system, grid.autonomous())
     J_x0 = _next_jacobian(system, dict_x.jacobian, *x_axis)
-    lhs_full = J_x0 @ Df_x0
+    lhs_full = J_x0 @ system.jacobian_x(*x_axis)
     base = K_x @ _stack(dict_x.jacobian, grid.states)
     res_t5c1 = _norms(lhs_full - base - K_xu @ _stack(dict_xu.jacobian_x, *x_axis))
     res_c7c1 = _norms(lhs_full - base)
-    res_c8c1 = _norms(J_x0 @ Dfx - base)
+    res_c8c1 = _norms(J_x0 @ system.jacobian_fx(grid.states) - base)
 
     # dcross/du = df_u/du + df_xu/du is df/du, so COR8-C2 shares T5-C2's field
     X, U = _product_points(grid)
     J = _next_jacobian(system, dict_x.jacobian, X, U)
-    res_t5c2 = _norms(J @ _dfdu(system, grid) - K_xu @ _stack(dict_xu.jacobian_u, X, U))
+    res_t5c2 = _norms(J @ system.jacobian_u(X, U) - K_xu @ _stack(dict_xu.jacobian_u, X, U))
 
     reports = [
         ConsistencyReport("T5-C1", tolerance, {"x": grid.states}, res_t5c1),

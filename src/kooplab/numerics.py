@@ -1,4 +1,5 @@
-"""Shared numerical kernels: least squares, finite differences, one RK4 step.
+"""Shared numerical kernels: least squares, finite differences, one RK4 step
+over points or stacks.
 
 Everything downstream (fitting, Jacobian checks, simulation) funnels through
 these three routines, so their error behavior is deliberately strict: any
@@ -156,11 +157,12 @@ def rk4_step(
     Parameters
     ----------
     field : callable
-        Map (state, input, time) -> state derivative.
-    x : (n,) array_like
-        State at time ``t``.
-    u : (m,) array_like
-        Input, zero-order held over the step.
+        Map (state, input, time) -> state derivative, over the same point or
+        stack shapes as ``x`` and ``u``.
+    x : (n,) or (P, n) array_like
+        State at time ``t``: one point, or a stack of P points.
+    u : (m,) or (P, m) array_like
+        Input, zero-order held over the step; one row per state row.
     t : float
         Step start time.
     dt : float
@@ -168,11 +170,16 @@ def rk4_step(
 
     Returns
     -------
-    (n,) ndarray
-        State at time ``t + dt``.
+    (n,) or (P, n) ndarray
+        State at time ``t + dt``, shaped like ``x``.
     """
-    x = _as_float_array(x, "x", ndim=1)
-    u = _as_float_array(u, "u", ndim=1)
+    x = _as_float_array(x, "x")
+    u = _as_float_array(u, "u")
+    if x.ndim not in (1, 2) or u.ndim != x.ndim or u.shape[:-1] != x.shape[:-1]:
+        raise ValueError(
+            "x and u must be one point (n,), (m,) or aligned stacks (P, n), (P, m); "
+            f"got shapes {x.shape} and {u.shape}"
+        )
     if not np.isscalar(dt) or dt == 0 or not np.isfinite(dt):
         raise ValueError(f"dt must be a nonzero finite scalar, got {dt!r}")
 

@@ -571,6 +571,23 @@ class TestCorollary3:
             check_corollary3_kma(system, lifted, np.eye(5), np.zeros((5, 1)),
                                  default_grid(system))
 
+    def test_cross_term_evaluated_once_per_product_point(self):
+        # the COR1 field settles the pairwise hypothesis; it is not re-evaluated
+        calls = []
+
+        def f_xu(x, u):
+            calls.append((x, u))
+            return np.zeros(1)
+
+        system = ControlledSystem("counted", "continuous", 1, 1,
+                                  f_x=lambda x: -x, f_u=lambda u: u, f_xu=f_xu)
+        grid = default_grid(system, points_per_axis=3)
+        reports = check_corollary3_kma(system, identity(1), [[-1.0]], [[1.0]], grid)
+        assert [r.condition for r in reports] == [
+            "COR1-FXU", "COR2-PAIRWISE", "COR3-KMA-B", "COR3-KMA-L"
+        ]
+        assert len(calls) == 9
+
 
 class TestTheorem3:
     def test_bilinear_exact(self):

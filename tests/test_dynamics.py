@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kooplab.dynamics import (
     ControlledSystem,
@@ -188,6 +191,89 @@ class TestControlledSystem:
         )
         with pytest.raises(ValueError, match="disagree"):
             validate_jacobians(bad, default_grid(bad, points_per_axis=3))
+
+
+def user_cross_2d():
+    """Per-point callables with a cross term and no analytic Jacobians."""
+    return ControlledSystem(
+        "user-cross-2d", "continuous", 2, 1,
+        f_x=lambda x: np.array([x[1], -x[0] - x[0] ** 3]),
+        f_u=lambda u: np.array([0.0, u[0] + u[0] ** 2]),
+        f_xu=lambda x, u: np.array([x[0] * u[0], x[1] * u[0] ** 2]),
+    )
+
+
+CONTINUOUS_CATALOG = {
+    "linear": {},
+    "bilinear-scalar": {"a": -1.0, "b": 1.0},
+    "duffing-forced": {"delta": 0.5},
+    "slow-manifold": {"mu": -0.05, "lam": -1.0},
+}
+
+# every catalog system, its RK4 discretization, and user callables through the row adapter
+STACK_SYSTEMS = {
+    **{name: (lambda name=name, p=p: builtin_system(name, **p))
+       for name, p in CONTINUOUS_CATALOG.items()},
+    "bilinear-discrete": lambda: builtin_system("bilinear-discrete", alpha=0.9, beta=0.1),
+    **{f"{name}-rk4": (lambda name=name, p=p: discretize(builtin_system(name, **p), 0.1))
+       for name, p in CONTINUOUS_CATALOG.items()},
+    "user-cross-2d": user_cross_2d,
+}
+
+# method -> which of the aligned stacks (X, U) it takes
+STACK_METHODS = {
+    "evaluate": "xu", "f_x": "x", "f_u": "u", "f_xu": "xu",
+    "jacobian_fx": "x", "jacobian_fu": "u", "jacobian_fxu_x": "xu", "jacobian_fxu_u": "xu",
+    "jacobian_x": "xu", "jacobian_u": "xu",
+}
+
+
+@st.composite
+def aligned_stacks(draw, system):
+    """1 to 50 rows of states in [-2, 2]^n and inputs in [-1, 1]^m."""
+    P = draw(st.integers(1, 50))
+    X = draw(arrays(np.float64, (P, system.state_dim), elements=st.floats(-2.0, 2.0)))
+    U = draw(arrays(np.float64, (P, system.input_dim), elements=st.floats(-1.0, 1.0)))
+    return X, U
+
+
+class TestStackContract:
+    @pytest.mark.parametrize("name", sorted(STACK_SYSTEMS))
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_stacked_calls_equal_per_row_calls(self, name, data):
+        system = STACK_SYSTEMS[name]()
+        X, U = data.draw(aligned_stacks(system))
+        for method, takes in STACK_METHODS.items():
+            fn = getattr(system, method)
+            cols = {"xu": (X, U), "x": (X,), "u": (U,)}[takes]
+            stacked = fn(*cols)
+            rows = np.array([fn(*row) for row in zip(*cols)])
+            assert stacked.shape == rows.shape, method
+            np.testing.assert_allclose(stacked, rows, rtol=1e-12,
+                                       atol=1e-12 * max(1.0, np.abs(rows).max()), err_msg=method)
+
+    @pytest.mark.parametrize("name", sorted(STACK_SYSTEMS))
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_non_finite_row_is_named(self, name, data):
+        system = STACK_SYSTEMS[name]()
+        X, U = data.draw(aligned_stacks(system))
+        k = data.draw(st.integers(0, len(X) - 1))
+        X[k, 0] = np.nan
+        with pytest.raises(ValueError) as err:
+            system.evaluate(X, U)
+        assert f"non-finite field value at x={X[k].tolist()}, u={U[k].tolist()}" in str(err.value)
+
+    def test_point_and_stack_shapes(self):
+        sys = builtin_system("duffing-forced", delta=0.5)
+        assert sys.evaluate(np.zeros(2), np.zeros(1)).shape == (2,)
+        assert sys.evaluate(np.zeros((3, 2)), np.zeros((3, 1))).shape == (3, 2)
+        assert sys.jacobian_u(np.zeros((3, 2)), np.zeros((3, 1))).shape == (3, 2, 1)
+        with pytest.raises(ValueError, match="single points or stacks"):
+            sys.evaluate(np.zeros((3, 2)), np.zeros(1))
+        with pytest.raises(ValueError, match="single points or stacks"):
+            sys.evaluate(np.zeros((3, 2)), np.zeros((2, 1)))
 
 
 class TestSimulate:
@@ -384,6 +470,34 @@ class TestGenerateDataset:
         assert np.max(np.abs(data.X)) <= 1.5
         again = generate_dataset(sys, 40, seed=9, divergence_bound=15.0)
         np.testing.assert_array_equal(data.X, again.X)
+        self.assert_matches_row_by_row(data, sys, 40, seed=9, bound=15.0)
+
+    def test_divergent_catalog_samples_redrawn(self):
+        # |0.9 x + 0.1 x u| > 1 for about half of the draws from [-2, 2] x [-1, 1]
+        sys = bilinear_discrete(0.9, 0.1)
+        data = generate_dataset(sys, 60, seed=4, divergence_bound=1.0)
+        assert data.n_redraws >= 20
+        self.assert_matches_row_by_row(data, sys, 60, seed=4, bound=1.0)
+
+    @staticmethod
+    def assert_matches_row_by_row(data, system, n, seed, bound):
+        """The dataset equals the seeded stream drawn and redrawn one row at a time."""
+        rng = np.random.default_rng(seed)
+        X = -2.0 + 4.0 * rng.random((n, system.state_dim))
+        U = -1.0 + 2.0 * rng.random((n, system.input_dim))
+        Y = np.empty_like(X)
+        redraws = 0
+        for i in range(n):
+            y = system.evaluate(X[i], U[i])
+            while not (np.all(np.isfinite(y)) and np.linalg.norm(y) <= bound):
+                X[i] = -2.0 + 4.0 * rng.random((1, system.state_dim))[0]
+                redraws += 1
+                y = system.evaluate(X[i], U[i])
+            Y[i] = y
+        np.testing.assert_array_equal(data.X, X)
+        np.testing.assert_array_equal(data.U, U)
+        np.testing.assert_array_equal(data.Y, Y)
+        assert data.n_redraws == redraws
 
     def test_retry_exhaustion(self):
         sys = ControlledSystem(
