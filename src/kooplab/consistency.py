@@ -33,6 +33,7 @@ import numpy as np
 
 from .dynamics import ControlledSystem, EvaluationGrid
 from .formulations import VARIANTS, bilinear_to_joint
+from .numerics import _mv, _stacked
 from .observables import Dictionary, JointDictionary
 
 __all__ = [
@@ -272,19 +273,9 @@ def _inf(arr) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
-def _stack(fn, *cols) -> np.ndarray:
-    """fn over the aligned rows of cols, stacked into one (P, ...) array."""
-    return np.array([fn(*row) for row in zip(*cols)], dtype=float)
-
-
 def _norms(R) -> np.ndarray:
     """Max-abs of each point's block of a stacked field; NaN propagates as in _inf."""
     return np.abs(R).max(axis=tuple(range(1, R.ndim)), initial=0.0)
-
-
-def _mv(A, v) -> np.ndarray:
-    """Per-point products of (stacked or shared) matrices A with stacked vectors v."""
-    return (A @ v[..., None])[..., 0]
 
 
 def _worst(field, *cols):
@@ -318,15 +309,15 @@ def _axes(system, grid):
             (np.zeros((len(grid.inputs), system.state_dim)), grid.inputs))
 
 
-def _next_jacobian(system, jac, X, U, *args) -> np.ndarray:
-    """J+ = jac(f(x, u), *args) at the aligned rows of X, U."""
-    return _stack(jac, system.evaluate(X, U), *args)
+def _next_jacobian(system, dict_x, X, U) -> np.ndarray:
+    """J+ = J_psi_x(f(x, u)) at the aligned rows of X, U."""
+    return dict_x.jacobian(system.evaluate(X, U))
 
 
 def _drift_residuals(system, dict_x, L, grid, J) -> np.ndarray:
     """|| J_psi_x(x) f_x(x) - L psi_x(x) || over the states, J = J_psi_x per state."""
     F = system.f_x(grid.states)
-    return _norms(_mv(J, F) - _mv(L, _stack(dict_x.evaluate, grid.states)))
+    return _norms(_mv(J, F) - _mv(L, dict_x.evaluate(grid.states)))
 
 
 def _require_time_kind(system: ControlledSystem, kind: str, checker: str):
@@ -401,15 +392,14 @@ def check_def1(system: ControlledSystem, model, grid: EvaluationGrid,
     X, U = _product_points(g)
     F = system.evaluate(X, U)
     if joint:
-        udot_fn = u_dot if callable(u_dot) else (lambda x, u: np.asarray(u_dot, dtype=float))
-        Udot = _stack(udot_fn, X, U)
-        truth = (_mv(_stack(model.observe_jac_x, X, U), F)
-                 + _mv(_stack(model.observe_jac_u, X, U), Udot))
-        rate = _stack(lambda x, u, ud: model.rate(x, u, u_dot=ud), X, U, Udot)
+        Udot = (_stacked(u_dot, (system.input_dim,))(X, U) if callable(u_dot)
+                else np.broadcast_to(np.asarray(u_dot, dtype=float), U.shape))
+        truth = _mv(model.observe_jac_x(X, U), F) + _mv(model.observe_jac_u(X, U), Udot)
+        rate = model.rate(X, U, u_dot=Udot)
     else:
         jac = model.eigendict.jacobian if model.variant == "eigen" else model.dict_x.jacobian
-        truth = _mv(_per_state(_stack(jac, g.states), g), F)
-        rate = _stack(model.rate, X, U)
+        truth = _mv(_per_state(jac(g.states), g), F)
+        rate = model.rate(X, U)
     cid = "DEF1-AUTON" if auton else "DEF1-JOINT" if joint else "DEF1-CTRL"
     points = {"x": X} if auton else {"x": X, "u": U}
     return ConsistencyReport(cid, tolerance, points, _norms(rate - truth))
@@ -431,11 +421,11 @@ def check_def2(system: ControlledSystem, model, grid: EvaluationGrid,
     g = grid.autonomous() if auton else grid
     X, U = _product_points(g)
     points = {"x": X} if auton else {"x": X, "u": U}
-    J = _next_jacobian(system, model.dict_x.jacobian, X, U)
-    res_x = _stack(model.lift_next_jac_x, X, U) - J @ system.jacobian_x(X, U)
+    J = _next_jacobian(system, model.dict_x, X, U)
+    res_x = model.lift_next_jac_x(X, U) - J @ system.jacobian_x(X, U)
     if auton:
         return [ConsistencyReport("DEF2-AUTON", tolerance, points, _norms(res_x))]
-    res_u = _stack(model.lift_next_jac_u, X, U) - J @ system.jacobian_u(X, U)
+    res_u = model.lift_next_jac_u(X, U) - J @ system.jacobian_u(X, U)
     return [
         ConsistencyReport("DEF2-CTRL-X", tolerance, points, _norms(res_x)),
         ConsistencyReport("DEF2-CTRL-U", tolerance, points, _norms(res_u)),
@@ -465,19 +455,20 @@ def check_def2_joint(system: ControlledSystem, joint_dict: JointDictionary, K,
         )
 
     X, U = _product_points(grid)
+    m = system.input_dim
     U_next = U
     if input_evolution is not None:
         u_map, u_jac = input_evolution
-        U_next = _per_input(_stack(u_map, grid.inputs), grid)
+        U_next = _per_input(_stacked(u_map, (m,))(grid.inputs), grid)
     X_next = system.evaluate(X, U)
-    J_next = _stack(joint_dict.jacobian_x, X_next, U_next)
+    J_next = joint_dict.jacobian_x(X_next, U_next)
     rhs_x = J_next @ system.jacobian_x(X, U)
     rhs_u = J_next @ system.jacobian_u(X, U)
     if input_evolution is not None:
-        rhs_u = rhs_u + _stack(joint_dict.jacobian_u, X_next, U_next) @ _per_input(
-            _stack(u_jac, grid.inputs), grid)
-    res_x = _norms(K @ _stack(joint_dict.jacobian_x, X, U) - rhs_x)
-    res_u = _norms(K @ _stack(joint_dict.jacobian_u, X, U) - rhs_u)
+        rhs_u = rhs_u + joint_dict.jacobian_u(X_next, U_next) @ _per_input(
+            _stacked(u_jac, (m, m))(grid.inputs), grid)
+    res_x = _norms(K @ joint_dict.jacobian_x(X, U) - rhs_x)
+    res_u = _norms(K @ joint_dict.jacobian_u(X, U) - rhs_u)
 
     note_x = note_u = None
     if input_evolution is None:
@@ -513,12 +504,12 @@ def check_theorem2(system: ControlledSystem, dict_x: Dictionary, dict_u: Diction
     L_x = np.asarray(L_x, dtype=float)
     L_u = np.asarray(L_u, dtype=float)
     J0 = dict_x.jacobian(np.zeros(system.state_dim))
-    J = _stack(dict_x.jacobian, grid.states)
+    J = dict_x.jacobian(grid.states)
     Fu = system.f_u(grid.inputs)
     X, U = _product_points(grid)
 
     res1 = _drift_residuals(system, dict_x, L_x, grid, J)
-    res2 = _norms(_mv(J0, Fu) - _mv(L_u, _stack(dict_u.evaluate, grid.inputs)))
+    res2 = _norms(_mv(J0, Fu) - _mv(L_u, dict_u.evaluate(grid.inputs)))
     Jp = _per_state(J, grid)
     res3 = _norms(_mv(Jp - J0, _per_input(Fu, grid)) + _mv(Jp, system.f_xu(X, U)))
     return [
@@ -567,7 +558,7 @@ def check_corollary2(system: ControlledSystem, dict_x: Dictionary, grid: Evaluat
 def _pairwise_report(system, dict_x, grid, n_pairs, seed, tolerance) -> ConsistencyReport:
     """The COR2 field, once its hypothesis f_xu = 0 is settled."""
     i1, i2, iu = _sample_pair_indices(grid, n_pairs, seed, ("x", "x", "u"))
-    J = _stack(dict_x.jacobian, grid.states)
+    J = dict_x.jacobian(grid.states)
     res = _norms(_mv(J[i1] - J[i2], system.f_u(grid.inputs)[iu]))
     return ConsistencyReport(
         "COR2-PAIRWISE", tolerance,
@@ -604,7 +595,7 @@ def check_corollary3_kma(system: ControlledSystem, dict_x: Dictionary, L, B,
     J0 = dict_x.jacobian(np.zeros(system.state_dim))
     res_b = _norms(J0 @ system.jacobian_fu(grid.inputs) - B)
     reports.append(ConsistencyReport("COR3-KMA-B", tolerance, {"u": grid.inputs}, res_b))
-    res_l = _drift_residuals(system, dict_x, L, grid, _stack(dict_x.jacobian, grid.states))
+    res_l = _drift_residuals(system, dict_x, L, grid, dict_x.jacobian(grid.states))
     reports.append(ConsistencyReport("COR3-KMA-L", tolerance, {"x": grid.states}, res_l))
     return reports
 
@@ -628,14 +619,14 @@ def check_theorem3(system: ControlledSystem, dict_x: Dictionary,
     L_xu = np.asarray(L_xu, dtype=float)
 
     x_axis, _ = _axes(system, grid)
-    worst, worst_x = _worst(_stack(dict_xu.evaluate, *x_axis), grid.states)
+    worst, worst_x = _worst(dict_xu.evaluate(*x_axis), grid.states)
     if worst > _HYPOTHESIS_TOL:
         raise HypothesisViolationError("psi_xu(x, 0) = 0", worst, where=worst_x)
 
-    J = _stack(dict_x.jacobian, grid.states)
+    J = dict_x.jacobian(grid.states)
     X, U = _product_points(grid)
     cross = _per_input(system.f_u(grid.inputs), grid) + system.f_xu(X, U)
-    res2 = _norms(_mv(_per_state(J, grid), cross) - _mv(L_xu, _stack(dict_xu.evaluate, X, U)))
+    res2 = _norms(_mv(_per_state(J, grid), cross) - _mv(L_xu, dict_xu.evaluate(X, U)))
     return [
         ConsistencyReport("T3-C1", tolerance, {"x": grid.states},
                           _drift_residuals(system, dict_x, L_x, grid, J)),
@@ -670,10 +661,10 @@ def check_kaiser(system: ControlledSystem, eigendict, Lam, grid: EvaluationGrid,
 
     X, U = _product_points(grid)
     if isinstance(eigendict, JointDictionary):
-        psi, J = _stack(eigendict.evaluate, X, U), _stack(eigendict.jacobian_x, X, U)
+        psi, J = eigendict.evaluate(X, U), eigendict.jacobian_x(X, U)
     else:
-        psi = _per_state(_stack(eigendict.evaluate, grid.states), grid)
-        J = _per_state(_stack(eigendict.jacobian, grid.states), grid)
+        psi = _per_state(eigendict.evaluate(grid.states), grid)
+        J = _per_state(eigendict.jacobian(grid.states), grid)
     res = _norms(_mv(J, system.evaluate(X, U)) - lam * psi)
     return ConsistencyReport("KAISER", tolerance, {"x": X, "u": U}, res)
 
@@ -706,12 +697,12 @@ def check_theorem4(system: ControlledSystem, dict_x: Dictionary, dict_u: Diction
     X, U = _product_points(grid)
     Dfx = system.jacobian_fx(grid.states)
     Dfu = system.jacobian_fu(grid.inputs)
-    J_x0 = _next_jacobian(system, dict_x.jacobian, *x_axis)
-    J_0u = _next_jacobian(system, dict_x.jacobian, *u_axis)
-    J = _next_jacobian(system, dict_x.jacobian, X, U)
+    J_x0 = _next_jacobian(system, dict_x, *x_axis)
+    J_0u = _next_jacobian(system, dict_x, *u_axis)
+    J = _next_jacobian(system, dict_x, X, U)
 
-    res1 = _norms(J_x0 @ Dfx - K_x @ _stack(dict_x.jacobian, grid.states))
-    res2 = _norms(J_0u @ Dfu - K_u @ _stack(dict_u.jacobian, grid.inputs))
+    res1 = _norms(J_x0 @ Dfx - K_x @ dict_x.jacobian(grid.states))
+    res2 = _norms(J_0u @ Dfu - K_u @ dict_u.jacobian(grid.inputs))
     res3 = _norms((J - _per_input(J_0u, grid)) @ _per_input(Dfu, grid)
                   + J @ system.jacobian_fxu_u(X, U))
     res4 = _norms((J - _per_state(J_x0, grid)) @ _per_state(Dfx, grid)
@@ -754,10 +745,10 @@ def check_corollary5(system: ControlledSystem, dict_x: Dictionary, grid: Evaluat
     X1, X2 = grid.states[i1], grid.states[i2]
     U1, U2 = grid.inputs[j1], grid.inputs[j2]
 
-    J_11 = _next_jacobian(system, dict_x.jacobian, X1, U1)
-    res_u = _norms((J_11 - _next_jacobian(system, dict_x.jacobian, X2, U1))
+    J_11 = _next_jacobian(system, dict_x, X1, U1)
+    res_u = _norms((J_11 - _next_jacobian(system, dict_x, X2, U1))
                    @ system.jacobian_fu(grid.inputs)[j1])
-    res_x = _norms((J_11 - _next_jacobian(system, dict_x.jacobian, X1, U2))
+    res_x = _norms((J_11 - _next_jacobian(system, dict_x, X1, U2))
                    @ system.jacobian_fx(grid.states)[i1])
     return [
         ConsistencyReport(
@@ -783,7 +774,7 @@ def check_corollary6(system: ControlledSystem, dict_x: Dictionary, K, B,
 
     reports = [_fxu_field_report(system, grid, "COR4-FXU", tolerance, with_jacobians=True)]
     X, U = _product_points(grid)
-    J = _next_jacobian(system, dict_x.jacobian, X, U)
+    J = _next_jacobian(system, dict_x, X, U)
     res = _norms(J @ _per_input(system.jacobian_fu(grid.inputs), grid) - B)
     reports.append(ConsistencyReport("COR6-B", tolerance, {"x": X, "u": U}, res))
     return reports
@@ -815,19 +806,19 @@ def check_theorem5(system: ControlledSystem, dict_x: Dictionary,
     K_x = np.asarray(K_x, dtype=float)
     K_xu = np.asarray(K_xu, dtype=float)
     x_axis, _ = _axes(system, grid)
-    worst, worst_x = _worst(_stack(dict_xu.evaluate, *x_axis), grid.states)
+    worst, worst_x = _worst(dict_xu.evaluate(*x_axis), grid.states)
 
-    J_x0 = _next_jacobian(system, dict_x.jacobian, *x_axis)
+    J_x0 = _next_jacobian(system, dict_x, *x_axis)
     lhs_full = J_x0 @ system.jacobian_x(*x_axis)
-    base = K_x @ _stack(dict_x.jacobian, grid.states)
-    res_t5c1 = _norms(lhs_full - base - K_xu @ _stack(dict_xu.jacobian_x, *x_axis))
+    base = K_x @ dict_x.jacobian(grid.states)
+    res_t5c1 = _norms(lhs_full - base - K_xu @ dict_xu.jacobian_x(*x_axis))
     res_c7c1 = _norms(lhs_full - base)
     res_c8c1 = _norms(J_x0 @ system.jacobian_fx(grid.states) - base)
 
     # dcross/du = df_u/du + df_xu/du is df/du, so COR8-C2 shares T5-C2's field
     X, U = _product_points(grid)
-    J = _next_jacobian(system, dict_x.jacobian, X, U)
-    res_t5c2 = _norms(J @ system.jacobian_u(X, U) - K_xu @ _stack(dict_xu.jacobian_u, X, U))
+    J = _next_jacobian(system, dict_x, X, U)
+    res_t5c2 = _norms(J @ system.jacobian_u(X, U) - K_xu @ dict_xu.jacobian_u(X, U))
 
     reports = [
         ConsistencyReport("T5-C1", tolerance, {"x": grid.states}, res_t5c1),

@@ -20,7 +20,15 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import finite_difference_jacobian, rk4_step
+from .numerics import (
+    _aligned_rows,
+    _as_rows,
+    _Broadcast,
+    _stacked,
+    _unstack,
+    finite_difference_jacobian,
+    rk4_step,
+)
 
 __all__ = [
     "ControlledSystem",
@@ -49,41 +57,6 @@ _CATALOG = (
     "linear", "bilinear-scalar", "duffing-forced", "slow-manifold",
     "bilinear-discrete",
 )
-
-
-class _Broadcast:
-    """Marks a piece or Jacobian that already maps aligned (P, ...) stacks to
-    (P, ...) values; the constructor then uses it without the row adapter."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-
-def _stacked(fn, shape):
-    """Stack-native form of a callable: as given when marked _Broadcast,
-    otherwise a row adapter calling the per-point fn once per aligned row."""
-    if isinstance(fn, _Broadcast):
-        return fn.fn
-
-    def rows(*cols):
-        out = np.array([fn(*row) for row in zip(*cols)], dtype=float)
-        return out.reshape((len(cols[0]),) + shape)
-
-    return rows
-
-
-def _as_rows(a, dim: int, what: str):
-    """(stack (P, dim), whether a was a single point (dim,))."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim not in (1, 2) or a.shape[-1] != dim:
-        raise ValueError(f"{what} must have shape ({dim},) or (P, {dim}), got {a.shape}")
-    return np.atleast_2d(a), a.ndim == 1
-
-
-def _unstack(values, single: bool):
-    return values[0] if single else values
 
 
 class ControlledSystem:
@@ -157,14 +130,7 @@ class ControlledSystem:
     # -- evaluation ---------------------------------------------------------
 
     def _rows(self, x, u):
-        X, single = _as_rows(x, self.state_dim, "state")
-        U, single_u = _as_rows(u, self.input_dim, "input")
-        if single != single_u or len(X) != len(U):
-            raise ValueError(
-                f"state and input must both be single points or stacks with equal "
-                f"row counts, got shapes {np.shape(x)} and {np.shape(u)}"
-            )
-        return X, U, single
+        return _aligned_rows(x, u, self.state_dim, self.input_dim)
 
     def _require_finite(self, X, U, *values):
         ok = np.isfinite(X).all(axis=1) & np.isfinite(U).all(axis=1)
@@ -448,7 +414,7 @@ def _require_params(name, params, required):
 
 def _second_input(U):
     """(0, u) per row: the input drives the second state coordinate."""
-    return np.column_stack([np.zeros(len(U)), U[:, 0]])
+    return np.stack([np.zeros(len(U)), U[:, 0]], axis=1)
 
 
 def builtin_system(name: str, **params) -> ControlledSystem:
@@ -492,7 +458,7 @@ def builtin_system(name: str, **params) -> ControlledSystem:
 
         return _catalog(
             name, "continuous", 2, 1,
-            f_x=lambda X: np.column_stack([X[:, 1], X[:, 0] - X[:, 0] ** 3 - d * X[:, 1]]),
+            f_x=lambda X: np.stack([X[:, 1], X[:, 0] - X[:, 0] ** 3 - d * X[:, 1]], axis=1),
             f_u=_second_input,
             f_xu=_zeros(2),
             jac_fx=jac_fx,
@@ -516,7 +482,7 @@ def builtin_system(name: str, **params) -> ControlledSystem:
 
         return _catalog(
             name, "continuous", 2, 1,
-            f_x=lambda X: np.column_stack([mu * X[:, 0], lam * (X[:, 1] - X[:, 0] ** 2)]),
+            f_x=lambda X: np.stack([mu * X[:, 0], lam * (X[:, 1] - X[:, 0] ** 2)], axis=1),
             f_u=_second_input,
             f_xu=_zeros(2),
             jac_fx=jac_fx,

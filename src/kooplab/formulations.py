@@ -14,6 +14,10 @@ deficiency raises unless ridge > 0. Continuous-time fitting regresses the
 analytic dictionary rate J_psi(x) xdot against the model right side rather
 than finite-differencing psi along trajectories, which would add a noise
 floor unrelated to model class.
+
+Model methods (lift, lift_next, rate, their Jacobians, observe*, K_of) take
+one point or aligned (P, ...) stacks, like the dictionaries they call, so a
+fit evaluates each dictionary once on the whole dataset.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import SnapshotDataset
-from .numerics import RankDeficiencyError, solve_least_squares
+from .numerics import RankDeficiencyError, _mv, solve_least_squares
 from .observables import (
     Dictionary,
     JointDictionary,
@@ -232,9 +236,9 @@ class AffineModel(KoopmanModel):
         self.B = B
 
     def _advance(self, z, x, u):
-        out = self.K @ z
+        out = _mv(self.K, z)
         if self.B is not None:
-            out = out + self.B @ np.asarray(u, dtype=float)
+            out = out + _mv(self.B, np.asarray(u, dtype=float))
         return out
 
     def _jac_x(self, x, u):
@@ -243,7 +247,7 @@ class AffineModel(KoopmanModel):
     def _jac_u(self, x, u):
         if self.B is None:
             raise ValueError("autonomous affine model has no input channel")
-        return self.B.copy()
+        return np.broadcast_to(self.B, np.shape(x)[:-1] + self.B.shape).copy()
 
 
 class SeparableModel(KoopmanModel):
@@ -267,7 +271,7 @@ class SeparableModel(KoopmanModel):
         self.K_u = K_u
 
     def _advance(self, z, x, u):
-        return self.K_x @ z + self.K_u @ self.dict_u.evaluate(u)
+        return _mv(self.K_x, z) + _mv(self.K_u, self.dict_u.evaluate(u))
 
     def _jac_x(self, x, u):
         return self.K_x @ self.dict_x.jacobian(x)
@@ -299,7 +303,7 @@ class JointModel(KoopmanModel):
         self.K_xu = K_xu
 
     def _advance(self, z, x, u):
-        return self.K_x @ z + self.K_xu @ self.dict_xu.evaluate(x, u)
+        return _mv(self.K_x, z) + _mv(self.K_xu, self.dict_xu.evaluate(x, u))
 
     def _jac_x(self, x, u):
         return self.K_x @ self.dict_x.jacobian(x) + self.K_xu @ self.dict_xu.jacobian_x(x, u)
@@ -336,7 +340,7 @@ class BilinearModel(KoopmanModel):
         return _bilinear_operator(self.dict_u, self.K_terms, u)
 
     def _advance(self, z, x, u):
-        return self.K_of(u) @ z
+        return _mv(self.K_of(u), z)
 
     def _jac_x(self, x, u):
         return self.K_of(u) @ self.dict_x.jacobian(x)
@@ -394,14 +398,14 @@ class EigenModel(KoopmanModel):
     def observe_jac_u(self, x, u) -> np.ndarray:
         if self.joint_observables:
             return self.eigendict.jacobian_u(x, u)
-        return np.zeros((self.eigendict.size, self.input_dim))
+        return np.zeros(np.shape(x)[:-1] + (self.eigendict.size, self.input_dim))
 
     def rate(self, x, u, u_dot=None) -> np.ndarray:
         """Represented d/dt psi; the transport term needs udot when psi
         depends on the input."""
         out = self.eigenvalues * self.observe(x, u)
         if u_dot is not None:
-            out = out + self.observe_jac_u(x, u) @ np.asarray(u_dot, dtype=float)
+            out = out + _mv(self.observe_jac_u(x, u), np.asarray(u_dot, dtype=float))
         return out
 
     @property
@@ -424,15 +428,11 @@ class EigenModel(KoopmanModel):
 # -- fitting -------------------------------------------------------------------
 
 
-def _continuous_targets(data: SnapshotDataset, dict_x: Dictionary) -> np.ndarray:
-    # rows are J_psi(x_k) @ xdot_k, the sampled d/dt of the lifted state
-    return np.stack([dict_x.jacobian(x) @ y for x, y in zip(data.X, data.Y)], axis=0)
-
-
 def _lift_targets(data: SnapshotDataset, dict_x: Dictionary) -> np.ndarray:
     if data.kind == "discrete-pairs":
-        return dict_x.evaluate_batch(data.Y)
-    return _continuous_targets(data, dict_x)
+        return dict_x.evaluate(data.Y)
+    # rows are J_psi(x_k) @ xdot_k, the sampled d/dt of the lifted state
+    return _mv(dict_x.jacobian(data.X), data.Y)
 
 
 def _check_data_dims(data: SnapshotDataset, dict_x: Dictionary):
@@ -518,7 +518,7 @@ def fit_affine(data: SnapshotDataset, dict_x: Dictionary, ridge: float = 0.0) ->
     _check_data_dims(data, dict_x)
     N, m = data.n_samples, data.input_dim
     _require_samples(N, dict_x.size + m, "the affine fit")
-    Psi = dict_x.evaluate_batch(data.X)
+    Psi = dict_x.evaluate(data.X)
     return _fit_blocks(
         data, dict_x, [Psi, data.U] if m else [Psi], ridge,
         lambda ops, tk: AffineModel(dict_x, ops[0], ops[1] if m else None, tk, input_dim=m),
@@ -539,7 +539,7 @@ def fit_separable(data: SnapshotDataset, dict_x: Dictionary, dict_u: Dictionary,
     _check_input_dims(data, dict_u)
     _require_samples(data.n_samples, dict_x.size + dict_u.size, "the separable fit")
     return _fit_blocks(
-        data, dict_x, [dict_x.evaluate_batch(data.X), dict_u.evaluate_batch(data.U)], ridge,
+        data, dict_x, [dict_x.evaluate(data.X), dict_u.evaluate(data.U)], ridge,
         lambda ops, tk: SeparableModel(dict_x, dict_u, *ops, tk),
         _zero_input_error(data, "the input observables never vary and K_u is "
                                 "unidentifiable; add ridge or excite the input"),
@@ -547,15 +547,10 @@ def fit_separable(data: SnapshotDataset, dict_x: Dictionary, dict_u: Dictionary,
 
 
 def _check_cross_vanishes(dict_xu: JointDictionary, states: np.ndarray):
-    u0 = np.zeros(dict_xu.input_dim)
-    probe = states[:: max(1, len(states) // 5)][:5]
-    for x in probe:
-        v = dict_xu.evaluate(np.asarray(x, dtype=float), u0)
-        if np.max(np.abs(v)) > 1e-10:
-            raise ValueError(
-                "cross dictionary must vanish at u = 0; "
-                f"got |psi_xu| = {np.max(np.abs(v)):.3g} there"
-            )
+    """psi_xu(x, 0) = 0 at every data state; a non-finite value fails too."""
+    worst = np.max(np.abs(dict_xu.evaluate(states, np.zeros((len(states), dict_xu.input_dim)))))
+    if not worst <= 1e-10:
+        raise ValueError(f"cross dictionary must vanish at u = 0; got |psi_xu| = {worst:.3g} there")
 
 
 def fit_joint(data: SnapshotDataset, dict_x: Dictionary, dict_xu: JointDictionary,
@@ -575,8 +570,8 @@ def fit_joint(data: SnapshotDataset, dict_x: Dictionary, dict_xu: JointDictionar
         )
     _check_cross_vanishes(dict_xu, data.X)
     N = data.n_samples
-    Psi_x = dict_x.evaluate_batch(data.X)
-    Psi_xu = dict_xu.evaluate_batch(data.X, data.U)
+    Psi_x = dict_x.evaluate(data.X)
+    Psi_xu = dict_xu.evaluate(data.X, data.U)
 
     if not two_stage:
         _require_samples(N, dict_x.size + dict_xu.size, "the joint fit")
@@ -631,8 +626,8 @@ def fit_bilinear(data: SnapshotDataset, dict_x: Dictionary, dict_u: Dictionary,
         )
     _check_input_dims(data, dict_u)
     _require_samples(data.n_samples, dict_x.size * dict_u.size, "the bilinear fit")
-    Psi_x = dict_x.evaluate_batch(data.X)
-    Psi_u = dict_u.evaluate_batch(data.U)
+    Psi_x = dict_x.evaluate(data.X)
+    Psi_u = dict_u.evaluate(data.U)
 
     notes = []
 
@@ -668,36 +663,24 @@ def fit_eigen(data: SnapshotDataset, eigendict) -> EigenModel:
     if data.kind != "continuous-derivative":
         raise ValueError("eigen fit requires continuous state-derivative data")
     joint = isinstance(eigendict, JointDictionary)
-    if joint:
-        if eigendict.state_dim != data.state_dim or eigendict.input_dim != data.input_dim:
-            raise ValueError("eigenfunction dictionary dimensions do not match the data")
-        Psi = eigendict.evaluate_batch(data.X, data.U)
-        D = np.stack(
-            [eigendict.jacobian_x(x, u) @ y for x, u, y in zip(data.X, data.U, data.Y)],
-            axis=0,
-        )
-    else:
-        if eigendict.input_dim != data.state_dim:
-            raise ValueError("eigenfunction dictionary dimensions do not match the data")
-        Psi = eigendict.evaluate_batch(data.X)
-        D = _continuous_targets(data, eigendict)
+    dims = (eigendict.state_dim, eigendict.input_dim) if joint else (eigendict.input_dim,)
+    if dims != (data.state_dim, data.input_dim)[:len(dims)]:
+        raise ValueError("eigenfunction dictionary dimensions do not match the data")
+    model = EigenModel(eigendict, np.zeros(eigendict.size), input_dim=data.input_dim)
+    Psi = model.observe(data.X, data.U)
+    D = _mv(model.observe_jac_x(data.X, data.U), data.Y)
 
-    lam = np.zeros(eigendict.size)
-    model_notes = []
+    lam = model.eigenvalues
     for i in range(eigendict.size):
         den = float(Psi[:, i] @ Psi[:, i])
         if den == 0.0:
-            model_notes.append(
+            model.notes.append(
                 f"observable {eigendict.names[i]!r} vanishes on the data; "
                 "its eigenvalue is set to 0"
             )
             continue
         lam[i] = float(Psi[:, i] @ D[:, i]) / den
-
-    model = EigenModel(eigendict, lam, input_dim=data.input_dim)
-    _finish(model, data, _rms(Psi * lam - D, data.n_samples), 0.0)
-    model.notes.extend(model_notes)
-    return model
+    return _finish(model, data, _rms(Psi * lam - D, data.n_samples), 0.0)
 
 
 def bilinear_to_joint(model: BilinearModel) -> JointModel:
@@ -746,7 +729,7 @@ def predict_step(model: KoopmanModel, x, u, extract_state: bool | None = None):
                 "state extraction requires a state-inclusive dictionary"
             )
         return psi_next, None
-    return psi_next, psi_next[model.dict_x.state_index_map]
+    return psi_next, psi_next[..., model.dict_x.state_index_map]
 
 
 class RolloutResult:
@@ -806,11 +789,9 @@ def model_residual(model: KoopmanModel, data: SnapshotDataset) -> float:
     if model.variant == "eigen":
         if data.kind != "continuous-derivative":
             raise ValueError("eigen models evaluate on continuous state-derivative data")
-        rows = [
-            model.eigenvalues * model.observe(x, u) - model.observe_jac_x(x, u) @ y
-            for x, u, y in zip(data.X, data.U, data.Y)
-        ]
-        return _rms(np.stack(rows, axis=0), data.n_samples)
+        R = (model.eigenvalues * model.observe(data.X, data.U)
+             - _mv(model.observe_jac_x(data.X, data.U), data.Y))
+        return _rms(R, data.n_samples)
     expected_kind = "discrete-pairs" if model.time_kind == "discrete" else "continuous-derivative"
     if data.kind != expected_kind:
         raise ValueError(
@@ -818,8 +799,7 @@ def model_residual(model: KoopmanModel, data: SnapshotDataset) -> float:
             f"got {data.kind}"
         )
     T = _lift_targets(data, model.dict_x)
-    P = np.stack([model._apply(x, u) for x, u in zip(data.X, data.U)], axis=0)
-    return _rms(P - T, data.n_samples)
+    return _rms(model._apply(data.X, data.U) - T, data.n_samples)
 
 
 # -- serialization ---------------------------------------------------------------

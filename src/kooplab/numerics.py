@@ -1,10 +1,15 @@
 """Shared numerical kernels: least squares, finite differences, one RK4 step
-over points or stacks.
+over points or stacks, and the point-or-stack plumbing.
 
 Everything downstream (fitting, Jacobian checks, simulation) funnels through
-these three routines, so their error behavior is deliberately strict: any
+the first three routines, so their error behavior is deliberately strict: any
 non-finite value is rejected at the boundary instead of propagating NaNs
 into fitted operators.
+
+Systems, dictionaries and models take one point (d,) or an aligned stack
+(P, d) and return (P, ...) for a stack. Their kernels work on stacks; a
+per-point user callable reaches them through the one row adapter here,
+`_stacked`, unless it is marked `_Broadcast`.
 """
 
 from __future__ import annotations
@@ -22,6 +27,59 @@ __all__ = [
 
 # Central differences: optimal step scale for O(h^2) truncation vs roundoff.
 _FD_STEP_SCALE = float(np.cbrt(np.finfo(float).eps))
+
+
+class _Broadcast:
+    """Marks a callable that already maps aligned (P, ...) stacks to (P, ...)
+    values, so `_stacked` uses it without the row adapter."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+
+def _stacked(fn, shape):
+    """Stack-native form of a callable: as given when marked _Broadcast,
+    otherwise a row adapter calling the per-point fn once per aligned row."""
+    if isinstance(fn, _Broadcast):
+        return fn.fn
+
+    def rows(*cols):
+        out = np.array([fn(*row) for row in zip(*cols)], dtype=float)
+        return out.reshape((len(cols[0]),) + shape)
+
+    return rows
+
+
+def _as_rows(a, dim: int, what: str):
+    """(stack (P, dim), whether a was a single point (dim,))."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim not in (1, 2) or a.shape[-1] != dim:
+        raise ValueError(f"{what} must have shape ({dim},) or (P, {dim}), got {a.shape}")
+    return np.atleast_2d(a), a.ndim == 1
+
+
+def _aligned_rows(x, u, n: int, m: int):
+    """(X, U, single) for a state-input pair given as one point or aligned stacks."""
+    X, single = _as_rows(x, n, "state")
+    U, single_u = _as_rows(u, m, "input")
+    if single != single_u or len(X) != len(U):
+        raise ValueError(
+            f"state and input must both be single points or stacks with equal "
+            f"row counts, got shapes {np.shape(x)} and {np.shape(u)}"
+        )
+    return X, U, single
+
+
+def _unstack(values, single: bool):
+    return values[0] if single else values
+
+
+def _mv(A, v) -> np.ndarray:
+    """A @ v per point: one shared or (P, ...) stacked matrices times one
+    vector or (P, ...) stacked vectors; equal to per-row A @ v bit for bit."""
+    return (A @ v[..., None])[..., 0]
 
 
 class RankDeficiencyError(np.linalg.LinAlgError):

@@ -8,6 +8,14 @@ are interchangeable, including across serialization.
 Joint dictionaries are functions of a state-input pair (x, u) with separate
 Jacobians in each argument; by construction every monomial joint basis
 function carries input degree >= 1 and therefore vanishes on the u = 0 slice.
+
+Every method takes one point, (d,) or (n,) and (m,), or an aligned stack,
+(P, d) or (P, n) and (P, m), and returns (P, ...) for a stack. The base
+classes check the argument and call one stack kernel: monomial, rbf,
+composite, combination, shifted and monomial-joint dictionaries and the
+bilinear cross dictionary broadcast over the stack, while the per-point
+callables of custom and callable-joint dictionaries go through the row
+adapter of `numerics`.
 """
 
 from __future__ import annotations
@@ -15,6 +23,8 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 import numpy as np
+
+from .numerics import _aligned_rows, _as_rows, _Broadcast, _mv, _stacked, _unstack
 
 __all__ = [
     "Dictionary",
@@ -62,14 +72,16 @@ def _monomial_name(alpha, prefix: str) -> str:
     return "*".join(parts)
 
 
-def _monomial_values(Z_row: np.ndarray, E: np.ndarray) -> np.ndarray:
+def _monomial_values(Z: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Monomials z^alpha for the exponent rows of E at each row of Z: (P, N)."""
     # 0**0 == 1 under numpy's float power, which is the convention needed here
-    return np.prod(np.power(Z_row[None, :], E), axis=1)
+    return np.prod(np.power(Z[:, None, :], E), axis=2)
 
 
-def _monomial_jacobian(z: np.ndarray, E: np.ndarray) -> np.ndarray:
+def _monomial_jacobian(Z: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Their Jacobians at each row of Z: (P, N, d)."""
     N, d = E.shape
-    J = np.zeros((N, d))
+    J = np.zeros((len(Z), N, d))
     for j in range(d):
         ej = E[:, j]
         mask = ej > 0
@@ -77,12 +89,13 @@ def _monomial_jacobian(z: np.ndarray, E: np.ndarray) -> np.ndarray:
             continue
         Em = E[mask].copy()
         Em[:, j] -= 1
-        J[mask, j] = ej[mask] * np.prod(np.power(z[None, :], Em), axis=1)
+        J[:, mask, j] = ej[mask] * np.prod(np.power(Z[:, None, :], Em), axis=2)
     return J
 
 
 class Dictionary:
-    """Base class; subclasses fill in evaluate/jacobian and the metadata flags.
+    """Base class; subclasses fill in the stack kernels _values/_jacobians and
+    the metadata flags.
 
     Attributes
     ----------
@@ -119,24 +132,25 @@ class Dictionary:
     def size(self) -> int:
         return len(self.names)
 
-    def _check_arg(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.input_dim,):
-            raise ValueError(
-                f"dictionary over R^{self.input_dim} got argument of shape {z.shape}"
-            )
-        return z
+    def _call(self, kernel, z) -> np.ndarray:
+        Z, single = _as_rows(z, self.input_dim, f"argument of a dictionary over R^{self.input_dim}")
+        return _unstack(kernel(Z), single)
 
     def evaluate(self, z) -> np.ndarray:
-        raise NotImplementedError
+        """psi(z): (N,) at one point (d,), (P, N) on a stack (P, d)."""
+        return self._call(self._values, z)
 
     def jacobian(self, z) -> np.ndarray:
+        """d psi / d z: (N, d) at one point, (P, N, d) on a stack."""
+        return self._call(self._jacobians, z)
+
+    def _values(self, Z) -> np.ndarray:
+        """Stack kernel of evaluate: (P, d) -> (P, N)."""
         raise NotImplementedError
 
-    def evaluate_batch(self, Z) -> np.ndarray:
-        """Stack evaluate over rows of Z: (N_samples, size)."""
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        return np.stack([self.evaluate(z) for z in Z], axis=0)
+    def _jacobians(self, Z) -> np.ndarray:
+        """Stack kernel of jacobian: (P, d) -> (P, N, d)."""
+        raise NotImplementedError
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.input_dim}, size={self.size})"
@@ -181,13 +195,11 @@ class MonomialDictionary(Dictionary):
         if _kind:
             self.kind = _kind
 
-    def evaluate(self, z):
-        z = self._check_arg(z)
-        return _monomial_values(z, self.exponents)
+    def _values(self, Z):
+        return _monomial_values(Z, self.exponents)
 
-    def jacobian(self, z):
-        z = self._check_arg(z)
-        return _monomial_jacobian(z, self.exponents)
+    def _jacobians(self, Z):
+        return _monomial_jacobian(Z, self.exponents)
 
 
 def monomials(dim, max_degree, include_constant=True, var_prefix="x") -> MonomialDictionary:
@@ -233,15 +245,12 @@ class RbfDictionary(Dictionary):
             else {"kind": "rbf", "centers": centers.tolist(), "width": float(width)},
         )
 
-    def evaluate(self, z):
-        z = self._check_arg(z)
-        d2 = np.sum((z[None, :] - self.centers) ** 2, axis=1)
+    def _values(self, Z):
+        d2 = np.sum((Z[:, None, :] - self.centers) ** 2, axis=2)
         return np.exp(-d2 / (2.0 * self.width**2))
 
-    def jacobian(self, z):
-        z = self._check_arg(z)
-        vals = self.evaluate(z)
-        return vals[:, None] * (-(z[None, :] - self.centers) / self.width**2)
+    def _jacobians(self, Z):
+        return self._values(Z)[:, :, None] * (-(Z[:, None, :] - self.centers) / self.width**2)
 
 
 def rbf(dim=None, centers=None, width=1.0, n_centers=None, region=None, seed=0) -> RbfDictionary:
@@ -298,11 +307,11 @@ class CompositeDictionary(Dictionary):
             spec={"kind": "composite", "parts": specs} if all(s is not None for s in specs) else None,
         )
 
-    def evaluate(self, z):
-        return np.concatenate([p.evaluate(z) for p in self.parts])
+    def _values(self, Z):
+        return np.concatenate([p._values(Z) for p in self.parts], axis=1)
 
-    def jacobian(self, z):
-        return np.vstack([p.jacobian(z) for p in self.parts])
+    def _jacobians(self, Z):
+        return np.concatenate([p._jacobians(Z) for p in self.parts], axis=1)
 
 
 class CombinationDictionary(Dictionary):
@@ -360,25 +369,31 @@ class CombinationDictionary(Dictionary):
             ),
         )
 
-    def evaluate(self, z):
-        return self.coefficients @ self.base.evaluate(z)
+    def _values(self, Z):
+        return _mv(self.coefficients, self.base._values(Z))
 
-    def jacobian(self, z):
-        return self.coefficients @ self.base.jacobian(z)
+    def _jacobians(self, Z):
+        return self.coefficients @ self.base._jacobians(Z)
 
 
 class CustomDictionary(Dictionary):
-    """Basis given by arbitrary (name, value_fn, gradient_fn) triples."""
+    """Basis given by arbitrary (name, value_fn, gradient_fn) triples.
+
+    value_fn(z) and gradient_fn(z) take one point; the row adapter calls
+    them once per row of a stack.
+    """
 
     kind = "custom"
 
     def __init__(self, input_dim, entries, state_inclusive=False, state_index_map=None,
                  constant_index=None):
-        self._fns = [e[1] for e in entries]
-        self._grads = [e[2] for e in entries]
+        fns = [e[1] for e in entries]
+        grads = [e[2] for e in entries]
         names = [e[0] for e in entries]
-        z0 = np.zeros(input_dim)
-        vals0 = np.array([float(f(z0)) for f in self._fns]) if entries else np.zeros(0)
+        self._values = _stacked(lambda z: [float(f(z)) for f in fns], (len(names),))
+        self._jacobians = _stacked(
+            lambda z: [np.asarray(g(z), dtype=float) for g in grads], (len(names), input_dim))
+        vals0 = self._values(np.zeros((1, input_dim)))
         super().__init__(
             input_dim=input_dim,
             names=names,
@@ -388,14 +403,6 @@ class CustomDictionary(Dictionary):
             constant_index=constant_index,
             spec=None,
         )
-
-    def evaluate(self, z):
-        z = self._check_arg(z)
-        return np.array([float(f(z)) for f in self._fns])
-
-    def jacobian(self, z):
-        z = self._check_arg(z)
-        return np.array([np.asarray(g(z), dtype=float) for g in self._grads])
 
 
 class ShiftedDictionary(Dictionary):
@@ -417,11 +424,11 @@ class ShiftedDictionary(Dictionary):
             spec={"kind": "shifted", "base": base.spec} if base.spec is not None else None,
         )
 
-    def evaluate(self, z):
-        return self.base.evaluate(z) - self.offset
+    def _values(self, Z):
+        return self.base._values(Z) - self.offset
 
-    def jacobian(self, z):
-        return self.base.jacobian(z)
+    def _jacobians(self, Z):
+        return self.base._jacobians(Z)
 
 
 def subtract_value_at_zero(dictionary: Dictionary) -> ShiftedDictionary:
@@ -471,7 +478,8 @@ def build_dictionary(spec: dict) -> Dictionary:
 
 
 class JointDictionary:
-    """Basis over state-input pairs with separate x- and u-Jacobians."""
+    """Basis over state-input pairs with separate x- and u-Jacobians; subclasses
+    fill in the stack kernels _values/_jacobians_x/_jacobians_u."""
 
     kind = "abstract-joint"
 
@@ -485,28 +493,21 @@ class JointDictionary:
     def size(self) -> int:
         return len(self.names)
 
-    def _check_args(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if x.shape != (self.state_dim,):
-            raise ValueError(f"state must have shape ({self.state_dim},), got {x.shape}")
-        if u.shape != (self.input_dim,):
-            raise ValueError(f"input must have shape ({self.input_dim},), got {u.shape}")
-        return x, u
+    def _call(self, kernel, x, u) -> np.ndarray:
+        X, U, single = _aligned_rows(x, u, self.state_dim, self.input_dim)
+        return _unstack(kernel(X, U), single)
 
     def evaluate(self, x, u) -> np.ndarray:
-        raise NotImplementedError
+        """psi(x, u): (N,) at one point, (P, N) on aligned stacks."""
+        return self._call(self._values, x, u)
 
     def jacobian_x(self, x, u) -> np.ndarray:
-        raise NotImplementedError
+        """d psi / d x: (N, n) at one point, (P, N, n) on aligned stacks."""
+        return self._call(self._jacobians_x, x, u)
 
     def jacobian_u(self, x, u) -> np.ndarray:
-        raise NotImplementedError
-
-    def evaluate_batch(self, X, U) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        return np.stack([self.evaluate(x, u) for x, u in zip(X, U)], axis=0)
+        """d psi / d u: (N, m) at one point, (P, N, m) on aligned stacks."""
+        return self._call(self._jacobians_u, x, u)
 
     def __repr__(self):
         return (
@@ -557,45 +558,33 @@ class MonomialJointDictionary(JointDictionary):
             },
         )
 
-    def evaluate(self, x, u):
-        x, u = self._check_args(x, u)
-        return _monomial_values(x, self.exponents_x) * _monomial_values(u, self.exponents_u)
+    def _values(self, X, U):
+        return _monomial_values(X, self.exponents_x) * _monomial_values(U, self.exponents_u)
 
-    def jacobian_x(self, x, u):
-        x, u = self._check_args(x, u)
-        return _monomial_jacobian(x, self.exponents_x) * _monomial_values(
-            u, self.exponents_u
-        )[:, None]
+    def _jacobians_x(self, X, U):
+        return (_monomial_jacobian(X, self.exponents_x)
+                * _monomial_values(U, self.exponents_u)[:, :, None])
 
-    def jacobian_u(self, x, u):
-        x, u = self._check_args(x, u)
-        return _monomial_jacobian(u, self.exponents_u) * _monomial_values(
-            x, self.exponents_x
-        )[:, None]
+    def _jacobians_u(self, X, U):
+        return (_monomial_jacobian(U, self.exponents_u)
+                * _monomial_values(X, self.exponents_x)[:, :, None])
 
 
 class CallableJointDictionary(JointDictionary):
-    """Joint basis defined by callables (used for operator-derived cross terms)."""
+    """Joint basis defined by callables (used for operator-derived cross terms).
+
+    eval_fn, jac_x_fn and jac_u_fn take one point (x, u) and go through the
+    row adapter, unless marked `numerics._Broadcast` as stack kernels.
+    """
 
     kind = "callable-joint"
 
     def __init__(self, state_dim, input_dim, names, eval_fn, jac_x_fn, jac_u_fn, spec=None):
         super().__init__(state_dim, input_dim, names, spec)
-        self._eval = eval_fn
-        self._jac_x = jac_x_fn
-        self._jac_u = jac_u_fn
-
-    def evaluate(self, x, u):
-        x, u = self._check_args(x, u)
-        return np.asarray(self._eval(x, u), dtype=float)
-
-    def jacobian_x(self, x, u):
-        x, u = self._check_args(x, u)
-        return np.asarray(self._jac_x(x, u), dtype=float)
-
-    def jacobian_u(self, x, u):
-        x, u = self._check_args(x, u)
-        return np.asarray(self._jac_u(x, u), dtype=float)
+        N = self.size
+        self._values = _stacked(eval_fn, (N,))
+        self._jacobians_x = _stacked(jac_x_fn, (N, self.state_dim))
+        self._jacobians_u = _stacked(jac_u_fn, (N, self.input_dim))
 
 
 def build_joint_dictionary(state_dim, input_dim, state_degree, input_degree) -> MonomialJointDictionary:
@@ -603,19 +592,18 @@ def build_joint_dictionary(state_dim, input_dim, state_degree, input_degree) -> 
 
 
 def _bilinear_operator(dict_u: Dictionary, K_terms, u) -> np.ndarray:
-    """Input-dependent operator K(u) = sum_i psi_u_i(u) K_i."""
-    return sum(w * K for w, K in zip(dict_u.evaluate(u), K_terms))
+    """Input-dependent operator K(u) = sum_i psi_u_i(u) K_i: (N, N) at one
+    input, (P, N, N) on a stack."""
+    W = dict_u.evaluate(u)
+    return sum(W[..., i, None, None] * K for i, K in enumerate(K_terms))
 
 
 def _bilinear_jacobian_u(dict_x: Dictionary, dict_u: Dictionary, K_terms, x, u) -> np.ndarray:
-    """d/du of K(u) psi_x(x) with K(u) = sum_i psi_u_i(u) K_i, as an (N_x, m) array."""
+    """d/du of K(u) psi_x(x) with K(u) = sum_i psi_u_i(u) K_i: (N_x, m) at one
+    point, (P, N_x, m) on aligned stacks."""
     px = dict_x.evaluate(x)
-    Ju = dict_u.jacobian(u)  # (N_u, m)
-    cols = [
-        sum(Ju[i, j] * (K_terms[i] @ px) for i in range(len(K_terms)))
-        for j in range(dict_u.input_dim)
-    ]
-    return np.stack(cols, axis=1)
+    Ju = dict_u.jacobian(u)  # (..., N_u, m)
+    return sum(_mv(K, px)[..., :, None] * Ju[..., i, None, :] for i, K in enumerate(K_terms))
 
 
 def bilinear_cross_dictionary(dict_x: Dictionary, dict_u: Dictionary, K_terms) -> CallableJointDictionary:
@@ -624,14 +612,14 @@ def bilinear_cross_dictionary(dict_x: Dictionary, dict_u: Dictionary, K_terms) -
     K_terms = [np.asarray(K, dtype=float) for K in K_terms]
     K0 = _bilinear_operator(dict_u, K_terms, np.zeros(dict_u.input_dim))
 
-    def eval_fn(x, u):
-        return (_bilinear_operator(dict_u, K_terms, u) - K0) @ dict_x.evaluate(x)
+    def eval_fn(X, U):
+        return _mv(_bilinear_operator(dict_u, K_terms, U) - K0, dict_x.evaluate(X))
 
-    def jac_x_fn(x, u):
-        return (_bilinear_operator(dict_u, K_terms, u) - K0) @ dict_x.jacobian(x)
+    def jac_x_fn(X, U):
+        return (_bilinear_operator(dict_u, K_terms, U) - K0) @ dict_x.jacobian(X)
 
-    def jac_u_fn(x, u):
-        return _bilinear_jacobian_u(dict_x, dict_u, K_terms, x, u)
+    def jac_u_fn(X, U):
+        return _bilinear_jacobian_u(dict_x, dict_u, K_terms, X, U)
 
     spec = None
     if dict_x.spec is not None and dict_u.spec is not None:
@@ -643,7 +631,8 @@ def bilinear_cross_dictionary(dict_x: Dictionary, dict_u: Dictionary, K_terms) -
         }
     names = [f"cross{i + 1}" for i in range(dict_x.size)]
     return CallableJointDictionary(
-        dict_x.input_dim, dict_u.input_dim, names, eval_fn, jac_x_fn, jac_u_fn, spec
+        dict_x.input_dim, dict_u.input_dim, names,
+        _Broadcast(eval_fn), _Broadcast(jac_x_fn), _Broadcast(jac_u_fn), spec,
     )
 
 

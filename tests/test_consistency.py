@@ -1,7 +1,11 @@
 """Consistency-condition checkers: exact pairings, known obstructions, reports."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+
+from kooplab import observables
 
 from kooplab.consistency import (
     CONDITION_IDS,
@@ -44,6 +48,10 @@ from kooplab.formulations import (
     JointModel,
     SeparableModel,
     fit_affine,
+    fit_bilinear,
+    fit_eigen,
+    fit_joint,
+    fit_separable,
 )
 from kooplab.observables import (
     CallableJointDictionary,
@@ -1098,3 +1106,64 @@ class TestPerPointReference:
             np.max(np.abs(J_next(x, u) @ (system.jacobian_fu(u) + system.jacobian_fxu_u(x, u))
                           - K_xu @ dxu.jacobian_u(x, u)))
             for x, u in self.product()])
+
+
+class TestNoPerRowEvaluation:
+    """Dictionaries are called once per stack, so the number of dictionary
+    calls of a check or a fit does not grow with the grid or the dataset."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for cls in vars(observables).values():
+            if isinstance(cls, type) and issubclass(
+                    cls, (observables.Dictionary, observables.JointDictionary)):
+                for attr in ("evaluate", "jacobian", "jacobian_x", "jacobian_u"):
+                    if attr in vars(cls):
+                        def counted(self, *args, _fn=vars(cls)[attr], _attr=attr):
+                            counts[_attr] += 1
+                            return _fn(self, *args)
+                        monkeypatch.setattr(cls, attr, counted)
+        return counts
+
+    @staticmethod
+    def models():
+        disc = generate_dataset(bilinear_discrete(0.9, 0.1), 100, seed=2)
+        cont = generate_dataset(builtin_system("bilinear-scalar", a=-1.0, b=1.0), 100, seed=2)
+        return [
+            (bilinear_discrete(0.9, 0.1),
+             fit_separable(disc, monomials(1, 2), identity(1, var_prefix="u"))),
+            (builtin_system("bilinear-scalar", a=-1.0, b=1.0),
+             fit_joint(cont, monomials(1, 2), build_joint_dictionary(1, 1, 1, 1))),
+        ]
+
+    def test_check_model_calls_do_not_grow_with_the_grid(self, calls):
+        for system, model in self.models():
+            per_grid = []
+            for points in (3, 6):
+                calls.clear()
+                reports, _ = check_model(system, model, default_grid(system, points))
+                assert reports
+                per_grid.append(dict(calls))
+            assert per_grid[0] == per_grid[1] != {}, model.variant
+
+    def test_fit_calls_do_not_grow_with_the_data(self, calls):
+        continuous = builtin_system("bilinear-scalar", a=-1.0, b=1.0)
+        fits = {
+            "affine": (bilinear_discrete(0.9, 0.1), lambda d: fit_affine(d, monomials(1, 2))),
+            "separable": (bilinear_discrete(0.9, 0.1), lambda d: fit_separable(
+                d, monomials(1, 2), identity(1, var_prefix="u"))),
+            "joint": (continuous, lambda d: fit_joint(
+                d, monomials(1, 2), build_joint_dictionary(1, 1, 1, 1))),
+            "bilinear": (bilinear_discrete(0.9, 0.1), lambda d: fit_bilinear(
+                d, monomials(1, 2), monomials(1, 1, var_prefix="u"))),
+            "eigen": (continuous, lambda d: fit_eigen(d, build_joint_dictionary(1, 1, 1, 1))),
+        }
+        for variant, (system, fit) in fits.items():
+            per_size = []
+            for n in (50, 200):
+                data = generate_dataset(system, n, seed=4)
+                calls.clear()
+                fit(data)
+                per_size.append(dict(calls))
+            assert per_size[0] == per_size[1] != {}, variant

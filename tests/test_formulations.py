@@ -1,7 +1,11 @@
-"""Formulation fits: exact recoveries, error contracts, predictions, payloads."""
+"""Formulation fits: exact recoveries, error contracts, predictions, payloads,
+and the point-or-stack contract of fitted models."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kooplab.dynamics import (
     SnapshotDataset,
@@ -194,6 +198,19 @@ class TestFitJoint:
         )
         with pytest.raises(ValueError, match="vanish"):
             fit_joint(scalar_linear_pairs(), identity(1), bad)
+
+    def test_cross_dict_checked_at_every_data_state(self):
+        # max(0, x - 1.5) breaks psi_xu(x, 0) = 0 only at the states beyond 1.5
+        data = generate_dataset(builtin_system("bilinear-scalar", a=-1.0, b=1.0), 400, seed=1)
+        assert 0 < np.count_nonzero(data.X[:, 0] > 1.5) < data.n_samples
+        bad = CallableJointDictionary(
+            1, 1, ["x1*u1", "max(0,x1-1.5)"],
+            lambda x, u: np.array([x[0] * u[0], max(0.0, x[0] - 1.5)]),
+            lambda x, u: np.array([[u[0]], [float(x[0] > 1.5)]]),
+            lambda x, u: np.array([[x[0]], [0.0]]),
+        )
+        with pytest.raises(ValueError, match="vanish at u = 0"):
+            fit_joint(data, identity(1), bad)
 
 
 class TestFitBilinear:
@@ -512,3 +529,74 @@ class TestModelResidual:
         )
         with pytest.raises(ValueError, match="discrete-pairs"):
             model_residual(model, cont)
+
+
+def stack_models():
+    """One fitted model per variant, keyed by label."""
+    duffing = builtin_system("duffing-forced", delta=0.5)
+    disc = generate_dataset(discretize(duffing, 0.1), 120, seed=3)
+    cont = generate_dataset(duffing, 120, seed=3)
+    auton = SnapshotDataset("discrete-pairs", disc.X, np.zeros((120, 0)), disc.Y, dt=0.1)
+    dx, du = monomials(2, 2), identity(1, var_prefix="u")
+    eig = CombinationDictionary(monomials(2, 2), [[0, 1, 0, 0, 0, 0], [0, 0, 1, -1.2, 0, 0]])
+    return {
+        "affine-autonomous": fit_affine(auton, dx),
+        "affine": fit_affine(disc, dx),
+        "separable": fit_separable(disc, dx, du),
+        "joint": fit_joint(disc, dx, build_joint_dictionary(2, 1, 1, 1)),
+        "bilinear": fit_bilinear(disc, dx, monomials(1, 1, var_prefix="u")),
+        "separable-continuous": fit_separable(cont, dx, du),
+        "eigen": fit_eigen(cont, eig),
+        "eigen-joint": fit_eigen(cont, build_joint_dictionary(2, 1, 1, 1)),
+    }
+
+
+STACK_MODELS = stack_models()
+
+
+def model_methods(model):
+    """method name -> (callable, which of the aligned stacks X, U, Udot it takes)."""
+    if model.variant == "eigen":
+        out = {name: (getattr(model, name), "xu")
+               for name in ("observe", "observe_jac_x", "observe_jac_u", "rate")}
+        out["rate-u_dot"] = (lambda x, u, ud: model.rate(x, u, u_dot=ud), "xud")
+        return out
+    out = {"lift": (model.lift, "x")}
+    if model.time_kind == "continuous":
+        out["rate"] = (model.rate, "xu")
+    else:
+        out.update({name: (getattr(model, name), "xu")
+                    for name in ("lift_next", "lift_next_jac_x", "lift_next_jac_u")})
+    if model.input_dim == 0:
+        del out["lift_next_jac_u"]
+    if model.variant == "bilinear":
+        out["K_of"] = (model.K_of, "u")
+    return out
+
+
+class TestModelStackContract:
+    @pytest.mark.parametrize("label", sorted(STACK_MODELS))
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_stacked_calls_equal_per_row_calls(self, label, data):
+        model = STACK_MODELS[label]
+        P = data.draw(st.integers(1, 50))
+        cols = {key: data.draw(arrays(np.float64, (P, dim), elements=st.floats(-bound, bound)))
+                for key, dim, bound in (("x", model.state_dim, 2.0),
+                                        ("u", model.input_dim, 1.0), ("d", model.input_dim, 1.0))}
+        for method, (fn, takes) in model_methods(model).items():
+            args = [cols[key] for key in takes]
+            stacked = fn(*args)
+            rows = np.array([fn(*row) for row in zip(*args)])
+            assert stacked.shape == rows.shape, method
+            np.testing.assert_allclose(stacked, rows, rtol=1e-12,
+                                       atol=1e-12 * max(1.0, np.abs(rows).max()), err_msg=method)
+
+    def test_input_jacobians_of_stacks_are_stacked(self):
+        X, U = np.zeros((4, 2)), np.zeros((4, 1))
+        affine = STACK_MODELS["affine"]
+        assert affine.lift_next_jac_u(X, U).shape == (4, affine.lifted_dim, 1)
+        assert affine.lift_next_jac_u(X[0], U[0]).shape == (affine.lifted_dim, 1)
+        eigen = STACK_MODELS["eigen"]
+        assert eigen.observe_jac_u(X, U).shape == (4, eigen.lifted_dim, 1)
+        assert eigen.observe_jac_u(X[0], U[0]).shape == (eigen.lifted_dim, 1)

@@ -1,7 +1,11 @@
-"""Dictionary bases: ordering, values, analytic Jacobians, serialization."""
+"""Dictionary bases: ordering, values, analytic Jacobians, serialization,
+and the point-or-stack contract."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kooplab.numerics import finite_difference_jacobian
 from kooplab.observables import (
@@ -10,6 +14,7 @@ from kooplab.observables import (
     CompositeDictionary,
     CustomDictionary,
     MonomialJointDictionary,
+    bilinear_cross_dictionary,
     build_dictionary,
     build_joint_dictionary,
     identity,
@@ -74,7 +79,7 @@ class TestMonomials:
     def test_batch_shape(self):
         d = monomials(2, 2)
         Z = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 3.0]])
-        out = d.evaluate_batch(Z)
+        out = d.evaluate(Z)
         assert out.shape == (3, 6)
         np.testing.assert_allclose(out[2], [1, 2, 3, 4, 6, 9])
 
@@ -310,3 +315,112 @@ class TestJointDictionaries:
             d.evaluate([1.0], [0.5])
         with pytest.raises(ValueError, match="input"):
             d.evaluate([1.0, 2.0], [0.5, 0.5])
+
+
+def custom_2d():
+    """Per-point callables: reach stacks through the row adapter."""
+    return CustomDictionary(2, [
+        ("x2*sin(x1)", lambda z: z[1] * np.sin(z[0]),
+         lambda z: [z[1] * np.cos(z[0]), np.sin(z[0])]),
+        ("exp(x2)", lambda z: np.exp(z[1]), lambda z: [0.0, np.exp(z[1])]),
+    ])
+
+
+def callable_joint_2x1():
+    return CallableJointDictionary(
+        2, 1, ["x1*u1", "x2*u1^2"],
+        lambda x, u: np.array([x[0] * u[0], x[1] * u[0] ** 2]),
+        lambda x, u: np.array([[u[0], 0.0], [0.0, u[0] ** 2]]),
+        lambda x, u: np.array([[x[0]], [2.0 * x[1] * u[0]]]),
+    )
+
+
+def bilinear_cross_2x1():
+    K_terms = np.random.default_rng(3).normal(size=(3, 6, 6))
+    return bilinear_cross_dictionary(monomials(2, 2), monomials(1, 2), list(K_terms))
+
+
+STACK_DICTIONARIES = {
+    "monomials": lambda: monomials(2, 3),
+    "no-constant": lambda: monomials(3, 2, include_constant=False),
+    "identity": lambda: identity(2),
+    "rbf": lambda: rbf(n_centers=5, region=[(-2, 2), (-2, 2)], width=0.8, seed=1),
+    "composite": lambda: CompositeDictionary([identity(2), monomials(2, 2)]),
+    "combination": lambda: CombinationDictionary(
+        monomials(2, 2), [[0, 1, 0, 0, 0, 0], [0, 0, 1, -1.2, 0, 0]]),
+    "shifted": lambda: subtract_value_at_zero(rbf(centers=[[0.5, -0.5]], width=1.0)),
+    "custom": custom_2d,
+}
+
+STACK_JOINT_DICTIONARIES = {
+    "monomial-joint": lambda: build_joint_dictionary(2, 2, 2, 2),
+    "callable-joint": callable_joint_2x1,
+    "bilinear-cross": bilinear_cross_2x1,
+}
+
+
+def assert_stack_equals_rows(fn, *cols):
+    stacked = fn(*cols)
+    rows = np.array([fn(*row) for row in zip(*cols)])
+    assert stacked.shape == rows.shape
+    np.testing.assert_allclose(stacked, rows, rtol=1e-12,
+                               atol=1e-12 * max(1.0, np.abs(rows).max()))
+
+
+@st.composite
+def stack(draw, dim, bound, rows=None):
+    """1 to 50 rows (or exactly `rows`) in [-bound, bound]^dim."""
+    P = rows if rows is not None else draw(st.integers(1, 50))
+    return draw(arrays(np.float64, (P, dim), elements=st.floats(-bound, bound)))
+
+
+class TestStackContract:
+    @pytest.mark.parametrize("name", sorted(STACK_DICTIONARIES))
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_stacked_calls_equal_per_row_calls(self, name, data):
+        d = STACK_DICTIONARIES[name]()
+        Z = data.draw(stack(d.input_dim, 2.0))
+        for method in ("evaluate", "jacobian"):
+            assert_stack_equals_rows(getattr(d, method), Z)
+
+    @pytest.mark.parametrize("name", sorted(STACK_JOINT_DICTIONARIES))
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_joint_stacked_calls_equal_per_row_calls(self, name, data):
+        d = STACK_JOINT_DICTIONARIES[name]()
+        X = data.draw(stack(d.state_dim, 2.0))
+        U = data.draw(stack(d.input_dim, 1.0, rows=len(X)))
+        for method in ("evaluate", "jacobian_x", "jacobian_u"):
+            assert_stack_equals_rows(getattr(d, method), X, U)
+
+    @pytest.mark.parametrize("name", sorted(STACK_DICTIONARIES))
+    def test_point_shapes_and_bad_arguments(self, name):
+        d = STACK_DICTIONARIES[name]()
+        N, dim = d.size, d.input_dim
+        assert d.evaluate(np.zeros(dim)).shape == (N,)
+        assert d.jacobian(np.zeros(dim)).shape == (N, dim)
+        for bad in (np.zeros(dim + 1), np.zeros((3, dim + 1)), np.zeros((2, 3, dim))):
+            for method in (d.evaluate, d.jacobian):
+                with pytest.raises(ValueError, match="shape"):
+                    method(bad)
+
+    @pytest.mark.parametrize("name", sorted(STACK_JOINT_DICTIONARIES))
+    def test_joint_point_shapes_and_bad_arguments(self, name):
+        d = STACK_JOINT_DICTIONARIES[name]()
+        N, n, m = d.size, d.state_dim, d.input_dim
+        x, u = np.zeros(n), np.zeros(m)
+        assert d.evaluate(x, u).shape == (N,)
+        assert d.jacobian_x(x, u).shape == (N, n)
+        assert d.jacobian_u(x, u).shape == (N, m)
+        bad = {
+            "single points or stacks": [(np.zeros((3, n)), np.zeros((2, m))),
+                                        (np.zeros((3, n)), u), (x, np.zeros((1, m)))],
+            "state": [(np.zeros((3, n + 1)), np.zeros((3, m)))],
+            "input": [(np.zeros((3, n)), np.zeros((3, m + 1))), (x, np.zeros(m + 1))],
+        }
+        for message, cases in bad.items():
+            for args in cases:
+                for method in (d.evaluate, d.jacobian_x, d.jacobian_u):
+                    with pytest.raises(ValueError, match=message):
+                        method(*args)
