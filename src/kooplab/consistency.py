@@ -6,10 +6,13 @@ one identity at every grid point and report the residual field with its max,
 mean, and the point of worst violation. All conditions are necessary only: a
 consistent verdict never establishes that a lifted representation exists.
 
-A residual field is one array expression over stacked ingredients. Those of
-the state alone or the input alone (psi_x and its Jacobian, f_x, f_u, their
-Jacobians, J_psi_x at f(x, 0) or f(0, u)) are evaluated once per grid axis
-and broadcast onto the (x, u) product in state-major order. A non-finite
+The conditions share their ingredients: f, its pieces f_x, f_u, f_xu, their
+Jacobians, and psi and J_psi at the states, the inputs and the next states
+f(x, u), f(x, 0), f(0, u). One ingredient object per (system, grid) evaluates
+each once, as one read-only stack, and a residual field is an array
+expression over those stacks, broadcast onto the (x, u) product in
+state-major order. check_model hands one such object to every family in the
+grid slot; a checker called with a plain grid builds its own. A non-finite
 residual raises ValueError: such a field has no verdict.
 
 Condition identifiers form a closed set (CONDITION_IDS). The DEF1-*/DEF2-*
@@ -157,6 +160,7 @@ class HypothesisViolationError(ValueError):
     def __init__(self, hypothesis: str, max_violation: float, where=None):
         self.hypothesis = hypothesis
         self.max_violation = float(max_violation)
+        self.where = where
         loc = f" (worst at {_fmt_where(where)})" if where is not None else ""
         super().__init__(
             f"hypothesis violated: {hypothesis}; "
@@ -265,7 +269,7 @@ class ConsistencyReport:
         )
 
 
-# -- shared helpers --------------------------------------------------------------
+# -- shared ingredients ------------------------------------------------------------
 
 
 def _inf(arr) -> float:
@@ -278,51 +282,93 @@ def _norms(R) -> np.ndarray:
     return np.abs(R).max(axis=tuple(range(1, R.ndim)), initial=0.0)
 
 
-def _worst(field, *cols):
-    """(largest point norm of a stacked field, that point's rows of cols); a
-    non-finite norm counts as inf, so NaN cannot pass a hypothesis guard."""
-    v = _norms(field)
-    v[~np.isfinite(v)] = np.inf
-    i = int(np.argmax(v))
-    at = tuple(c[i] for c in cols)
-    return float(v[i]), at if len(at) > 1 else at[0]
+def _frozen(a) -> np.ndarray:
+    """A read-only view, so that one family cannot change another's ingredient."""
+    a = a.view()
+    a.flags.writeable = False
+    return a
 
 
-def _per_state(A, grid) -> np.ndarray:
-    """Per-state rows broadcast onto the product points."""
-    return np.repeat(A, len(grid.inputs), axis=0)
+class _Ingredients:
+    """The stacks that the conditions of one check share, for one (system, grid).
+
+    Every ingredient is a system or dictionary method evaluated at a named
+    point set: the grid states "x" and inputs "u", the single points "x=0"
+    and "u=0", the (x, u) product "(x,u)" in state-major order, the axis rows
+    "(x,0)" and "(0,u)", and the next states "f(x,u)", "f(x,0)", "f(0,u)".
+    `at` evaluates each (method, point set) pair once and keeps the result as
+    a read-only array; `norms` does the same for its point norms.
+    """
+
+    def __init__(self, system: ControlledSystem, grid: EvaluationGrid):
+        self.system, self.grid = system, grid
+        self._stacks = {}
+        self.product = (_frozen(self.per_state(grid.states)), _frozen(self.per_input(grid.inputs)))
+        self.xu = dict(zip("xu", self.product))  # report points; each report copies the dict
+
+    def per_state(self, A) -> np.ndarray:
+        """Per-state rows broadcast onto the product points."""
+        return np.repeat(A, len(self.grid.inputs), axis=0)
+
+    def per_input(self, A) -> np.ndarray:
+        """Per-input rows broadcast onto the product points."""
+        return np.tile(A, (len(self.grid.states),) + (1,) * (A.ndim - 1))
+
+    def _points(self, where) -> tuple:
+        if where.startswith("f("):
+            return (self.at(self.system.evaluate, where[1:]),)
+        states, inputs = self.grid.states, self.grid.inputs
+        n, m = self.system.state_dim, self.system.input_dim
+        return {
+            "x": (states,), "u": (inputs,),
+            "x=0": (np.zeros(n),), "u=0": (np.zeros(m),),
+            "(x,u)": self.product,
+            "(x,0)": (states, np.zeros((len(states), m))),
+            "(0,u)": (np.zeros((len(inputs), n)), inputs),
+        }[where]
+
+    def _memo(self, key, compute) -> np.ndarray:
+        if key not in self._stacks:
+            self._stacks[key] = _frozen(compute())
+        return self._stacks[key]
+
+    def at(self, fn, where) -> np.ndarray:
+        """fn evaluated on the point set `where`."""
+        return self._memo((fn, where), lambda: fn(*self._points(where)))
+
+    def norms(self, fn, where) -> np.ndarray:
+        """Point norms of at(fn, where)."""
+        return self._memo((fn, where, "norms"), lambda: _norms(self.at(fn, where)))
+
+    def require_vanishing(self, hypothesis, fn, where, *cols):
+        """Raise HypothesisViolationError, naming the worst point's rows of cols, unless
+        at(fn, where) vanishes; a non-finite norm counts as inf, so NaN cannot pass."""
+        v = self.norms(fn, where)
+        v = np.where(np.isfinite(v), v, np.inf)
+        i = int(np.argmax(v))
+        if v[i] > _HYPOTHESIS_TOL:
+            at = tuple(c[i] for c in cols)
+            raise HypothesisViolationError(hypothesis, v[i], where=at if len(at) > 1 else at[0])
+
+    def autonomous(self) -> "_Ingredients":
+        """The ingredients on the zero-input slice of the grid: self when the
+        grid is that slice already (as for a system without inputs)."""
+        inputs = self.grid.inputs
+        single_zero = len(inputs) == 1 and not inputs.any()
+        return self if single_zero else _Ingredients(self.system, self.grid.autonomous())
 
 
-def _per_input(A, grid) -> np.ndarray:
-    """Per-input rows broadcast onto the product points."""
-    return np.tile(A, (len(grid.states),) + (1,) * (A.ndim - 1))
-
-
-def _product_points(grid: EvaluationGrid):
-    """All (x, u) combinations as aligned arrays, state-major."""
-    return _per_state(grid.states, grid), _per_input(grid.inputs, grid)
-
-
-def _axes(system, grid):
-    """Aligned rows (x, 0) over the states and (0, u) over the inputs."""
-    return (_product_points(grid.autonomous()),
-            (np.zeros((len(grid.inputs), system.state_dim)), grid.inputs))
-
-
-def _next_jacobian(system, dict_x, X, U) -> np.ndarray:
-    """J+ = J_psi_x(f(x, u)) at the aligned rows of X, U."""
-    return dict_x.jacobian(system.evaluate(X, U))
-
-
-def _drift_residuals(system, dict_x, L, grid, J) -> np.ndarray:
-    """|| J_psi_x(x) f_x(x) - L psi_x(x) || over the states, J = J_psi_x per state."""
-    F = system.f_x(grid.states)
-    return _norms(_mv(J, F) - _mv(L, dict_x.evaluate(grid.states)))
-
-
-def _require_time_kind(system: ControlledSystem, kind: str, checker: str):
+def _ingredients(system, grid, checker: str, kind: str) -> _Ingredients:
+    """A checker's ingredients after its time-kind check: check_model's shared ones, or fresh."""
     if system.time_kind != kind:
         raise ValueError(f"{checker} applies to {kind}-time systems, got {system.time_kind}")
+    return grid if isinstance(grid, _Ingredients) else _Ingredients(system, grid)
+
+
+def _drift(ing, dict_x, L) -> np.ndarray:
+    """|| J_psi_x(x) f_x(x) - L psi_x(x) || over the states."""
+    return _norms(_mv(ing.at(dict_x.jacobian, "x"), ing.at(ing.system.f_x, "x"))
+                  - _mv(L, ing.at(dict_x.evaluate, "x")))
 
 
 def _require_state_inclusive(dict_x: Dictionary, checker: str):
@@ -333,29 +379,16 @@ def _require_state_inclusive(dict_x: Dictionary, checker: str):
         )
 
 
-def _check_sep_hypotheses(system, dict_u, grid, tol=_HYPOTHESIS_TOL):
+def _require_separable(ing, dict_u):
     """Hypotheses shared by the separable-formulation conditions."""
-    v = _inf(system.f_u(np.zeros(system.input_dim)))
-    if not v <= tol:
+    v = _inf(ing.at(ing.system.f_u, "u=0"))
+    if not v <= _HYPOTHESIS_TOL:
         raise HypothesisViolationError("f_u(0) = 0", v)
-    x_axis, u_axis = _axes(system, grid)
-    worst, worst_x = _worst(system.f_xu(*x_axis), grid.states)
-    if worst > tol:
-        raise HypothesisViolationError("f_xu(x, 0) = 0", worst, where=worst_x)
-    worst, worst_u = _worst(system.f_xu(*u_axis), grid.inputs)
-    if worst > tol:
-        raise HypothesisViolationError("f_xu(0, u) = 0", worst, where=worst_u)
-    if dict_u is not None:
-        v = _inf(dict_u.evaluate(np.zeros(dict_u.input_dim)))
-        if not v <= tol:
-            raise HypothesisViolationError("psi_u(0) = 0", v)
-
-
-def _check_fxu_vanishes(system, grid, tol=_HYPOTHESIS_TOL):
-    X, U = _product_points(grid)
-    worst, worst_at = _worst(system.f_xu(X, U), X, U)
-    if worst > tol:
-        raise HypothesisViolationError("f_xu(x, u) = 0", worst, where=worst_at)
+    ing.require_vanishing("f_xu(x, 0) = 0", ing.system.f_xu, "(x,0)", ing.grid.states)
+    ing.require_vanishing("f_xu(0, u) = 0", ing.system.f_xu, "(0,u)", ing.grid.inputs)
+    v = _inf(ing.at(dict_u.evaluate, "u=0"))
+    if not v <= _HYPOTHESIS_TOL:
+        raise HypothesisViolationError("psi_u(0) = 0", v)
 
 
 def _sample_pair_indices(grid, n_pairs, seed, n_index_sets):
@@ -376,7 +409,7 @@ def check_def1(system: ControlledSystem, model, grid: EvaluationGrid,
     model's observables depend on the input (udot must then be supplied as a
     constant array or a callable (x, u) -> udot).
     """
-    _require_time_kind(system, "continuous", "check_def1")
+    ing = _ingredients(system, grid, "check_def1", "continuous")
     if model.time_kind != "continuous":
         raise ValueError("check_def1 needs a continuous-time model")
     joint = model.variant == "eigen" and model.joint_observables
@@ -388,9 +421,9 @@ def check_def1(system: ControlledSystem, model, grid: EvaluationGrid,
         )
 
     auton = _autonomous(model)
-    g = grid.autonomous() if auton else grid
-    X, U = _product_points(g)
-    F = system.evaluate(X, U)
+    ing = ing.autonomous() if auton else ing
+    X, U = ing.product
+    F = ing.at(system.evaluate, "(x,u)")
     if joint:
         Udot = (_stacked(u_dot, (system.input_dim,))(X, U) if callable(u_dot)
                 else np.broadcast_to(np.asarray(u_dot, dtype=float), U.shape))
@@ -398,10 +431,10 @@ def check_def1(system: ControlledSystem, model, grid: EvaluationGrid,
         rate = model.rate(X, U, u_dot=Udot)
     else:
         jac = model.eigendict.jacobian if model.variant == "eigen" else model.dict_x.jacobian
-        truth = _mv(_per_state(jac(g.states), g), F)
+        truth = _mv(ing.per_state(ing.at(jac, "x")), F)
         rate = model.rate(X, U)
     cid = "DEF1-AUTON" if auton else "DEF1-JOINT" if joint else "DEF1-CTRL"
-    points = {"x": X} if auton else {"x": X, "u": U}
+    points = {"x": X} if auton else ing.xu
     return ConsistencyReport(cid, tolerance, points, _norms(rate - truth))
 
 
@@ -413,19 +446,19 @@ def check_def2(system: ControlledSystem, model, grid: EvaluationGrid,
     and likewise in u; an autonomous model (no input channel) yields the single
     zero-input x-identity report.
     """
-    _require_time_kind(system, "discrete", "check_def2")
+    ing = _ingredients(system, grid, "check_def2", "discrete")
     if model.time_kind != "discrete":
         raise ValueError("check_def2 needs a discrete-time model")
 
     auton = _autonomous(model)
-    g = grid.autonomous() if auton else grid
-    X, U = _product_points(g)
-    points = {"x": X} if auton else {"x": X, "u": U}
-    J = _next_jacobian(system, model.dict_x, X, U)
-    res_x = model.lift_next_jac_x(X, U) - J @ system.jacobian_x(X, U)
+    ing = ing.autonomous() if auton else ing
+    X, U = ing.product
+    points = {"x": X} if auton else ing.xu
+    J = ing.at(model.dict_x.jacobian, "f(x,u)")
+    res_x = model.lift_next_jac_x(X, U) - J @ ing.at(system.jacobian_x, "(x,u)")
     if auton:
         return [ConsistencyReport("DEF2-AUTON", tolerance, points, _norms(res_x))]
-    res_u = model.lift_next_jac_u(X, U) - J @ system.jacobian_u(X, U)
+    res_u = model.lift_next_jac_u(X, U) - J @ ing.at(system.jacobian_u, "(x,u)")
     return [
         ConsistencyReport("DEF2-CTRL-X", tolerance, points, _norms(res_x)),
         ConsistencyReport("DEF2-CTRL-U", tolerance, points, _norms(res_u)),
@@ -446,7 +479,7 @@ def check_def2_joint(system: ControlledSystem, joint_dict: JointDictionary, K,
     omitted, and both reports carry explanatory notes; u_{k+1} = u_k is
     never assumed for the derivative itself.
     """
-    _require_time_kind(system, "discrete", "check_def2_joint")
+    ing = _ingredients(system, grid, "check_def2_joint", "discrete")
     K = np.asarray(K, dtype=float)
     if K.shape != (joint_dict.size, joint_dict.size):
         raise ValueError(
@@ -454,21 +487,20 @@ def check_def2_joint(system: ControlledSystem, joint_dict: JointDictionary, K,
             f"dictionary, got {K.shape}"
         )
 
-    X, U = _product_points(grid)
-    m = system.input_dim
-    U_next = U
+    inputs, m = ing.grid.inputs, system.input_dim
+    U_next = ing.product[1]
     if input_evolution is not None:
         u_map, u_jac = input_evolution
-        U_next = _per_input(_stacked(u_map, (m,))(grid.inputs), grid)
-    X_next = system.evaluate(X, U)
+        U_next = ing.per_input(_stacked(u_map, (m,))(inputs))
+    X_next = ing.at(system.evaluate, "(x,u)")
     J_next = joint_dict.jacobian_x(X_next, U_next)
-    rhs_x = J_next @ system.jacobian_x(X, U)
-    rhs_u = J_next @ system.jacobian_u(X, U)
+    rhs_x = J_next @ ing.at(system.jacobian_x, "(x,u)")
+    rhs_u = J_next @ ing.at(system.jacobian_u, "(x,u)")
     if input_evolution is not None:
-        rhs_u = rhs_u + joint_dict.jacobian_u(X_next, U_next) @ _per_input(
-            _stacked(u_jac, (m, m))(grid.inputs), grid)
-    res_x = _norms(K @ joint_dict.jacobian_x(X, U) - rhs_x)
-    res_u = _norms(K @ joint_dict.jacobian_u(X, U) - rhs_u)
+        rhs_u = rhs_u + joint_dict.jacobian_u(X_next, U_next) @ ing.per_input(
+            _stacked(u_jac, (m, m))(inputs))
+    res_x = _norms(K @ ing.at(joint_dict.jacobian_x, "(x,u)") - rhs_x)
+    res_u = _norms(K @ ing.at(joint_dict.jacobian_u, "(x,u)") - rhs_u)
 
     note_x = note_u = None
     if input_evolution is None:
@@ -478,8 +510,8 @@ def check_def2_joint(system: ControlledSystem, joint_dict: JointDictionary, K,
         )
         note_u = note_x + "; transport term J_u_psi du_{k+1}/du_k not evaluated"
     return [
-        ConsistencyReport("DEF2-JOINT-X", tolerance, {"x": X, "u": U}, res_x, note=note_x),
-        ConsistencyReport("DEF2-JOINT-U", tolerance, {"x": X, "u": U}, res_u, note=note_u),
+        ConsistencyReport("DEF2-JOINT-X", tolerance, ing.xu, res_x, note=note_x),
+        ConsistencyReport("DEF2-JOINT-U", tolerance, ing.xu, res_u, note=note_u),
     ]
 
 
@@ -499,35 +531,21 @@ def check_theorem2(system: ControlledSystem, dict_x: Dictionary, dict_u: Diction
     Hypotheses f_u(0) = 0, f_xu(x, 0) = f_xu(0, u) = 0, psi_u(0) = 0 are
     verified first and raise HypothesisViolationError when broken.
     """
-    _require_time_kind(system, "continuous", "check_theorem2")
-    _check_sep_hypotheses(system, dict_u, grid)
+    ing = _ingredients(system, grid, "check_theorem2", "continuous")
+    _require_separable(ing, dict_u)
     L_x = np.asarray(L_x, dtype=float)
     L_u = np.asarray(L_u, dtype=float)
-    J0 = dict_x.jacobian(np.zeros(system.state_dim))
-    J = dict_x.jacobian(grid.states)
-    Fu = system.f_u(grid.inputs)
-    X, U = _product_points(grid)
+    J0 = ing.at(dict_x.jacobian, "x=0")
+    Fu = ing.at(system.f_u, "u")
 
-    res1 = _drift_residuals(system, dict_x, L_x, grid, J)
-    res2 = _norms(_mv(J0, Fu) - _mv(L_u, dict_u.evaluate(grid.inputs)))
-    Jp = _per_state(J, grid)
-    res3 = _norms(_mv(Jp - J0, _per_input(Fu, grid)) + _mv(Jp, system.f_xu(X, U)))
+    res2 = _norms(_mv(J0, Fu) - _mv(L_u, ing.at(dict_u.evaluate, "u")))
+    Jp = ing.per_state(ing.at(dict_x.jacobian, "x"))
+    res3 = _norms(_mv(Jp - J0, ing.per_input(Fu)) + _mv(Jp, ing.at(system.f_xu, "(x,u)")))
     return [
-        ConsistencyReport("T2-C1", tolerance, {"x": grid.states}, res1),
-        ConsistencyReport("T2-C2", tolerance, {"u": grid.inputs}, res2),
-        ConsistencyReport("T2-C3", tolerance, {"x": X, "u": U}, res3),
+        ConsistencyReport("T2-C1", tolerance, {"x": ing.grid.states}, _drift(ing, dict_x, L_x)),
+        ConsistencyReport("T2-C2", tolerance, {"u": ing.grid.inputs}, res2),
+        ConsistencyReport("T2-C3", tolerance, ing.xu, res3),
     ]
-
-
-def _fxu_field_report(system, grid, condition, tolerance,
-                      with_jacobians=False) -> ConsistencyReport:
-    X, U = _product_points(grid)
-    details = {}
-    if with_jacobians:
-        details = {"max_cross_jac_x": _inf(system.jacobian_fxu_x(X, U)),
-                   "max_cross_jac_u": _inf(system.jacobian_fxu_u(X, U))}
-    return ConsistencyReport(condition, tolerance, {"x": X, "u": U},
-                             _norms(system.f_xu(X, U)), details=details)
 
 
 def check_corollary1(system: ControlledSystem, dict_x: Dictionary, grid: EvaluationGrid,
@@ -537,9 +555,9 @@ def check_corollary1(system: ControlledSystem, dict_x: Dictionary, grid: Evaluat
     The residual field is || f_xu(x, u) || itself; an inconsistent verdict
     means no consistent separable representation with this dictionary exists.
     """
-    _require_time_kind(system, "continuous", "check_corollary1")
+    ing = _ingredients(system, grid, "check_corollary1", "continuous")
     _require_state_inclusive(dict_x, "check_corollary1")
-    return _fxu_field_report(system, grid, "COR1-FXU", tolerance)
+    return ConsistencyReport("COR1-FXU", tolerance, ing.xu, ing.norms(system.f_xu, "(x,u)"))
 
 
 def check_corollary2(system: ControlledSystem, dict_x: Dictionary, grid: EvaluationGrid,
@@ -550,20 +568,13 @@ def check_corollary2(system: ControlledSystem, dict_x: Dictionary, grid: Evaluat
     Residual || (J_psi_x(x1) - J_psi_x(x2)) f_u(u) || over seeded random
     (x1, x2, u) triples drawn from the grid. Hypothesis: f_xu = 0.
     """
-    _require_time_kind(system, "continuous", "check_corollary2")
-    _check_fxu_vanishes(system, grid)
-    return _pairwise_report(system, dict_x, grid, n_pairs, seed, tolerance)
-
-
-def _pairwise_report(system, dict_x, grid, n_pairs, seed, tolerance) -> ConsistencyReport:
-    """The COR2 field, once its hypothesis f_xu = 0 is settled."""
-    i1, i2, iu = _sample_pair_indices(grid, n_pairs, seed, ("x", "x", "u"))
-    J = dict_x.jacobian(grid.states)
-    res = _norms(_mv(J[i1] - J[i2], system.f_u(grid.inputs)[iu]))
-    return ConsistencyReport(
-        "COR2-PAIRWISE", tolerance,
-        {"x1": grid.states[i1], "x2": grid.states[i2], "u": grid.inputs[iu]}, res
-    )
+    ing = _ingredients(system, grid, "check_corollary2", "continuous")
+    ing.require_vanishing("f_xu(x, u) = 0", system.f_xu, "(x,u)", *ing.product)
+    i1, i2, iu = _sample_pair_indices(ing.grid, n_pairs, seed, ("x", "x", "u"))
+    J, states = ing.at(dict_x.jacobian, "x"), ing.grid.states
+    res = _norms(_mv(J[i1] - J[i2], ing.at(system.f_u, "u")[iu]))
+    points = {"x1": states[i1], "x2": states[i2], "u": ing.grid.inputs[iu]}
+    return ConsistencyReport("COR2-PAIRWISE", tolerance, points, res)
 
 
 def check_corollary3_kma(system: ControlledSystem, dict_x: Dictionary, L, B,
@@ -579,24 +590,21 @@ def check_corollary3_kma(system: ControlledSystem, dict_x: Dictionary, L, B,
     that report is skipped (the cross-term violation is already captured by
     COR1-FXU, which carries a note).
     """
-    _require_time_kind(system, "continuous", "check_corollary3_kma")
+    ing = _ingredients(system, grid, "check_corollary3_kma", "continuous")
     _require_state_inclusive(dict_x, "check_corollary3_kma")
     L = np.asarray(L, dtype=float)
     B = np.asarray(B, dtype=float)
 
-    # the COR1 field is finite (the report rejects NaN), so its max is the
-    # worst violation of COR2's hypothesis f_xu = 0
-    reports = [_fxu_field_report(system, grid, "COR1-FXU", tolerance)]
-    if reports[0].max_residual <= _HYPOTHESIS_TOL:
-        reports.append(_pairwise_report(system, dict_x, grid, n_pairs, seed, tolerance))
-    else:
+    reports = [check_corollary1(system, dict_x, ing, tolerance=tolerance)]
+    try:
+        reports.append(check_corollary2(system, dict_x, ing, n_pairs, seed, tolerance=tolerance))
+    except HypothesisViolationError:
         reports[0].note = "cross term nonzero: pairwise condition skipped (its hypothesis fails)"
 
-    J0 = dict_x.jacobian(np.zeros(system.state_dim))
-    res_b = _norms(J0 @ system.jacobian_fu(grid.inputs) - B)
-    reports.append(ConsistencyReport("COR3-KMA-B", tolerance, {"u": grid.inputs}, res_b))
-    res_l = _drift_residuals(system, dict_x, L, grid, dict_x.jacobian(grid.states))
-    reports.append(ConsistencyReport("COR3-KMA-L", tolerance, {"x": grid.states}, res_l))
+    res_b = _norms(ing.at(dict_x.jacobian, "x=0") @ ing.at(system.jacobian_fu, "u") - B)
+    reports.append(ConsistencyReport("COR3-KMA-B", tolerance, {"u": ing.grid.inputs}, res_b))
+    reports.append(ConsistencyReport("COR3-KMA-L", tolerance, {"x": ing.grid.states},
+                                     _drift(ing, dict_x, L)))
     return reports
 
 
@@ -614,23 +622,17 @@ def check_theorem3(system: ControlledSystem, dict_x: Dictionary,
 
     Hypothesis: psi_xu(x, 0) = 0 on the grid.
     """
-    _require_time_kind(system, "continuous", "check_theorem3")
+    ing = _ingredients(system, grid, "check_theorem3", "continuous")
     L_x = np.asarray(L_x, dtype=float)
     L_xu = np.asarray(L_xu, dtype=float)
+    ing.require_vanishing("psi_xu(x, 0) = 0", dict_xu.evaluate, "(x,0)", ing.grid.states)
 
-    x_axis, _ = _axes(system, grid)
-    worst, worst_x = _worst(dict_xu.evaluate(*x_axis), grid.states)
-    if worst > _HYPOTHESIS_TOL:
-        raise HypothesisViolationError("psi_xu(x, 0) = 0", worst, where=worst_x)
-
-    J = dict_x.jacobian(grid.states)
-    X, U = _product_points(grid)
-    cross = _per_input(system.f_u(grid.inputs), grid) + system.f_xu(X, U)
-    res2 = _norms(_mv(_per_state(J, grid), cross) - _mv(L_xu, dict_xu.evaluate(X, U)))
+    cross = ing.per_input(ing.at(system.f_u, "u")) + ing.at(system.f_xu, "(x,u)")
+    res2 = _norms(_mv(ing.per_state(ing.at(dict_x.jacobian, "x")), cross)
+                  - _mv(L_xu, ing.at(dict_xu.evaluate, "(x,u)")))
     return [
-        ConsistencyReport("T3-C1", tolerance, {"x": grid.states},
-                          _drift_residuals(system, dict_x, L_x, grid, J)),
-        ConsistencyReport("T3-C2", tolerance, {"x": X, "u": U}, res2),
+        ConsistencyReport("T3-C1", tolerance, {"x": ing.grid.states}, _drift(ing, dict_x, L_x)),
+        ConsistencyReport("T3-C2", tolerance, ing.xu, res2),
     ]
 
 
@@ -642,12 +644,12 @@ def check_kaiser(system: ControlledSystem, eigendict, Lam, grid: EvaluationGrid,
     The input-rate transport term appears identically on both sides of the
     defining relation and cancels, so it is not part of this condition.
     Lambda may be given as a vector of eigenvalues or a strictly diagonal
-    matrix.
+    matrix; an off-diagonal entry that is nonzero or not finite is rejected.
     """
-    _require_time_kind(system, "continuous", "check_kaiser")
+    ing = _ingredients(system, grid, "check_kaiser", "continuous")
     Lam = np.asarray(Lam, dtype=float)
     if Lam.ndim == 2:
-        if Lam.shape[0] != Lam.shape[1] or _inf(Lam - np.diag(np.diag(Lam))) > 0:
+        if Lam.shape[0] != Lam.shape[1] or np.any(Lam[~np.eye(len(Lam), dtype=bool)] != 0):
             raise ValueError("Lambda must be strictly diagonal")
         lam = np.diag(Lam).copy()
     elif Lam.ndim == 1:
@@ -659,14 +661,12 @@ def check_kaiser(system: ControlledSystem, eigendict, Lam, grid: EvaluationGrid,
             f"need one eigenvalue per observable ({eigendict.size}), got {lam.shape[0]}"
         )
 
-    X, U = _product_points(grid)
     if isinstance(eigendict, JointDictionary):
-        psi, J = eigendict.evaluate(X, U), eigendict.jacobian_x(X, U)
+        psi, J = ing.at(eigendict.evaluate, "(x,u)"), ing.at(eigendict.jacobian_x, "(x,u)")
     else:
-        psi = _per_state(eigendict.evaluate(grid.states), grid)
-        J = _per_state(eigendict.jacobian(grid.states), grid)
-    res = _norms(_mv(J, system.evaluate(X, U)) - lam * psi)
-    return ConsistencyReport("KAISER", tolerance, {"x": X, "u": U}, res)
+        psi, J = (ing.per_state(ing.at(f, "x")) for f in (eigendict.evaluate, eigendict.jacobian))
+    res = _norms(_mv(J, ing.at(system.evaluate, "(x,u)")) - lam * psi)
+    return ConsistencyReport("KAISER", tolerance, ing.xu, res)
 
 
 # -- discrete separable family (T4, COR4-6) ---------------------------------------
@@ -689,29 +689,27 @@ def check_theorem4(system: ControlledSystem, dict_x: Dictionary, dict_u: Diction
     The restricted evaluations re-evaluate the next state at u = 0 or x = 0
     accordingly. Hypotheses as in the continuous separable case.
     """
-    _require_time_kind(system, "discrete", "check_theorem4")
-    _check_sep_hypotheses(system, dict_u, grid)
+    ing = _ingredients(system, grid, "check_theorem4", "discrete")
+    _require_separable(ing, dict_u)
     K_x = np.asarray(K_x, dtype=float)
     K_u = np.asarray(K_u, dtype=float)
-    x_axis, u_axis = _axes(system, grid)
-    X, U = _product_points(grid)
-    Dfx = system.jacobian_fx(grid.states)
-    Dfu = system.jacobian_fu(grid.inputs)
-    J_x0 = _next_jacobian(system, dict_x, *x_axis)
-    J_0u = _next_jacobian(system, dict_x, *u_axis)
-    J = _next_jacobian(system, dict_x, X, U)
+    Dfx = ing.at(system.jacobian_fx, "x")
+    Dfu = ing.at(system.jacobian_fu, "u")
+    J_x0 = ing.at(dict_x.jacobian, "f(x,0)")
+    J_0u = ing.at(dict_x.jacobian, "f(0,u)")
+    J = ing.at(dict_x.jacobian, "f(x,u)")
 
-    res1 = _norms(J_x0 @ Dfx - K_x @ dict_x.jacobian(grid.states))
-    res2 = _norms(J_0u @ Dfu - K_u @ dict_u.jacobian(grid.inputs))
-    res3 = _norms((J - _per_input(J_0u, grid)) @ _per_input(Dfu, grid)
-                  + J @ system.jacobian_fxu_u(X, U))
-    res4 = _norms((J - _per_state(J_x0, grid)) @ _per_state(Dfx, grid)
-                  + J @ system.jacobian_fxu_x(X, U))
+    res1 = _norms(J_x0 @ Dfx - K_x @ ing.at(dict_x.jacobian, "x"))
+    res2 = _norms(J_0u @ Dfu - K_u @ ing.at(dict_u.jacobian, "u"))
+    res3 = _norms((J - ing.per_input(J_0u)) @ ing.per_input(Dfu)
+                  + J @ ing.at(system.jacobian_fxu_u, "(x,u)"))
+    res4 = _norms((J - ing.per_state(J_x0)) @ ing.per_state(Dfx)
+                  + J @ ing.at(system.jacobian_fxu_x, "(x,u)"))
     return [
-        ConsistencyReport("T4-C1", tolerance, {"x": grid.states}, res1),
-        ConsistencyReport("T4-C2", tolerance, {"u": grid.inputs}, res2),
-        ConsistencyReport("T4-C3", tolerance, {"x": X, "u": U}, res3),
-        ConsistencyReport("T4-C4", tolerance, {"x": X, "u": U}, res4),
+        ConsistencyReport("T4-C1", tolerance, {"x": ing.grid.states}, res1),
+        ConsistencyReport("T4-C2", tolerance, {"u": ing.grid.inputs}, res2),
+        ConsistencyReport("T4-C3", tolerance, ing.xu, res3),
+        ConsistencyReport("T4-C4", tolerance, ing.xu, res4),
     ]
 
 
@@ -722,9 +720,12 @@ def check_corollary4(system: ControlledSystem, dict_x: Dictionary, grid: Evaluat
     The residual field is || f_xu(x, u) ||; the details record the largest
     cross-term Jacobian norms in x and u, the proof's intermediate quantities.
     """
-    _require_time_kind(system, "discrete", "check_corollary4")
+    ing = _ingredients(system, grid, "check_corollary4", "discrete")
     _require_state_inclusive(dict_x, "check_corollary4")
-    return _fxu_field_report(system, grid, "COR4-FXU", tolerance, with_jacobians=True)
+    details = {"max_cross_jac_x": _inf(ing.at(system.jacobian_fxu_x, "(x,u)")),
+               "max_cross_jac_u": _inf(ing.at(system.jacobian_fxu_u, "(x,u)"))}
+    return ConsistencyReport("COR4-FXU", tolerance, ing.xu,
+                             ing.norms(system.f_xu, "(x,u)"), details=details)
 
 
 def check_corollary5(system: ControlledSystem, dict_x: Dictionary, grid: EvaluationGrid,
@@ -739,24 +740,21 @@ def check_corollary5(system: ControlledSystem, dict_x: Dictionary, grid: Evaluat
 
     Hypothesis: f_xu = 0.
     """
-    _require_time_kind(system, "discrete", "check_corollary5")
-    _check_fxu_vanishes(system, grid)
-    i1, i2, j1, j2 = _sample_pair_indices(grid, n_pairs, seed, ("x", "x", "u", "u"))
-    X1, X2 = grid.states[i1], grid.states[i2]
-    U1, U2 = grid.inputs[j1], grid.inputs[j2]
+    ing = _ingredients(system, grid, "check_corollary5", "discrete")
+    ing.require_vanishing("f_xu(x, u) = 0", system.f_xu, "(x,u)", *ing.product)
+    states, inputs = ing.grid.states, ing.grid.inputs
+    i1, i2, j1, j2 = _sample_pair_indices(ing.grid, n_pairs, seed, ("x", "x", "u", "u"))
+    X1, X2 = states[i1], states[i2]
+    U1, U2 = inputs[j1], inputs[j2]
 
-    J_11 = _next_jacobian(system, dict_x, X1, U1)
-    res_u = _norms((J_11 - _next_jacobian(system, dict_x, X2, U1))
-                   @ system.jacobian_fu(grid.inputs)[j1])
-    res_x = _norms((J_11 - _next_jacobian(system, dict_x, X1, U2))
-                   @ system.jacobian_fx(grid.states)[i1])
+    # J+ on the product, whose row i * len(inputs) + j is the pair (x_i, u_j)
+    J, M = ing.at(dict_x.jacobian, "f(x,u)"), len(inputs)
+    J_11 = J[i1 * M + j1]
+    res_u = _norms((J_11 - J[i2 * M + j1]) @ ing.at(system.jacobian_fu, "u")[j1])
+    res_x = _norms((J_11 - J[i1 * M + j2]) @ ing.at(system.jacobian_fx, "x")[i1])
     return [
-        ConsistencyReport(
-            "COR5-PAIRWISE-U", tolerance, {"x1": X1, "x2": X2, "u1": U1}, res_u
-        ),
-        ConsistencyReport(
-            "COR5-PAIRWISE-X", tolerance, {"x1": X1, "u1": U1, "u2": U2}, res_x
-        ),
+        ConsistencyReport("COR5-PAIRWISE-U", tolerance, {"x1": X1, "x2": X2, "u1": U1}, res_u),
+        ConsistencyReport("COR5-PAIRWISE-X", tolerance, {"x1": X1, "u1": U1, "u2": U2}, res_x),
     ]
 
 
@@ -768,15 +766,14 @@ def check_corollary6(system: ControlledSystem, dict_x: Dictionary, K, B,
     Returns the inherited COR4-FXU check plus
     COR6-B: || J_psi_x(f(x,u)) df_u/du(u) - B ||  over the product.
     """
-    _require_time_kind(system, "discrete", "check_corollary6")
+    ing = _ingredients(system, grid, "check_corollary6", "discrete")
     _require_state_inclusive(dict_x, "check_corollary6")
     B = np.asarray(B, dtype=float)
 
-    reports = [_fxu_field_report(system, grid, "COR4-FXU", tolerance, with_jacobians=True)]
-    X, U = _product_points(grid)
-    J = _next_jacobian(system, dict_x, X, U)
-    res = _norms(J @ _per_input(system.jacobian_fu(grid.inputs), grid) - B)
-    reports.append(ConsistencyReport("COR6-B", tolerance, {"x": X, "u": U}, res))
+    reports = [check_corollary4(system, dict_x, ing, tolerance=tolerance)]
+    res = _norms(ing.at(dict_x.jacobian, "f(x,u)") @ ing.per_input(ing.at(system.jacobian_fu, "u"))
+                 - B)
+    reports.append(ConsistencyReport("COR6-B", tolerance, ing.xu, res))
     return reports
 
 
@@ -802,42 +799,39 @@ def check_theorem5(system: ControlledSystem, dict_x: Dictionary,
     the grid; otherwise the T5 reports are returned alone, with a note
     recording the per-variant hypothesis violation.
     """
-    _require_time_kind(system, "discrete", "check_theorem5")
+    ing = _ingredients(system, grid, "check_theorem5", "discrete")
     K_x = np.asarray(K_x, dtype=float)
     K_xu = np.asarray(K_xu, dtype=float)
-    x_axis, _ = _axes(system, grid)
-    worst, worst_x = _worst(dict_xu.evaluate(*x_axis), grid.states)
+    states, note = ing.grid.states, None
+    try:
+        ing.require_vanishing("psi_xu(x, 0) = 0", dict_xu.evaluate, "(x,0)", states)
+    except HypothesisViolationError as exc:
+        note = ("COR7/COR8 variants skipped: hypothesis psi_xu(x, 0) = 0 fails "
+                f"(max |psi_xu(x, 0)| = {exc.max_violation:.3g} at x = {exc.where})")
 
-    J_x0 = _next_jacobian(system, dict_x, *x_axis)
-    lhs_full = J_x0 @ system.jacobian_x(*x_axis)
-    base = K_x @ dict_x.jacobian(grid.states)
-    res_t5c1 = _norms(lhs_full - base - K_xu @ dict_xu.jacobian_x(*x_axis))
+    J_x0 = ing.at(dict_x.jacobian, "f(x,0)")
+    lhs_full = J_x0 @ ing.at(system.jacobian_x, "(x,0)")
+    base = K_x @ ing.at(dict_x.jacobian, "x")
+    res_t5c1 = _norms(lhs_full - base - K_xu @ ing.at(dict_xu.jacobian_x, "(x,0)"))
     res_c7c1 = _norms(lhs_full - base)
-    res_c8c1 = _norms(J_x0 @ system.jacobian_fx(grid.states) - base)
+    res_c8c1 = _norms(J_x0 @ ing.at(system.jacobian_fx, "x") - base)
 
     # dcross/du = df_u/du + df_xu/du is df/du, so COR8-C2 shares T5-C2's field
-    X, U = _product_points(grid)
-    J = _next_jacobian(system, dict_x, X, U)
-    res_t5c2 = _norms(J @ system.jacobian_u(X, U) - K_xu @ dict_xu.jacobian_u(X, U))
+    res_t5c2 = _norms(ing.at(dict_x.jacobian, "f(x,u)") @ ing.at(system.jacobian_u, "(x,u)")
+                      - K_xu @ ing.at(dict_xu.jacobian_u, "(x,u)"))
 
     reports = [
-        ConsistencyReport("T5-C1", tolerance, {"x": grid.states}, res_t5c1),
-        ConsistencyReport("T5-C2", tolerance, {"x": X, "u": U}, res_t5c2),
+        ConsistencyReport("T5-C1", tolerance, {"x": states}, res_t5c1, note=note),
+        ConsistencyReport("T5-C2", tolerance, ing.xu, res_t5c2, note=note),
     ]
-    if not worst <= _HYPOTHESIS_TOL:
-        note = (
-            f"COR7/COR8 variants skipped: hypothesis psi_xu(x, 0) = 0 fails "
-            f"(max |psi_xu(x, 0)| = {worst:.3g} at x = {worst_x})"
-        )
-        for r in reports:
-            r.note = note
+    if note:
         return reports
 
     reports.extend([
-        ConsistencyReport("COR7-C1", tolerance, {"x": grid.states}, res_c7c1),
-        ConsistencyReport("COR7-C2", tolerance, {"x": X, "u": U}, res_t5c2.copy()),
-        ConsistencyReport("COR8-C1", tolerance, {"x": grid.states}, res_c8c1),
-        ConsistencyReport("COR8-C2", tolerance, {"x": X, "u": U}, res_t5c2.copy()),
+        ConsistencyReport("COR7-C1", tolerance, {"x": states}, res_c7c1),
+        ConsistencyReport("COR7-C2", tolerance, ing.xu, res_t5c2.copy()),
+        ConsistencyReport("COR8-C1", tolerance, {"x": states}, res_c8c1),
+        ConsistencyReport("COR8-C2", tolerance, ing.xu, res_t5c2.copy()),
     ])
     return reports
 
@@ -856,8 +850,8 @@ def _joint_operators(model):
     return joint.dict_x, joint.dict_xu, joint.K_x, joint.K_xu
 
 
-# family -> its public checker for a fitted model, (system, model, grid, tol, seed)
-# -> reports; checkers are looked up by name at call time, so a rebound one is used
+# family -> its public checker for a fitted model, (system, model, ingredients, tol,
+# seed) -> reports; checkers are looked up by name at call time, so a rebound one is used
 _FAMILY_CHECKS = {
     "DEF1": lambda s, m, g, tol, seed: [check_def1(s, m, g, tolerance=tol)],
     "DEF2": lambda s, m, g, tol, seed: check_def2(s, m, g, tolerance=tol),
@@ -896,13 +890,12 @@ def check_model(system: ControlledSystem, model, grid: EvaluationGrid,
     applies to the model; a family whose hypothesis fails, or which is
     inapplicable to the model's dictionary, is skipped with a
     (family, reason) note, and any other error propagates. An explicit id
-    list is strict: an id whose row does not apply raises
-    InapplicableConditionError, hypothesis violations propagate, and only
-    the requested reports are returned. seed drives the pairwise samples.
+    list is strict: an unknown id raises ValueError, an id whose row does
+    not apply raises InapplicableConditionError, hypothesis violations
+    propagate, and each requested id yields one report. seed drives the
+    pairwise samples. All families read one ingredient object per call.
     """
-    def run(family):
-        return _FAMILY_CHECKS[family](system, model, grid, tolerance, seed)
-
+    ing = _Ingredients(system, grid)
     if conditions is None:
         families = _families(cid for cid, c in CONDITIONS.items() if c.applies(model))
         subsumed = {f for family in families for f in _SUBSUMED.get(family, ())}
@@ -911,7 +904,7 @@ def check_model(system: ControlledSystem, model, grid: EvaluationGrid,
             if family in subsumed:
                 continue
             try:
-                reports.extend(run(family))
+                reports.extend(_FAMILY_CHECKS[family](system, model, ing, tolerance, seed))
             except (HypothesisViolationError, InapplicableConditionError) as exc:
                 skipped.append((family, str(exc)))
         if getattr(model, "joint_observables", False):
@@ -919,14 +912,19 @@ def check_model(system: ControlledSystem, model, grid: EvaluationGrid,
         return reports, skipped
 
     for cid in conditions:
+        if cid not in CONDITIONS:
+            raise ValueError(f"unknown condition id {cid!r}")
         if not CONDITIONS[cid].applies(model):
             raise InapplicableConditionError(
                 f"condition {cid} requires {CONDITIONS[cid].requirement}; the loaded "
                 f"model is a {model.time_kind}-time {model.variant} model"
             )
-    wanted = set(conditions)
-    reports = [r for family in _families(conditions) for r in run(family)]
-    return [r for r in reports if r.condition in wanted], []
+    # subsumed families run too, enforcing their own hypotheses; shared ids are kept once
+    reports = {}
+    for family in _families(conditions):
+        for r in _FAMILY_CHECKS[family](system, model, ing, tolerance, seed):
+            reports.setdefault(r.condition, r)
+    return [r for cid, r in reports.items() if cid in conditions], []
 
 
 # -- summaries and serialization ---------------------------------------------------

@@ -265,6 +265,20 @@ class TestCheck:
         reports = read_reports_json(tmp_path / "reports.json")
         assert [r.condition for r in reports] == ["COR4-FXU"]
 
+    def test_explicit_subsumed_id_is_reported_once(self, tmp_path, capsys):
+        # COR6 returns the COR4-FXU report as well; requesting both prints and writes it once
+        cfg = parse_config(bilinear_raw(tmp_path, formulations=["affine"],
+                                        checks=["COR4-FXU", "COR6-B"]))
+        cli.cmd_simulate(cfg)
+        cli.cmd_fit(cfg, tmp_path / "dataset.csv")
+        capsys.readouterr()
+        cli.cmd_check(cfg, tmp_path / "model-affine.json")
+        rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                if line.startswith("COR")]
+        assert rows == ["COR4-FXU", "COR6-B"]
+        reports = read_reports_json(tmp_path / "reports.json")
+        assert [r.condition for r in reports] == ["COR4-FXU", "COR6-B"]
+
     def test_inapplicable_condition_names_the_mismatch(self, bilinear_run, tmp_path):
         cfg = parse_config(bilinear_raw(tmp_path, checks=["T2-C1"]))
         with pytest.raises(cli.UsageError, match="T2-C1") as excinfo:
@@ -427,6 +441,11 @@ class TestApplicabilityTable:
             assert [r.condition for r in reports] == [cid]
             accepted.add(cid)
         assert accepted == _APPLICABLE_IDS[kind]
+
+        # all of them at once: one report per id, though COR3 and COR6 return the
+        # COR1/COR2 and COR4 reports too
+        reports, _ = cli._run_checks(system, model, grid, 1e-6, 0, sorted(accepted))
+        assert sorted(r.condition for r in reports) == sorted(accepted)
 
 
 @pytest.fixture(scope="module")

@@ -679,9 +679,10 @@ class TestKaiser:
 
     def test_off_diagonal_rejected(self):
         system = builtin_system("slow-manifold", mu=MU, lam=LAM)
-        bad = np.array([[MU, 0.5], [0.0, LAM]])
-        with pytest.raises(ValueError, match="diagonal"):
-            check_kaiser(system, slow_manifold_eigendict(), bad, default_grid(system))
+        for entry in (0.5, np.nan, np.inf):  # a NaN entry is not zero either
+            bad = np.array([[MU, entry], [0.0, LAM]])
+            with pytest.raises(ValueError, match="diagonal"):
+                check_kaiser(system, slow_manifold_eigendict(), bad, default_grid(system))
 
     def test_eigenvalue_count_mismatch(self):
         system = builtin_system("slow-manifold", mu=MU, lam=LAM)
@@ -804,6 +805,27 @@ class TestCorollary5:
         system = bilinear_discrete(0.9, 0.1)
         with pytest.raises(HypothesisViolationError, match=r"f_xu\(x, u\) = 0"):
             check_corollary5(system, identity(1), default_grid(system))
+
+    def test_pairs_match_per_point_next_jacobians(self):
+        # the pairs are read off the product's next-state Jacobians; four states and
+        # three inputs, so a wrong product row cannot pass
+        system = discretize(builtin_system("linear"), 0.1)
+        grid = EvaluationGrid(np.array([[-1.5, 0.4], [-0.3, 1.2], [0.7, -0.8], [1.6, 0.9]]),
+                              np.array([[-0.9], [0.35], [1.1]]))
+        dx = monomials(2, 2)
+        ru, rx = check_corollary5(system, dx, grid, n_pairs=40, seed=3)
+
+        def J_next(x, u):
+            return dx.jacobian(system.evaluate(x, u))
+
+        pu, px = ru.points, rx.points
+        np.testing.assert_allclose(ru.residuals, [
+            np.max(np.abs((J_next(x1, u1) - J_next(x2, u1)) @ system.jacobian_fu(u1)))
+            for x1, x2, u1 in zip(pu["x1"], pu["x2"], pu["u1"])], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(rx.residuals, [
+            np.max(np.abs((J_next(x1, u1) - J_next(x1, u2)) @ system.jacobian_fx(x1)))
+            for x1, u1, u2 in zip(px["x1"], px["u1"], px["u2"])], rtol=1e-12, atol=1e-12)
+        assert rx.max_residual > 1e-3  # the quadratic rows see the input
 
 
 class TestCorollary6:
@@ -1109,21 +1131,28 @@ class TestPerPointReference:
 
 
 class TestNoPerRowEvaluation:
-    """Dictionaries are called once per stack, so the number of dictionary
-    calls of a check or a fit does not grow with the grid or the dataset."""
+    """Dictionaries and systems are called once per stack, so the number of
+    their calls in a check or a fit does not grow with the grid or the dataset."""
+
+    SYSTEM_METHODS = ("evaluate", "f_x", "f_u", "f_xu", "jacobian_fx", "jacobian_fu",
+                      "jacobian_fxu_x", "jacobian_fxu_u", "jacobian_x", "jacobian_u")
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        """Call counts by "Class.method"; calls.args lists (name, arguments) per call."""
         counts = Counter()
-        for cls in vars(observables).values():
-            if isinstance(cls, type) and issubclass(
-                    cls, (observables.Dictionary, observables.JointDictionary)):
-                for attr in ("evaluate", "jacobian", "jacobian_x", "jacobian_u"):
-                    if attr in vars(cls):
-                        def counted(self, *args, _fn=vars(cls)[attr], _attr=attr):
-                            counts[_attr] += 1
-                            return _fn(self, *args)
-                        monkeypatch.setattr(cls, attr, counted)
+        counts.args = []
+        targets = [(cls, ("evaluate", "jacobian", "jacobian_x", "jacobian_u"))
+                   for cls in vars(observables).values() if isinstance(cls, type)
+                   and issubclass(cls, (observables.Dictionary, observables.JointDictionary))]
+        for cls, attrs in targets + [(ControlledSystem, self.SYSTEM_METHODS)]:
+            for attr in attrs:
+                if attr in vars(cls):
+                    def counted(self, *args, _fn=vars(cls)[attr], _name=f"{cls.__name__}.{attr}"):
+                        counts[_name] += 1
+                        counts.args.append((_name, args))
+                        return _fn(self, *args)
+                    monkeypatch.setattr(cls, attr, counted)
         return counts
 
     @staticmethod
@@ -1167,3 +1196,109 @@ class TestNoPerRowEvaluation:
                 fit(data)
                 per_size.append(dict(calls))
             assert per_size[0] == per_size[1] != {}, variant
+
+    def test_check_model_evaluates_each_product_stack_once(self, calls):
+        # the families of one check share their stacks: each system method runs at
+        # most once on the (x, u) product, and J_psi_x at most once at f(x, u)
+        system = bilinear_discrete(0.9, 0.1)
+        data = generate_dataset(system, 100, seed=2)
+        grid = EvaluationGrid(np.linspace(-2.0, 2.0, 4)[:, None],
+                              np.linspace(-1.0, 1.0, 3)[:, None])
+        X = np.repeat(grid.states, 3, axis=0)
+        F = system.evaluate(X, np.tile(grid.inputs, (4, 1)))
+        models = {
+            "separable": fit_separable(data, monomials(1, 2), identity(1, var_prefix="u")),
+            "affine": fit_affine(data, monomials(1, 2)),
+            "joint": fit_joint(data, monomials(1, 2), build_joint_dictionary(1, 1, 1, 1)),
+            "bilinear": fit_bilinear(data, monomials(1, 2), monomials(1, 1, var_prefix="u")),
+        }
+        for variant, model in models.items():
+            calls.args.clear()
+            reports, _ = check_model(system, model, grid)
+            assert reports
+            on_product = Counter(
+                name for name, args in calls.args if name.startswith("ControlledSystem.")
+                and np.shape(args[0]) == X.shape and np.array_equal(args[0], X))
+            assert on_product["ControlledSystem.evaluate"] == 1, variant
+            assert max(on_product.values()) == 1, (variant, on_product)
+            at_next = [name for name, args in calls.args
+                       if np.shape(args[0]) == F.shape and np.array_equal(args[0], F)]
+            assert at_next == ["Dictionary.jacobian"], variant
+
+
+class TestCheckModel:
+    @staticmethod
+    def cases():
+        """Catalog systems and their RK4 discretizations, each with every fit variant."""
+        catalog = [builtin_system("linear"), builtin_system("bilinear-scalar", a=-1.0, b=1.0),
+                   builtin_system("duffing-forced", delta=0.3),
+                   builtin_system("slow-manifold", mu=MU, lam=LAM)]
+        systems = catalog + [bilinear_discrete(0.9, 0.1)] + [discretize(s, 0.1) for s in catalog]
+        for system in systems:
+            n, m = system.state_dim, system.input_dim
+            data = generate_dataset(system, 200, seed=1)
+            dx, du = monomials(n, 2), identity(m, var_prefix="u")
+            models = [fit_affine(data, dx), fit_separable(data, dx, du),
+                      fit_joint(data, dx, build_joint_dictionary(n, m, 1, 1)),
+                      fit_bilinear(data, dx, monomials(m, 1, var_prefix="u"))]
+            if system.time_kind == "continuous":
+                models += [fit_eigen(data, monomials(n, 1, include_constant=False)),
+                           fit_eigen(data, build_joint_dictionary(n, m, 1, 1))]
+            for model in models:
+                yield system, model
+
+    def test_reports_equal_the_public_checkers_called_alone(self):
+        from kooplab.consistency import CONDITIONS, InapplicableConditionError, _FAMILY_CHECKS
+
+        n_reports = 0
+        for system, model in self.cases():
+            grid = default_grid(system, points_per_axis=3)
+            reports, _ = check_model(system, model, grid, seed=2)
+            # each applicable family's public checker on the plain grid, with fresh
+            # stacks; COR3 and COR6 come after COR1/COR2 and COR4, whose reports they
+            # return as well, so theirs are the ones kept
+            alone = {}
+            for family in dict.fromkeys(c.family for c in CONDITIONS.values() if c.applies(model)):
+                try:
+                    alone.update((a.condition, a) for a in
+                                 _FAMILY_CHECKS[family](system, model, grid, 1e-6, 2))
+                except (HypothesisViolationError, InapplicableConditionError):
+                    continue
+            assert sorted(r.condition for r in reports) == sorted(alone), model.variant
+            for r in reports:
+                a = alone[r.condition]
+                assert (r.note, r.details) == (a.note, a.details), r.condition
+                np.testing.assert_array_equal(r.residuals, a.residuals, err_msg=r.condition)
+                assert r.points.keys() == a.points.keys()
+                for role in r.points:
+                    np.testing.assert_array_equal(r.points[role], a.points[role])
+                n_reports += 1
+        assert n_reports > 200
+
+    def test_shared_stacks_are_read_only(self):
+        system = bilinear_discrete(0.9, 0.1)
+        model = fit_separable(generate_dataset(system, 100, seed=2), monomials(1, 2),
+                              identity(1, var_prefix="u"))
+        reports, _ = check_model(system, model, default_grid(system, points_per_axis=3))
+        cor4 = next(r for r in reports if r.condition == "COR4-FXU")
+        for shared in (cor4.residuals, cor4.points["x"]):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 0.0
+
+    def test_requested_pairwise_id_keeps_its_hypothesis(self):
+        # COR3 returns the COR1/COR2 reports too, but skips COR2 when f_xu != 0;
+        # requested explicitly, COR2's hypothesis violation still raises
+        system = builtin_system("bilinear-scalar", a=-1.0, b=1.0)
+        model = fit_affine(generate_dataset(system, 100, seed=2), monomials(1, 2))
+        grid = default_grid(system, points_per_axis=3)
+        reports, _ = check_model(system, model, grid, conditions=["COR1-FXU", "COR3-KMA-B"])
+        assert [r.condition for r in reports] == ["COR1-FXU", "COR3-KMA-B"]
+        with pytest.raises(HypothesisViolationError, match=r"f_xu\(x, u\) = 0"):
+            check_model(system, model, grid, conditions=["COR2-PAIRWISE", "COR3-KMA-L"])
+
+    def test_unknown_id_rejected(self):
+        system = bilinear_discrete(0.9, 0.1)
+        model = fit_affine(generate_dataset(system, 100, seed=2), monomials(1, 2))
+        with pytest.raises(ValueError, match="unknown condition id 'NOPE'"):
+            check_model(system, model, default_grid(system, points_per_axis=3),
+                        conditions=["COR6-B", "NOPE"])
