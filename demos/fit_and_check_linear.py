@@ -19,12 +19,7 @@ from kooplab import (
     build_joint_dictionary,
     summarize,
 )
-from kooplab.consistency import (
-    check_def1,
-    check_theorem2,
-    check_theorem3,
-    check_corollary3_kma,
-)
+from kooplab.consistency import check_model
 
 
 def main():
@@ -51,22 +46,10 @@ def main():
         print(f"  {m.variant:<10} {m.training_residual:.3e}")
     print()
 
-    # Each formulation gets its own applicable condition set. The affine
-    # family check already folds in COR1-FXU and COR2-PAIRWISE (they depend
-    # only on the system and dictionary, and are shared with the separable
-    # family), so they are not repeated below.
+    # Each formulation gets the condition set that applies to it.
     reports = []
-    reports.append(check_def1(system, affine, grid))
-    reports.extend(check_corollary3_kma(system, dict_x, affine.K, affine.B, grid,
-                                        seed=11))
-
-    reports.append(check_def1(system, separable, grid))
-    reports.extend(check_theorem2(system, dict_x, dict_u,
-                                  separable.K_x, separable.K_u, grid))
-
-    reports.append(check_def1(system, joint, grid))
-    reports.extend(check_theorem3(system, dict_x, dict_xu,
-                                  joint.K_x, joint.K_xu, grid))
+    for m in (affine, separable, joint):
+        reports.extend(check_model(system, m, grid, seed=11)[0])
 
     summary = summarize(reports)
     print(summary.to_text())

@@ -72,18 +72,14 @@ def splitting():
     base = builtin_system("duffing-forced", delta=DELTA)
     grid = default_grid(base, points_per_axis=5)
 
-    # Cross term of the discretized map: step(x,u) - step(x,0) - step(0,u) + step(0,0).
+    # Cross term of the discretized map, step(x,u) - step(x,0) - step(0,u) + step(0,0),
+    # at every (x, u) pair of the grid.
     print("cross term introduced by the fourth-order discretization:")
-    zx, zu = np.zeros(2), np.zeros(1)
+    X = np.repeat(grid.states, len(grid.inputs), axis=0)
+    U = np.tile(grid.inputs, (len(grid.states), 1))
     prev = None
     for dt in (0.2, 0.1, 0.05):
-        sys_d = discretize(base, dt)
-        worst = 0.0
-        for x in grid.states:
-            for u in grid.inputs:
-                cross = (sys_d.evaluate(x, u) - sys_d.evaluate(x, zu)
-                         - sys_d.evaluate(zx, u) + sys_d.evaluate(zx, zu))
-                worst = max(worst, np.max(np.abs(cross)))
+        worst = np.max(np.abs(discretize(base, dt).f_xu(X, U)))
         ratio = "" if prev is None else f"   ratio {prev / worst:.2f}"
         print(f"  dt={dt:<5} max |cross| {worst:.3e}{ratio}")
         prev = worst

@@ -1,5 +1,6 @@
 """Batch command line: round trips, exit codes, applicability, determinism."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -595,6 +596,43 @@ class TestDemo:
         text = (tmp_path / name / "interpretation.txt").read_text()
         assert len(text) > 200
         assert capsys.readouterr().out.strip() != ""
+
+    @pytest.mark.parametrize("name, patterns", [
+        ("corollary1-obstruction", [
+            r"separable fit to 400 derivative samples leaves a training residual of 0\.\d{4}",
+            r"with mean 0\.6173",
+            r"COR4-FXU reaches 0\.1903, verdict 'inconsistent'",
+        ]),
+        ("joint-rescues-bilinear", [
+            r"rollout errors of 5\.820e-02, 5\.824e-02 and 3\.241e-02 at steps 1, 5 and 20",
+            r"worst consistency residual is 2\.180e-01, reached by DEF2-CTRL-U",
+            r"COR4-FXU, which measures the cross term directly, reaches 2\.000e-01",
+            r"DEF2-CTRL-X 1\.001e-01, DEF2-CTRL-U 2\.180e-01",
+            r"T5-C1 \S+, T5-C2 \S+, COR7-C1 \S+, COR7-C2 \S+, COR8-C1 \S+, COR8-C2 \S+\)",
+        ]),
+        ("kaiser-eigen", [
+            r"with fit residual \d\.\d{3}e-\d\d",
+            r"worst at x = \(-2, -2\)",
+        ]),
+        ("williams-equivalence", [
+            r"K\[1\] = \+0\.900000, K\[u1\] = \+0\.100000 \(training residual \d\.\d{3}e-\d\d\)",
+            r"K_x \(1, 1\), K_xu \(1, 1\) and cross observables \['cross1'\]",
+        ]),
+    ])
+    def test_demo_reports_each_quantity_of_its_story(self, name, patterns, tmp_path, capsys):
+        cli.cmd_demo(name, out_dir=tmp_path)
+        out = capsys.readouterr().out
+        for pattern in patterns:
+            assert re.search(pattern, out), pattern
+
+    def test_readme_names_every_demo_and_script(self):
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text()
+        text = readme[readme.index("## Library quick start"):readme.index("## Batch CLI")]
+        for name in cli.DEMO_NAMES:
+            assert f"kooplab demo {name}" in text
+        scripts = {p.name for p in (root / "demos").glob("*.py")}
+        assert set(re.findall(r"`(\w+\.py)`", text)) == scripts
 
     def test_interpretation_references_condition_ids(self, tmp_path):
         cli.cmd_demo("corollary1-obstruction", out_dir=tmp_path)
