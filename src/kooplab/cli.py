@@ -334,7 +334,7 @@ def cmd_check(cfg, model_path, pairwise_seed=None) -> int:
 
     Exits 0 when every evaluated condition is within tolerance, 1 otherwise.
     """
-    from .consistency import summarize, write_reports_json, write_summary_csv
+    from .consistency import report_provenance, summarize, write_reports_json, write_summary_csv
     from .dynamics import discretize
     from .formulations import load_model
 
@@ -376,7 +376,8 @@ def cmd_check(cfg, model_path, pairwise_seed=None) -> int:
 
     summary = summarize(reports)
     out = _out_dir(cfg)
-    reports_path = write_reports_json(reports, out / "reports.json")
+    reports_path = write_reports_json(reports, out / "reports.json", skipped,
+                                      report_provenance(system, grid, cfg.tolerance, seed))
     summary_path = write_summary_csv(summary, out / "summary.csv")
 
     if model.variant == "bilinear":
@@ -549,12 +550,13 @@ def cmd_compare(cfg) -> int:
 # -- demos ------------------------------------------------------------------------
 
 
-def _write_reports(reports, out: Path):
-    """Write a demo's reports.json and summary.csv; returns the summary."""
-    from .consistency import summarize, write_reports_json, write_summary_csv
+def _write_reports(reports, out: Path, system, grid, tolerance, seed, skipped=()):
+    """Write a demo's reports.json (+ reports.npz) and summary.csv; returns the summary."""
+    from .consistency import report_provenance, summarize, write_reports_json, write_summary_csv
 
     summary = summarize(reports)
-    write_reports_json(reports, out / "reports.json")
+    write_reports_json(reports, out / "reports.json", skipped,
+                       report_provenance(system, grid, tolerance, seed))
     write_summary_csv(summary, out / "summary.csv")
     return summary
 
@@ -574,7 +576,6 @@ def _demo_corollary1(out: Path, seed: int) -> str:
             "state": {"kind": "identity", "dim": 1},
             "input": {"kind": "identity", "dim": 1, "var_prefix": "u"},
         },
-        "checks": ["COR1-FXU"],
         "tolerance": 1e-6,
         "out_dir": str(out),
     })
@@ -582,7 +583,7 @@ def _demo_corollary1(out: Path, seed: int) -> str:
     dict_x, grid = cfg.dictionary("state"), cfg.build_grid()
     model = fit_separable(_generate(cfg), dict_x, cfg.dictionary("input"))
     report = check_corollary1(system, dict_x, grid, tolerance=cfg.tolerance)
-    _write_reports([report], out)
+    _write_reports([report], out, system, grid, cfg.tolerance, seed)
     dt = 0.1
     discrete = check_corollary4(discretize(system, dt), dict_x, grid,
                                 tolerance=cfg.tolerance)
@@ -678,7 +679,6 @@ def _demo_kaiser(out: Path, seed: int) -> str:
                 "names": ["phi1", "phi2"],
             },
         },
-        "formulations": ["eigen"],
         "tolerance": 1e-8,
         "out_dir": str(out),
     })
@@ -693,7 +693,7 @@ def _demo_kaiser(out: Path, seed: int) -> str:
     perturbed = check_kaiser(system, eigendict,
                              model.eigenvalues + np.array([0.0, 0.1]),
                              grid, tolerance=cfg.tolerance)
-    _write_reports([fitted, perturbed], out)
+    _write_reports([fitted, perturbed], out, system, grid, cfg.tolerance, seed)
     lam1, lam2 = model.eigenvalues
     x1, x2 = perturbed.argmax_point["x"]
     return (
@@ -728,7 +728,6 @@ def _demo_williams(out: Path, seed: int) -> str:
             "input": {"kind": "monomials", "dim": 1, "max_degree": 1,
                       "include_constant": True, "var_prefix": "u"},
         },
-        "formulations": ["bilinear"],
         "tolerance": 1e-8,
         "out_dir": str(out),
     })
@@ -743,9 +742,9 @@ def _demo_williams(out: Path, seed: int) -> str:
     x, u = -2.0 + 4.0 * R[:, :1], -1.0 + 2.0 * R[:, 1:]
     max_dev = float(np.max(np.abs(predict_step(bil, x, u)[0] - predict_step(joint, x, u)[0])))
 
-    reports, _ = _run_checks(system, joint, cfg.build_grid(), cfg.tolerance,
-                             seed, None)
-    summary = _write_reports(reports, out)
+    grid = cfg.build_grid()
+    reports, skipped = _run_checks(system, joint, grid, cfg.tolerance, seed, None)
+    summary = _write_reports(reports, out, system, grid, cfg.tolerance, seed, skipped)
     worst = max(r.max_residual for r in reports)
     operators = ", ".join(f"K[{name}] = {K.item():+.6f}"
                           for name, K in zip(bil.dict_u.names, bil.K_terms))
@@ -779,14 +778,14 @@ def _demo_gxfu(out: Path, seed: int) -> str:
             "state": {"kind": "monomials", "dim": 2, "max_degree": 2,
                       "include_constant": False},
         },
-        "checks": ["COR2-PAIRWISE"],
         "tolerance": 1e-8,
         "out_dir": str(out),
     })
     system = cfg.build_system()
-    report = check_corollary2(system, cfg.dictionary("state"), cfg.build_grid(),
+    grid = cfg.build_grid()
+    report = check_corollary2(system, cfg.dictionary("state"), grid,
                               seed=seed, tolerance=cfg.tolerance)
-    _write_reports([report], out)
+    _write_reports([report], out, system, grid, cfg.tolerance, seed)
     return (
         "For systems of the form xdot = f_x(x) + G(x) f_u(u) one might hope to "
         "lift the input channel through observables of u alone. COR2-PAIRWISE "

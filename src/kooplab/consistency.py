@@ -67,6 +67,7 @@ __all__ = [
     "summarize",
     "write_reports_json",
     "read_reports_json",
+    "report_provenance",
     "write_summary_csv",
     "read_summary_csv",
     "REPORT_SCHEMA_VERSION",
@@ -134,7 +135,7 @@ CONDITIONS = {
 CONDITION_IDS = tuple(CONDITIONS)
 
 DEFAULT_TOLERANCE = 1e-6
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 # exact-representation rounding sits below this; genuine violations far above
 _HYPOTHESIS_TOL = 1e-8
@@ -237,6 +238,7 @@ class ConsistencyReport:
         return "consistent" if self.max_residual <= self.tolerance else "inconsistent"
 
     def to_dict(self) -> dict:
+        """The report's JSON summary; the fields themselves go to the sidecar."""
         return {
             "condition": self.condition,
             "tolerance": self.tolerance,
@@ -245,14 +247,13 @@ class ConsistencyReport:
             "mean_residual": self.mean_residual,
             "argmax_point": {k: v.tolist() for k, v in self.argmax_point.items()},
             "n_points": self.n_points,
-            "points": {k: v.tolist() for k, v in self.points.items()},
-            "residual_field": self.residuals.tolist(),
             "note": self.note,
             "details": self.details,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConsistencyReport":
+        """A report from a summary whose "points" and "residual_field" hold arrays or lists."""
         return cls(
             condition=d["condition"],
             tolerance=float(d["tolerance"]),
@@ -1003,29 +1004,103 @@ def summarize(reports) -> ConsistencySummary:
     return ConsistencySummary(ordered, overall)
 
 
-def write_reports_json(reports, path) -> Path:
-    """Full residual fields, one JSON document for a list of reports."""
+def report_provenance(system: ControlledSystem, grid: EvaluationGrid,
+                      tolerance: float, seed: int) -> dict:
+    """What a set of reports was evaluated on: versions, system, grid, tolerance, seed."""
+    from . import __version__
+
+    return {
+        "kooplab": __version__,
+        "numpy": np.__version__,
+        "system": {"name": system.name, "time_kind": system.time_kind, "dt": system.dt},
+        "grid": {"states": list(grid.states.shape), "inputs": list(grid.inputs.shape),
+                 "n_points": len(grid.states) * len(grid.inputs)},
+        "tolerance": tolerance,
+        "pairwise_seed": seed,
+    }
+
+
+# members of a sidecar carry no timestamp, so that rewriting it repeats its bytes
+_ZIP_DATE_TIME = (1980, 1, 1, 0, 0, 0)
+
+
+def write_reports_json(reports, path, skipped=(), provenance=None) -> Path:
+    """Report summaries to `path` (JSON) and their fields to the `.npz` sidecar beside it.
+
+    The sidecar holds one member per residual field and one per distinct
+    points array, which the reports sharing it name; both files repeat
+    byte for byte for the same reports. skipped lists (family, reason)
+    pairs and provenance is a `report_provenance` dict. Returns `path`.
+    """
+    import io
+    import zipfile
+
     if isinstance(reports, ConsistencyReport):
         reports = [reports]
+    path = Path(path)
+    sidecar = path.with_suffix(".npz")
+    members, point_members, summaries = {}, {}, []
+    for i, r in enumerate(reports):
+        d = r.to_dict()
+        d["residual_field"] = f"residual_{i}"
+        members[d["residual_field"]] = r.residuals
+        d["points"] = {}
+        for role, arr in r.points.items():
+            key = (arr.shape, arr.tobytes())
+            if key not in point_members:
+                point_members[key] = f"points_{len(point_members)}"
+                members[point_members[key]] = arr
+            d["points"][role] = point_members[key]
+        summaries.append(d)
+    with zipfile.ZipFile(sidecar, "w", zipfile.ZIP_STORED) as zf:
+        for name, arr in members.items():
+            buf = io.BytesIO()
+            np.lib.format.write_array(buf, np.ascontiguousarray(arr), allow_pickle=False)
+            zf.writestr(zipfile.ZipInfo(f"{name}.npy", _ZIP_DATE_TIME), buf.getvalue())
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "qualifier": NECESSITY_QUALIFIER,
-        "reports": [r.to_dict() for r in reports],
+        "sidecar": sidecar.name,
+        "provenance": provenance,
+        "skipped": [[family, reason] for family, reason in skipped],
+        "reports": summaries,
     }
-    path = Path(path)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
 
 
 def read_reports_json(path) -> list[ConsistencyReport]:
-    doc = json.loads(Path(path).read_text())
+    """Reports from a v2 document and its sidecar, or from a v1 document with inline fields."""
+    path = Path(path)
+    doc = json.loads(path.read_text())
     version = doc.get("schema_version")
+    if version == 1:
+        return [ConsistencyReport.from_dict(d) for d in doc["reports"]]
     if version != REPORT_SCHEMA_VERSION:
         raise ValueError(
             f"unsupported report schema_version {version!r}; "
-            f"this build reads version {REPORT_SCHEMA_VERSION}"
+            f"this build reads versions 1 and {REPORT_SCHEMA_VERSION}"
         )
-    return [ConsistencyReport.from_dict(d) for d in doc["reports"]]
+    sidecar = path.parent / doc["sidecar"]
+    if not sidecar.is_file():
+        raise ValueError(f"{path.name}: residual-field sidecar {sidecar} is missing")
+    reports = []
+    with np.load(sidecar, allow_pickle=False) as npz:
+        def member(name):
+            if name not in npz.files:
+                raise ValueError(f"{sidecar.name} has no member {name!r}")
+            return npz[name]
+
+        for d in doc["reports"]:
+            fields = {"points": {role: member(name) for role, name in d["points"].items()},
+                      "residual_field": member(d["residual_field"])}
+            if fields["residual_field"].size != d["n_points"]:
+                raise ValueError(
+                    f"{sidecar.name}: member {d['residual_field']!r} has "
+                    f"{fields['residual_field'].size} values for {d['n_points']} points"
+                )
+            reports.append(ConsistencyReport.from_dict({**d, **fields}))
+    return reports
 
 
 _SUMMARY_FIELDS = ("condition", "max_residual", "mean_residual", "argmax",

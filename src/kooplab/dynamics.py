@@ -12,7 +12,6 @@ rather than reconstructed on demand.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -831,12 +830,12 @@ def generate_dataset(
 # -- dataset serialization --------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def save_dataset(dataset: SnapshotDataset, stem) -> tuple[Path, Path]:
-    """Write `<stem>.csv` (rows) and `<stem>.json` (envelope); returns both paths."""
+    """Write `<stem>.csv` (rows) and `<stem>.json` (envelope); returns both paths.
+
+    Rows are `k` and then x, u and y, each value as its shortest round-trip
+    repr, with the CRLF line ends of the csv module's default dialect.
+    """
     stem = Path(stem)
     stem.parent.mkdir(parents=True, exist_ok=True)
     csv_path = stem.with_suffix(".csv")
@@ -848,17 +847,10 @@ def save_dataset(dataset: SnapshotDataset, stem) -> tuple[Path, Path]:
         + [f"u_{j + 1}" for j in range(m)]
         + [f"y_{i + 1}" for i in range(n)]
     )
+    rows = map(np.ndarray.tolist, np.hstack([dataset.X, dataset.U, dataset.Y]))
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(dataset.n_samples):
-            row = (
-                [str(k)]
-                + [_fmt(v) for v in dataset.X[k]]
-                + [_fmt(v) for v in dataset.U[k]]
-                + [_fmt(v) for v in dataset.Y[k]]
-            )
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(f"{k},{','.join(map(repr, row))}\r\n" for k, row in enumerate(rows))
     envelope = {
         "schema_version": DATASET_SCHEMA_VERSION,
         "kind": dataset.kind,
@@ -890,16 +882,18 @@ def load_dataset(stem) -> SnapshotDataset:
             f"unsupported dataset schema_version {env.get('schema_version')!r}"
         )
     n, m = int(env["state_dim"]), int(env["input_dim"])
+    n_rows, width = int(env["n_samples"]), 1 + 2 * n + m
     with open(csv_path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        expected_cols = 1 + 2 * n + m
-        if len(header) != expected_cols:
-            raise ValueError(
-                f"{csv_path.name}: expected {expected_cols} columns, got {len(header)}"
-            )
-        rows = [list(map(float, row[1:])) for row in reader]
-    data = np.array(rows) if rows else np.zeros((0, 2 * n + m))
+        header = fh.readline().rstrip("\n").split(",")
+        if len(header) != width:
+            raise ValueError(f"{csv_path.name}: expected {width} columns, got {len(header)}")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2) if n_rows else np.zeros((0, width))
+    if data.shape != (n_rows, width):
+        raise ValueError(
+            f"{csv_path.name}: expected {n_rows} rows of {width} columns, "
+            f"got {data.shape[0]} of {data.shape[1]}"
+        )
+    data = data[:, 1:]
     return SnapshotDataset(
         kind=env["kind"],
         X=data[:, :n],

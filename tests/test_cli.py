@@ -642,5 +642,5 @@ class TestDemo:
     def test_rerun_is_byte_identical(self, tmp_path):
         cli.cmd_demo("corollary1-obstruction", out_dir=tmp_path / "a")
         cli.cmd_demo("corollary1-obstruction", out_dir=tmp_path / "b")
-        for name in ("interpretation.txt", "reports.json", "summary.csv"):
+        for name in ("interpretation.txt", "reports.json", "reports.npz", "summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

@@ -1,5 +1,6 @@
 """Consistency-condition checkers: exact pairings, known obstructions, reports."""
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ from kooplab import observables
 from kooplab.consistency import (
     CONDITION_IDS,
     NECESSITY_QUALIFIER,
+    REPORT_SCHEMA_VERSION,
     ConsistencyReport,
     HypothesisViolationError,
     check_corollary1,
@@ -29,6 +31,7 @@ from kooplab.consistency import (
     check_theorem5,
     read_reports_json,
     read_summary_csv,
+    report_provenance,
     summarize,
     write_reports_json,
     write_summary_csv,
@@ -994,9 +997,90 @@ class TestSerialization:
 
     def test_json_schema_version_checked(self, tmp_path):
         path = write_reports_json(self._reports(), tmp_path / "reports.json")
-        doc = path.read_text().replace('"schema_version": 1', '"schema_version": 99')
+        doc = path.read_text().replace(f'"schema_version": {REPORT_SCHEMA_VERSION}',
+                                       '"schema_version": 99')
         path.write_text(doc)
         with pytest.raises(ValueError, match="schema_version"):
+            read_reports_json(path)
+
+    def test_rewrite_is_byte_identical(self, tmp_path):
+        reports = self._reports()
+        system = bilinear_discrete(0.9, 0.1)
+        provenance = report_provenance(system, default_grid(system, points_per_axis=3),
+                                       1e-6, 0)
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+            write_reports_json(reports, tmp_path / d / "reports.json",
+                               [("COR6", "a reason")], provenance)
+        for name in ("reports.json", "reports.npz"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_summaries_in_json_fields_in_sidecar(self, tmp_path):
+        reports = self._reports()
+        system = bilinear_discrete(0.9, 0.1)
+        grid = default_grid(system, points_per_axis=3)
+        path = write_reports_json(reports, tmp_path / "reports.json",
+                                  [("COR6", "a reason")],
+                                  report_provenance(system, grid, 1e-6, 5))
+        doc = json.loads(path.read_text())
+        assert doc["sidecar"] == "reports.npz"
+        assert doc["skipped"] == [["COR6", "a reason"]]
+        prov = doc["provenance"]
+        assert prov["system"] == {"name": system.name, "time_kind": "discrete",
+                                  "dt": system.dt}
+        assert prov["grid"] == {"states": [3, 1], "inputs": [3, 1], "n_points": 9}
+        assert (prov["tolerance"], prov["pairwise_seed"]) == (1e-6, 5)
+        assert prov["numpy"] == np.__version__ and isinstance(prov["kooplab"], str)
+        for d, r in zip(doc["reports"], reports):
+            assert (d["condition"], d["verdict"], d["n_points"]) == (
+                r.condition, r.verdict, r.n_points)
+            assert d["max_residual"] == r.max_residual
+        # 7 reports name 11 points arrays: the grid states and the (x, u) product
+        roles = {name for d in doc["reports"] for name in d["points"].values()}
+        with np.load(tmp_path / "reports.npz", allow_pickle=False) as npz:
+            assert sorted(npz.files) == sorted(
+                [d["residual_field"] for d in doc["reports"]] + list(roles))
+            assert len(roles) == 3
+            first = doc["reports"][0]
+            assert np.array_equal(npz[first["residual_field"]], reports[0].residuals)
+
+    def test_v1_document_still_loads(self, tmp_path):
+        reports = self._reports()
+        v1 = {
+            "schema_version": 1,
+            "qualifier": NECESSITY_QUALIFIER,
+            "reports": [{**r.to_dict(),
+                         "points": {k: v.tolist() for k, v in r.points.items()},
+                         "residual_field": r.residuals.tolist()} for r in reports],
+        }
+        path = tmp_path / "reports.json"
+        path.write_text(json.dumps(v1, indent=2, sort_keys=True) + "\n")
+        loaded = read_reports_json(path)
+        assert [r.condition for r in loaded] == [r.condition for r in reports]
+        for orig, back in zip(reports, loaded):
+            assert np.array_equal(back.residuals.view(np.int64), orig.residuals.view(np.int64))
+            for role in orig.points:
+                assert np.array_equal(back.points[role], orig.points[role])
+
+    def test_missing_sidecar_named(self, tmp_path):
+        path = write_reports_json(self._reports(), tmp_path / "reports.json")
+        (tmp_path / "reports.npz").unlink()
+        with pytest.raises(ValueError, match="reports.npz"):
+            read_reports_json(path)
+
+    def test_missing_member_named(self, tmp_path):
+        path = write_reports_json(self._reports(), tmp_path / "reports.json")
+        path.write_text(path.read_text().replace('"residual_1"', '"residual_99"'))
+        with pytest.raises(ValueError, match="residual_99"):
+            read_reports_json(path)
+
+    def test_sidecar_from_other_reports_rejected(self, tmp_path):
+        path = write_reports_json(self._reports(), tmp_path / "reports.json")
+        system = bilinear_discrete(0.9, 0.1)
+        other = check_corollary4(system, identity(1), default_grid(system, points_per_axis=4))
+        write_reports_json([other] * 3, tmp_path / "other.json")
+        (tmp_path / "other.npz").replace(tmp_path / "reports.npz")
+        with pytest.raises(ValueError, match="residual_0' has 16 values for 3 points"):
             read_reports_json(path)
 
     def test_csv_round_trip(self, tmp_path):

@@ -540,6 +540,55 @@ class TestDatasetSerialization:
         save_dataset(load_dataset(s1), s2)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    # the rows below as written by the earlier row-at-a-time csv.writer version
+    STORED_CSV = (
+        b"k,x_1,x_2,u_1,y_1,y_2\r\n"
+        b"0,0.0,-1.5,-0.0,-2.5e-08,0.1\r\n"
+        b"1,1e-300,0.6666666666666666,1e+20,3.0,-0.0\r\n"
+        b"2,-0.0,123456789.125,-7.0,0.0,-1.0\r\n"
+    )
+
+    @staticmethod
+    def _signed_zero_case():
+        return SnapshotDataset(
+            "discrete-pairs",
+            X=[[0.0, -1.5], [1e-300, 2.0 / 3.0], [-0.0, 123456789.125]],
+            U=[[-0.0], [1e20], [-7.0]],
+            Y=[[-2.5e-8, 0.1], [3.0, -0.0], [0.0, -1.0]],
+            dt=0.1,
+        )
+
+    def test_bytes_match_stored_writer_output(self, tmp_path):
+        csv_path, _ = save_dataset(self._signed_zero_case(), tmp_path / "d")
+        assert csv_path.read_bytes() == self.STORED_CSV
+
+    def test_zero_and_negative_coordinates_round_trip_bitwise(self, tmp_path):
+        data = self._signed_zero_case()
+        save_dataset(data, tmp_path / "d")
+        back = load_dataset(tmp_path / "d")
+        for a, b in ((data.X, back.X), (data.U, back.U), (data.Y, back.Y)):
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))  # keeps -0.0
+
+    def test_empty_dataset_round_trip(self, tmp_path):
+        data = SnapshotDataset("discrete-pairs", np.zeros((0, 2)), np.zeros((0, 1)),
+                               np.zeros((0, 2)), 0.1)
+        csv_path, _ = save_dataset(data, tmp_path / "d")
+        assert csv_path.read_bytes() == b"k,x_1,x_2,u_1,y_1,y_2\r\n"
+        back = load_dataset(tmp_path / "d")
+        assert (back.X.shape, back.U.shape, back.Y.shape) == ((0, 2), (0, 1), (0, 2))
+
+    def test_ragged_or_missing_rows_rejected(self, tmp_path):
+        save_dataset(self._signed_zero_case(), tmp_path / "d")
+        path = tmp_path / "d.csv"
+        stored = path.read_bytes()
+        path.write_bytes(stored.replace(b",-1.5,", b",", 1))
+        with pytest.raises(ValueError, match="columns"):
+            load_dataset(tmp_path / "d")
+        path.write_bytes(stored[: stored.index(b"2,-0.0")])
+        with pytest.raises(ValueError, match="expected 3 rows of 6 columns, got 2"):
+            load_dataset(tmp_path / "d")
+
     def test_header_names(self, tmp_path):
         data = generate_dataset(builtin_system("linear"), 3, seed=0, kind="discrete-pairs")
         csv_path, _ = save_dataset(data, tmp_path / "d")
