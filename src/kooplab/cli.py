@@ -456,7 +456,7 @@ def _compare_pipeline(cfg, out: Path) -> list[dict]:
 
         # stage: rollout
         try:
-            preds = [rollout(model, x0, us).states for x0, us in zip(x0s, controls)]
+            preds = [result.states for result in rollout(model, x0s, controls)]
         except ValueError as exc:
             raise PipelineError(f"rollout[{spec.variant}]", str(exc)) from None
         rmse = {}

@@ -94,6 +94,11 @@ class KoopmanModel:
         self.notes: list[str] = []
         self.dt: float | None = None
         self.system_name: str = ""
+        # conditioning of the regression's design matrix, set by fits that
+        # solve one stacked regression; "ridge-augmented" when ridge > 0
+        self.design_rank: int | None = None
+        self.design_condition: float | None = None
+        self.design_matrix: str | None = None
 
     # -- time-kind guards ----------------------------------------------------
 
@@ -180,6 +185,9 @@ class KoopmanModel:
             "notes": list(self.notes),
             "dt": self.dt,
             "system_name": self.system_name,
+            "design_rank": self.design_rank,
+            "design_condition": self.design_condition,
+            "design_matrix": self.design_matrix,
         }
 
     def _restore_metadata(self, meta: dict):
@@ -190,6 +198,9 @@ class KoopmanModel:
         self.notes = list(meta.get("notes", []))
         self.dt = meta.get("dt")
         self.system_name = meta.get("system_name", "")
+        self.design_rank = meta.get("design_rank")
+        self.design_condition = meta.get("design_condition")
+        self.design_matrix = meta.get("design_matrix")
 
     def __repr__(self):
         return (
@@ -483,18 +494,25 @@ def _fit_blocks(data: SnapshotDataset, dict_x: Dictionary, blocks, ridge: float,
     Stacks the (n, k_i) blocks into the design matrix, solves for Theta,
     and calls build(operators, time_kind) with Theta split into one
     (N_x, k_i) operator per block. rank_fallback(err, G, T), when given,
-    handles a rank-deficient design: it returns Theta or raises.
+    handles a rank-deficient design: it returns Theta or raises. The
+    model records the design's rank and condition number s_max / s_min
+    from the solve's own SVD (of [G; sqrt(ridge) I] when ridge > 0).
     """
     T = _lift_targets(data, dict_x)
     G = np.hstack(blocks)
+    conditioning = {}
     try:
-        Theta = solve_least_squares(G, T, ridge=ridge)
+        Theta = solve_least_squares(G, T, ridge=ridge, _conditioning=conditioning)
     except RankDeficiencyError as err:
         if rank_fallback is None:
             raise
         Theta = rank_fallback(err, G, T)
     splits = np.cumsum([block.shape[1] for block in blocks])[:-1]
     model = build([part.T for part in np.split(Theta, splits)], _time_kind(data))
+    s = conditioning["singular_values"]
+    model.design_rank = conditioning["rank"]
+    model.design_condition = float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
+    model.design_matrix = "ridge-augmented" if ridge > 0 else "plain"
     return _finish(model, data, _rms(G @ Theta - T, data.n_samples), ridge)
 
 
@@ -747,8 +765,15 @@ class RolloutResult:
 
 
 def rollout(model: KoopmanModel, x0, controls, relift: str = "every-step",
-            divergence_bound: float = 1e6) -> RolloutResult:
+            divergence_bound: float = 1e6) -> RolloutResult | list[RolloutResult]:
     """Multi-step prediction under a known input sequence.
+
+    x0 (n,) with controls (H, m) rolls out one trajectory and returns one
+    RolloutResult. A stack x0 (B, n) with controls (B, H, m) steps all B
+    trajectories together, one model call per step, and returns a list of B
+    RolloutResults, each equal to rolling that trajectory out alone. A
+    trajectory whose state leaves the divergence bound or turns non-finite
+    stops at the step before and is flagged diverged.
 
     relift = "every-step" re-evaluates the dictionary at each predicted
     state (the default); "none" propagates the lifted vector linearly and
@@ -760,28 +785,43 @@ def rollout(model: KoopmanModel, x0, controls, relift: str = "every-step",
         raise ValueError("state rollout requires a state-inclusive dictionary")
     if relift not in ("every-step", "none"):
         raise ValueError(f"relift must be 'every-step' or 'none', got {relift!r}")
-    x = np.asarray(x0, dtype=float)
-    controls = np.asarray(controls, dtype=float)
-    if controls.size == 0:
-        return RolloutResult(x[None, :])
-    controls = np.atleast_2d(controls)
+    X0 = np.asarray(x0, dtype=float)
+    U = np.asarray(controls, dtype=float)
+    single = X0.ndim == 1
+    if single:
+        X0, U = X0[None], U[None]
+    n, m = model.state_dim, model.input_dim
+    if X0.ndim != 2 or X0.shape[1] != n or U.ndim != 3 or len(U) != len(X0) or U.shape[2] != m:
+        raise ValueError(
+            f"x0 and controls must be ({n},) and (H, {m}), or stacks (B, {n}) and "
+            f"(B, H, {m}); got shapes {np.shape(x0)} and {np.shape(controls)}"
+        )
     idx = model.dict_x.state_index_map
+    B, H = U.shape[:2]
 
-    states = [x.copy()]
-    diverged = False
-    z = model.lift(x) if relift == "none" else None
-    for u in controls:
-        if relift == "every-step":
-            psi_next = model.lift_next(x, u)
-            x = psi_next[idx]
-        else:
-            z = model._advance(z, z[idx], u)
-            x = z[idx]
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > divergence_bound:
-            diverged = True
+    paths = np.empty((B, H + 1, n))
+    paths[:, 0] = X0
+    lengths = np.full(B, H + 1)
+    active = np.arange(B)  # trajectories still inside the divergence bound
+    x = X0
+    z = model.lift(X0) if relift == "none" else None
+    for k in range(H):
+        if not len(active):
             break
-        states.append(x.copy())
-    return RolloutResult(np.array(states), diverged)
+        u = U[active, k]
+        if relift == "every-step":
+            x = model.lift_next(x, u)[:, idx]
+        else:
+            z = model._advance(z, z[:, idx], u)
+            x = z[:, idx]
+        diverged = ~np.all(np.isfinite(x), axis=1) | (np.max(np.abs(x), axis=1) > divergence_bound)
+        if diverged.any():
+            lengths[active[diverged]] = k + 1
+            active, x = active[~diverged], x[~diverged]
+            z = z[~diverged] if z is not None else None
+        paths[active, k + 1] = x
+    results = [RolloutResult(path[:length], length <= H) for path, length in zip(paths, lengths)]
+    return results[0] if single else results
 
 
 def model_residual(model: KoopmanModel, data: SnapshotDataset) -> float:

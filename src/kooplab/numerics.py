@@ -105,7 +105,7 @@ def _as_float_array(a, name: str, ndim: int | None = None) -> np.ndarray:
     return arr
 
 
-def solve_least_squares(A, B, ridge: float = 0.0) -> np.ndarray:
+def solve_least_squares(A, B, ridge: float = 0.0, *, _conditioning: dict | None = None) -> np.ndarray:
     """Minimize ||A X - B||_F^2 (+ ridge * ||X||_F^2) over X.
 
     Parameters
@@ -127,7 +127,10 @@ def solve_least_squares(A, B, ridge: float = 0.0) -> np.ndarray:
     Notes
     -----
     The solve goes through an orthogonal decomposition (SVD), never the
-    normal equations, so conditioning is that of A itself.
+    normal equations, so conditioning is that of A itself. A caller that
+    passes a dict as the private `_conditioning` receives that SVD's
+    rank and singular values (of the augmented matrix when ridge > 0),
+    also when the solve then raises for rank deficiency.
     """
     A = _as_float_array(A, "A", ndim=2)
     B_in = np.asarray(B, dtype=float)
@@ -146,13 +149,13 @@ def solve_least_squares(A, B, ridge: float = 0.0) -> np.ndarray:
 
     n = A.shape[1]
     if ridge > 0.0:
-        A_solve = np.vstack([A, np.sqrt(ridge) * np.eye(n)])
-        B_solve = np.vstack([B2, np.zeros((n, B2.shape[1]))])
-        X, _, _, _ = np.linalg.lstsq(A_solve, B_solve, rcond=None)
-    else:
-        X, _, rank, _ = np.linalg.lstsq(A, B2, rcond=None)
-        if rank < n:
-            raise RankDeficiencyError(rank, n)
+        A = np.vstack([A, np.sqrt(ridge) * np.eye(n)])
+        B2 = np.vstack([B2, np.zeros((n, B2.shape[1]))])
+    X, _, rank, singular_values = np.linalg.lstsq(A, B2, rcond=None)
+    if _conditioning is not None:
+        _conditioning.update(rank=int(rank), singular_values=singular_values)
+    if ridge == 0.0 and rank < n:
+        raise RankDeficiencyError(rank, n)
     return X[:, 0] if vector_rhs else X
 
 

@@ -72,25 +72,53 @@ def _monomial_name(alpha, prefix: str) -> str:
     return "*".join(parts)
 
 
+def _power_columns(Z: np.ndarray, E: np.ndarray) -> list:
+    """pows[j][k] = Z[:, j]**k by repeated products, for k up to the largest
+    exponent of coordinate j; pows[j][0] is 1.0, so 0**0 == 1. The kernels
+    skip those unit factors, since multiplying by one is exact."""
+    pows = []
+    for j, top in enumerate(E.max(axis=0, initial=0).tolist()):
+        column = [1.0, Z[:, j]]
+        for _ in range(top - 1):
+            column.append(column[-1] * Z[:, j])
+        pows.append(column)
+    return pows
+
+
+def _product_into(out: np.ndarray, factors: list) -> None:
+    """out = the product of factors (arrays or scalars), 1 when there are none."""
+    if len(factors) < 2:
+        out[...] = factors[0] if factors else 1.0
+        return
+    np.multiply(factors[0], factors[1], out=out)
+    for factor in factors[2:]:
+        np.multiply(out, factor, out=out)
+
+
 def _monomial_values(Z: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Monomials z^alpha for the exponent rows of E at each row of Z: (P, N)."""
-    # 0**0 == 1 under numpy's float power, which is the convention needed here
-    return np.prod(np.power(Z[:, None, :], E), axis=2)
+    """Monomials z^alpha for the exponent rows of E at each row of Z: (P, N),
+    C-contiguous, each row of E's product written straight into its column."""
+    pows = _power_columns(Z, E)
+    out = np.empty((len(Z), len(E)))
+    for n, alpha in enumerate(E.tolist()):
+        _product_into(out[:, n], [pows[j][e] for j, e in enumerate(alpha) if e])
+    return out
 
 
 def _monomial_jacobian(Z: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Their Jacobians at each row of Z: (P, N, d)."""
-    N, d = E.shape
-    J = np.zeros((len(Z), N, d))
-    for j in range(d):
-        ej = E[:, j]
-        mask = ej > 0
-        if not np.any(mask):
-            continue
-        Em = E[mask].copy()
-        Em[:, j] -= 1
-        J[:, mask, j] = ej[mask] * np.prod(np.power(Z[:, None, :], Em), axis=2)
-    return J
+    """Their Jacobians at each row of Z: (P, N, d), C-contiguous. Column j of
+    row n is E[n, j] * z_j**(E[n, j] - 1) * prod_{i != j} z_i**E[n, i]."""
+    pows = _power_columns(Z, E)
+    out = np.zeros((len(Z), len(E), Z.shape[1]))
+    for n, alpha in enumerate(E.tolist()):
+        for j, ej in enumerate(alpha):
+            if not ej:
+                continue
+            lowered = list(alpha)
+            lowered[j] -= 1
+            factors = [pows[i][e] for i, e in enumerate(lowered) if e]
+            _product_into(out[:, n, j], ([ej] if ej > 1 else []) + factors)
+    return out
 
 
 class Dictionary:

@@ -566,6 +566,24 @@ class TestCompare:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+    def test_stacked_rollouts_match_per_trajectory_rollouts(self, tmp_path, monkeypatch):
+        from kooplab import formulations
+
+        raw = bilinear_raw(tmp_path / "stacked", formulations=["affine", "separable", "joint"])
+        cli.cmd_compare(parse_config(raw))
+        stacked = formulations.rollout
+
+        def per_trajectory(model, x0, controls, **kw):
+            return [stacked(model, x, us, **kw) for x, us in zip(x0, controls)]
+
+        monkeypatch.setattr(formulations, "rollout", per_trajectory)
+        raw["out_dir"] = str(tmp_path / "looped")
+        cli.cmd_compare(parse_config(raw))
+        names = ["comparison.csv"] + [f"trajectory-{v}.dat" for v in ("affine", "separable", "joint")]
+        for name in names:
+            assert ((tmp_path / "stacked" / name).read_bytes()
+                    == (tmp_path / "looped" / name).read_bytes()), name
+
 class TestDemo:
     def test_registry(self):
         assert cli.DEMO_NAMES == (

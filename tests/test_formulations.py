@@ -438,6 +438,53 @@ class TestRollout:
         assert err_j < err_s / 2
 
 
+class TestStackedRollout:
+    """A stack of trajectories rolls out as one model call per step."""
+
+    X0 = np.array([[0.3, -0.2], [30.0, 30.0], [-1.0, 0.5], [6.0, 6.0], [0.0, 0.0]])
+
+    @staticmethod
+    def discrete_models():
+        models = {k: m for k, m in STACK_MODELS.items() if m.time_kind == "discrete"}
+        models["bilinear-to-joint"] = bilinear_to_joint(STACK_MODELS["bilinear"])
+        return models
+
+    @pytest.mark.parametrize("relift", ["every-step", "none"])
+    def test_stack_equals_single_rollouts_bit_for_bit(self, relift):
+        for label, model in self.discrete_models().items():
+            rng = np.random.default_rng(11)
+            controls = rng.uniform(-1.0, 1.0, size=(len(self.X0), 30, model.input_dim))
+            stacked = rollout(model, self.X0, controls, relift=relift, divergence_bound=8.0)
+            assert len(stacked) == len(self.X0)
+            # two trajectories leave the bound, at different steps
+            assert len({len(r) for r in stacked if r.diverged}) == 2, label
+            for x0, us, got in zip(self.X0, controls, stacked):
+                alone = rollout(model, x0, us, relift=relift, divergence_bound=8.0)
+                np.testing.assert_array_equal(got.states, alone.states, err_msg=label)
+                assert (len(got), got.diverged) == (len(alone), alone.diverged), label
+
+    def test_mismatched_shapes_rejected(self):
+        model = STACK_MODELS["affine"]
+        X0, U = np.zeros((3, 2)), np.zeros((3, 5, 1))
+        for x0, controls in ((X0, U[:2]), (X0, U[0]), (X0[0], U), (X0[:, :1], U),
+                             (X0, np.zeros((3, 5, 2))), (X0[0], np.zeros(5))):
+            with pytest.raises(ValueError, match="x0 and controls"):
+                rollout(model, x0, controls)
+
+    def test_autonomous_model_rolls_out_every_step(self):
+        model = AffineModel(identity(2), [[0.9, 0.1], [0.0, 0.8]], None, "discrete", input_dim=0)
+        x0 = np.array([1.0, -1.0])
+        res = rollout(model, x0, np.zeros((20, 0)))
+        assert len(res) == 21 and not res.diverged
+        x = x0
+        for k in range(20):
+            x = model.K @ x
+            np.testing.assert_allclose(res.states[k + 1], x, rtol=1e-14)
+        stacked = rollout(model, np.array([x0, 2 * x0, -x0]), np.zeros((3, 20, 0)))
+        assert [len(r) for r in stacked] == [21, 21, 21]
+        np.testing.assert_array_equal(stacked[0].states, res.states)
+
+
 class TestNesting:
     def test_residual_chain_on_bilinear_data(self):
         data = generate_dataset(bilinear_discrete(0.9, 0.1), 300, seed=3)
@@ -514,6 +561,66 @@ class TestSerialization:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
             model_from_payload({"schema_version": 1, "variant": "spectral", "time_kind": "discrete"})
+
+
+class TestDesignConditioning:
+    """Rank and condition number of the regression design in the model file."""
+
+    def test_keys_and_types_for_every_stacked_fit(self):
+        data = generate_dataset(bilinear_discrete(0.9, 0.1), 200, seed=3)
+        dx, du = identity(1), identity(1, var_prefix="u")
+        models = [
+            fit_affine(data, dx),
+            fit_separable(data, dx, du),
+            fit_joint(data, dx, build_joint_dictionary(1, 1, 1, 1)),
+            fit_bilinear(data, dx, monomials(1, 1, var_prefix="u")),
+        ]
+        models.append(bilinear_to_joint(models[-1]))
+        for model, columns in zip(models, [2, 2, 3, 2, 2]):  # full column rank
+            meta = model_to_payload(model)["metadata"]
+            assert isinstance(meta["design_rank"], int) and meta["design_rank"] == columns
+            assert isinstance(meta["design_condition"], float)
+            assert 1.0 <= meta["design_condition"] < 1e3
+            assert meta["design_matrix"] == "plain"
+            back = model_from_payload(model_to_payload(model))
+            assert back.design_rank == model.design_rank
+            assert back.design_condition == model.design_condition
+
+    def test_near_collinear_design_reports_large_condition(self):
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-1.0, 1.0, size=(80, 1))
+        U = X + 1e-9 * rng.standard_normal((80, 1))
+        data = SnapshotDataset("discrete-pairs", X, U, 0.9 * X + 0.1 * U, dt=0.1)
+        model = fit_affine(data, identity(1))
+        assert model.design_rank == 2
+        assert model.design_condition > 1e8
+
+    def test_ridge_describes_the_augmented_matrix(self):
+        data = scalar_linear_pairs(n=60, seed=4, u_scale=0.0)
+        with pytest.raises(RankDeficiencyError):
+            fit_affine(data, identity(1))
+        model = fit_affine(data, identity(1), ridge=1e-6)
+        meta = model_to_payload(model)["metadata"]
+        assert meta["design_matrix"] == "ridge-augmented"
+        assert meta["design_rank"] == 2
+        assert np.isfinite(meta["design_condition"]) and meta["design_condition"] > 1.0
+
+    def test_fits_without_one_stacked_regression_leave_them_unset(self):
+        system = linear_system([[-0.3]], [[0.0]])
+        cont = generate_dataset(system, 50, "zero", seed=0, kind="continuous-derivative")
+        X = np.linspace(-1, 1, 12)[:, None]
+        U = np.where(np.arange(12)[:, None] % 2, 0.5, 0.0)
+        disc = SnapshotDataset("discrete-pairs", X, U, 0.9 * X + 0.1 * X * U, dt=0.1)
+        for model in (fit_eigen(cont, identity(1)),
+                      fit_joint(disc, identity(1), xu_cross_dict(), two_stage=True)):
+            assert model.design_rank is model.design_condition is model.design_matrix is None
+
+    def test_model_file_without_the_keys_still_loads(self):
+        payload = model_to_payload(fit_affine(scalar_linear_pairs(), identity(1)))
+        for key in ("design_rank", "design_condition", "design_matrix"):
+            del payload["metadata"][key]
+        back = model_from_payload(payload)
+        assert back.design_rank is back.design_condition is back.design_matrix is None
 
 
 class TestModelResidual:

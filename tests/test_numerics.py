@@ -59,6 +59,21 @@ class TestSolveLeastSquares:
         assert ei.value.rank == 2
         assert "rank 2" in str(ei.value)
 
+    def test_conditioning_comes_from_the_solve(self):
+        A = np.zeros((6, 3))
+        A[:, 0] = 1.0
+        A[:, 1] = np.arange(6.0)
+        info = {}
+        with pytest.raises(RankDeficiencyError):
+            solve_least_squares(A, np.ones(6), _conditioning=info)
+        assert info["rank"] == 2
+        np.testing.assert_allclose(info["singular_values"], np.linalg.svd(A, compute_uv=False))
+        solve_least_squares(A, np.ones(6), ridge=1e-6, _conditioning=info)
+        augmented = np.vstack([A, 1e-3 * np.eye(3)])
+        assert info["rank"] == 3
+        np.testing.assert_allclose(info["singular_values"],
+                                   np.linalg.svd(augmented, compute_uv=False))
+
     def test_ridge_accepts_rank_deficient_design(self):
         A = np.zeros((6, 3))
         A[:, 0] = 1.0

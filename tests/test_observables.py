@@ -84,6 +84,76 @@ class TestMonomials:
         np.testing.assert_allclose(out[2], [1, 2, 3, 4, 6, 9])
 
 
+def power_reference(Z, E):
+    """np.power reference for monomial values and Jacobians: (P, N), (P, N, d)."""
+    values = np.prod(np.power(Z[:, None, :], E), axis=2)
+    jacobian = np.zeros((len(Z),) + E.shape)
+    for j in range(E.shape[1]):
+        lowered = E.copy()
+        lowered[:, j] = np.maximum(E[:, j] - 1, 0)
+        jacobian[:, :, j] = E[:, j] * np.prod(np.power(Z[:, None, :], lowered), axis=2)
+    return values, jacobian
+
+
+def assert_matches_reference(actual, reference):
+    """Relative agreement to 1e-15, with exact zeros where the reference has them."""
+    np.testing.assert_array_equal(actual == 0.0, reference == 0.0)
+    scale = np.where(reference == 0.0, 1.0, np.abs(reference))
+    assert np.max(np.abs(actual - reference) / scale) <= 1e-15
+
+
+class TestMonomialKernels:
+    """Power-table kernels against an np.power reference."""
+
+    @pytest.mark.parametrize("constant", [True, False])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_match_power_reference(self, dim, degree, constant):
+        d = monomials(dim, degree, include_constant=constant)
+        rng = np.random.default_rng(100 * dim + degree)
+        Z = rng.uniform(-2.0, 2.0, size=(60, dim))
+        Z[::4, 0] = 0.0
+        Z[1::5, -1] = -0.0
+        Z[2::6] = 0.0
+        values, jacobian = power_reference(Z, d.exponents)
+        assert_matches_reference(d.evaluate(Z), values)
+        assert_matches_reference(d.jacobian(Z), jacobian)
+
+    def test_joint_kernels_match_power_reference(self):
+        d = MonomialJointDictionary(2, 2, 3, 2)
+        rng = np.random.default_rng(7)
+        X = rng.uniform(-2.0, 2.0, size=(40, 2))
+        U = rng.uniform(-1.0, 1.0, size=(40, 2))
+        X[::3, 1] = -0.0
+        U[::4, 0] = 0.0
+        vx, jx = power_reference(X, d.exponents_x)
+        vu, ju = power_reference(U, d.exponents_u)
+        assert_matches_reference(d.evaluate(X, U), vx * vu)
+        assert_matches_reference(d.jacobian_x(X, U), jx * vu[:, :, None])
+        assert_matches_reference(d.jacobian_u(X, U), ju * vx[:, :, None])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_constant_is_one_at_zero(self, dim):
+        d = monomials(dim, 4)
+        for z in (np.zeros(dim), -np.zeros(dim)):
+            psi = d.evaluate(z)
+            assert psi[d.constant_index] == 1.0
+            assert np.count_nonzero(psi) == 1
+            J = d.jacobian(z)
+            np.testing.assert_array_equal(J[d.constant_index], 0.0)
+            np.testing.assert_array_equal(J[d.state_index_map], np.eye(dim))
+
+    def test_outputs_are_c_contiguous(self):
+        Z = np.random.default_rng(3).uniform(-1.0, 1.0, size=(9, 3))
+        for d in (monomials(3, 3), identity(3), subtract_value_at_zero(monomials(3, 2))):
+            assert d.evaluate(Z).flags.c_contiguous
+            assert d.jacobian(Z).flags.c_contiguous
+        joint = MonomialJointDictionary(3, 1, 2, 1)
+        U = np.ones((9, 1))
+        for out in (joint.evaluate(Z, U), joint.jacobian_x(Z, U), joint.jacobian_u(Z, U)):
+            assert out.flags.c_contiguous
+
+
 class TestRbf:
     def test_value_and_gradient_hand(self):
         d = rbf(centers=[[0.0, 0.0]], width=2.0)
