@@ -206,14 +206,13 @@ def _require_dataset_section(cfg, command: str):
         raise ConfigError("dataset", f"section required for {command}")
 
 
-def _generate(cfg, kind=None, seed=None):
+def _generate(cfg, kind=None, seed=None, system=None):
     from .dynamics import generate_dataset
 
     ds = cfg.dataset
-    system = cfg.build_system()
     state_box, input_box = cfg.sampling_regions()
     return generate_dataset(
-        system,
+        system if system is not None else cfg.build_system(),
         ds.n_samples,
         control_kind=ds.control_kind,
         seed=ds.seed if seed is None else seed,
@@ -417,12 +416,13 @@ def _compare_pipeline(cfg, out: Path) -> list[dict]:
             )
     _require_dataset_section(cfg, "compare")
 
-    # stage: simulate (training data is one-step pairs so every fit rolls out)
+    # stage: simulate (training data is one-step pairs so every fit rolls out);
+    # the pairs come from the same discretized system that is checked below
     try:
-        data = _generate(cfg, kind="discrete-pairs")
-        save_dataset(data, out / "dataset")
         system = cfg.build_system()
         dsystem = system if system.time_kind == "discrete" else discretize(system, cfg.dataset.dt)
+        data = _generate(cfg, kind="discrete-pairs", system=dsystem)
+        save_dataset(data, out / "dataset")
     except ValueError as exc:
         raise PipelineError("simulate", str(exc)) from None
 

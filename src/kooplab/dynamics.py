@@ -13,6 +13,7 @@ rather than reconstructed on demand.
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -99,15 +100,8 @@ class ControlledSystem:
         jac_fxu_u: Callable | None = None,
         dt: float | None = None,
     ):
-        if time_kind not in ("continuous", "discrete"):
-            raise ValueError(f"time_kind must be continuous or discrete, got {time_kind!r}")
-        if state_dim < 1 or input_dim < 0:
-            raise ValueError("state_dim must be >= 1 and input_dim >= 0")
-        self.name = name
-        self.time_kind = time_kind
-        self.state_dim = n = int(state_dim)
-        self.input_dim = m = int(input_dim)
-        self.dt = dt
+        self._describe(name, time_kind, state_dim, input_dim, dt)
+        n, m = self.state_dim, self.input_dim
         self._fx = _stacked(f_x, (n,))
         self._fu = _stacked(f_u, (n,))
         self._fxu = _stacked(f_xu, (n,))
@@ -117,6 +111,17 @@ class ControlledSystem:
         self._jfu = _stacked(jac_fu or (lambda u: fd(f_u, u)), (n, m))
         self._jfxu_x = _stacked(jac_fxu_x or (lambda x, u: fd(lambda z: f_xu(z, u), x)), (n, n))
         self._jfxu_u = _stacked(jac_fxu_u or (lambda x, u: fd(lambda w: f_xu(x, w), u)), (n, m))
+
+    def _describe(self, name, time_kind, state_dim, input_dim, dt):
+        if time_kind not in ("continuous", "discrete"):
+            raise ValueError(f"time_kind must be continuous or discrete, got {time_kind!r}")
+        if state_dim < 1 or input_dim < 0:
+            raise ValueError("state_dim must be >= 1 and input_dim >= 0")
+        self.name = name
+        self.time_kind = time_kind
+        self.state_dim = int(state_dim)
+        self.input_dim = int(input_dim)
+        self.dt = dt
 
     # -- stacked kernels: f and its two total Jacobians at aligned rows -------
 
@@ -597,21 +602,13 @@ def simulate(
     return Trajectory(np.array(times), np.array(states), np.array(inputs), diverged)
 
 
-def _rk4_map_jacobians(system: ControlledSystem, X, U, dt: float):
-    """Exact Jacobians (d Phi/dx (P, n, n), d Phi/du (P, n, m)) of one RK4 step at
-    aligned stacks X, U, chain-ruled through the four stages in one pass."""
-    P, n = X.shape
+def _rk4_stage_jacobians(system: ControlledSystem, stages, U, dt: float):
+    """(d Phi/dx (P, n, n), d Phi/du (P, n, m)) of one RK4 step, chain-ruled
+    through its four stages from the stage states (4 P, n) that `rk4_step`
+    records, with the field's tangents at all four in one stacked call."""
+    P, n = U.shape[0], stages.shape[1]
     I = np.eye(n)
-
-    k1 = system.evaluate(X, U)
-    x2 = X + 0.5 * dt * k1
-    k2 = system.evaluate(x2, U)
-    x3 = X + 0.5 * dt * k2
-    k3 = system.evaluate(x3, U)
-    x4 = X + dt * k3
-
-    # the field's tangents at all four stages in one stacked call
-    A, B = system._tangents(np.concatenate([X, x2, x3, x4]), np.tile(U, (4, 1)))
+    A, B = system._tangents(stages, np.tile(U, (4, 1)))
     A = A.reshape(4, P, n, n)
     B = B.reshape(4, P, n, U.shape[1])
 
@@ -629,49 +626,101 @@ def _rk4_map_jacobians(system: ControlledSystem, X, U, dt: float):
     return J_x, J_u
 
 
+def _rk4_map_jacobians(system: ControlledSystem, X, U, dt: float):
+    """Exact Jacobians (d Phi/dx (P, n, n), d Phi/du (P, n, m)) of one RK4 step at
+    aligned stacks X, U: one step that records its stages, then their tangents."""
+    stages = []
+    rk4_step(system.field, X, U, 0.0, dt, _stages=stages)
+    return _rk4_stage_jacobians(system, stages[0], U, dt)
+
+
+def _read_only(a) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class _RK4Map(ControlledSystem):
     """Zero-order-hold RK4 step map Phi of a continuous system; see `discretize`.
 
     f(x, u) is the direct step Phi(x, u) and its Jacobians one tangent pass
-    at (x, u); the pieces are differences of steps and of tangents.
+    at (x, u); the pieces are differences of steps and of tangents. Every
+    kernel reads one memo of passes keyed by the exact point set, so each
+    step and each tangent pass runs once per point set; what a kernel hands
+    out is a fresh array.
     """
 
+    MEMO_SIZE = 16  # point sets kept; the least recently used goes first
+
     def __init__(self, system: ControlledSystem, dt: float):
+        self._describe(f"{system.name}-discrete", "discrete",
+                       system.state_dim, system.input_dim, dt)
         self._flow = system
-        n, m = system.state_dim, system.input_dim
+        self._memo = OrderedDict()
+        n, m = self.state_dim, self.input_dim
+        self._base = self._step(np.zeros((1, n)), np.zeros((1, m)))[0]  # Phi(0, 0)
 
-        def at_u0(X):
-            return X, np.zeros((len(X), m))
+    # -- passes: one step, and one tangent pass, per point set -----------------
 
-        def at_x0(U):
-            return np.zeros((len(U), n)), U
+    def _pass(self, X, U, tangents: bool = False) -> dict:
+        """The memo entry of the point set (X, U): its step Phi ("phi") and,
+        when asked, its Jacobians ("jac"), each computed once and read-only.
+        Until the tangent pass runs, the entry keeps the step's stage states."""
+        key = (X.shape, U.shape, X.tobytes(), U.tobytes())
+        entry = self._memo.pop(key, None)
+        if entry is None:
+            stages = []
+            phi = rk4_step(self._flow.field, X, U, 0.0, self.dt, _stages=stages)
+            entry = {"phi": _read_only(phi), "stages": stages[0]}
+        self._memo[key] = entry
+        if len(self._memo) > self.MEMO_SIZE:
+            self._memo.popitem(last=False)
+        if tangents and "jac" not in entry:
+            jac = _rk4_stage_jacobians(self._flow, entry["stages"], U, self.dt)
+            entry["jac"] = tuple(map(_read_only, jac))
+            del entry["stages"]
+        return entry
 
-        def f_x(X):
-            return self._map(*at_u0(X))
+    def _step(self, X, U):
+        return self._pass(X, U)["phi"]
 
-        def f_u(U):
-            return self._map(*at_x0(U)) - self._base
+    def _jac(self, X, U):
+        return self._pass(X, U, tangents=True)["jac"]
 
-        super().__init__(
-            f"{system.name}-discrete", "discrete", n, m,
-            f_x=_Broadcast(f_x),
-            f_u=_Broadcast(f_u),
-            f_xu=_Broadcast(lambda X, U: self._map(X, U) - f_x(X) - f_u(U)),
-            jac_fx=_Broadcast(lambda X: self._tangents(*at_u0(X))[0]),
-            jac_fu=_Broadcast(lambda U: self._tangents(*at_x0(U))[1]),
-            jac_fxu_x=_Broadcast(
-                lambda X, U: self._tangents(X, U)[0] - self._tangents(*at_u0(X))[0]),
-            jac_fxu_u=_Broadcast(
-                lambda X, U: self._tangents(X, U)[1] - self._tangents(*at_x0(U))[1]),
-            dt=dt,
-        )
-        self._base = self._map(np.zeros((1, n)), np.zeros((1, m)))[0]  # Phi(0, 0)
+    def _at_u0(self, X):
+        return X, np.zeros((len(X), self.input_dim))
+
+    def _at_x0(self, U):
+        return np.zeros((len(U), self.state_dim)), U
+
+    # -- the stacked kernels of ControlledSystem; each returns a new array ------
 
     def _map(self, X, U) -> np.ndarray:
-        return rk4_step(self._flow.field, X, U, 0.0, self.dt)
+        return self._step(X, U).copy()
 
     def _tangents(self, X, U):
-        return _rk4_map_jacobians(self._flow, X, U, self.dt)
+        J_x, J_u = self._jac(X, U)
+        return J_x.copy(), J_u.copy()
+
+    def _fx(self, X):
+        return self._step(*self._at_u0(X)).copy()
+
+    def _fu(self, U):
+        return self._step(*self._at_x0(U)) - self._base
+
+    def _fxu(self, X, U):
+        return self._step(X, U) - self._step(*self._at_u0(X)) - self._fu(U)
+
+    def _jfx(self, X):
+        return self._jac(*self._at_u0(X))[0].copy()
+
+    def _jfu(self, U):
+        return self._jac(*self._at_x0(U))[1].copy()
+
+    def _jfxu_x(self, X, U):
+        return self._jac(X, U)[0] - self._jac(*self._at_u0(X))[0]
+
+    def _jfxu_u(self, X, U):
+        return self._jac(X, U)[1] - self._jac(*self._at_x0(U))[1]
 
 
 def discretize(system: ControlledSystem, dt: float) -> ControlledSystem:
@@ -685,7 +734,12 @@ def discretize(system: ControlledSystem, dt: float) -> ControlledSystem:
     which reproduces the normalization exactly by construction; the pieces
     re-sum to Phi within about one ulp. Jacobians are propagated through the
     RK4 stages (no finite differences); jacobian_x and jacobian_u are one
-    tangent pass at (x, u).
+    tangent pass at (x, u), which reuses that point set's step stages.
+
+    The map keeps the steps and tangents of its last 16 point sets, keyed by
+    their exact shapes and bytes, and shares them between evaluate, the
+    pieces and all Jacobians; every method still returns an array the caller
+    owns.
     """
     if system.time_kind != "continuous":
         raise ValueError("discretize expects a continuous system")

@@ -212,6 +212,8 @@ def rk4_step(
     u,
     t: float,
     dt: float,
+    *,
+    _stages: list | None = None,
 ) -> np.ndarray:
     """One classical Runge-Kutta (fourth order) step with the input held constant.
 
@@ -233,6 +235,12 @@ def rk4_step(
     -------
     (n,) or (P, n) ndarray
         State at time ``t + dt``, shaped like ``x``.
+
+    Notes
+    -----
+    A caller that passes a list as the private `_stages` receives the four
+    stage states at which the field was evaluated, stacked into one
+    (4 P, n) array (x first), so a tangent pass can reuse them.
     """
     x = _as_float_array(x, "x")
     u = _as_float_array(u, "u")
@@ -255,7 +263,12 @@ def rk4_step(
         return k
 
     k1 = _eval(x, t)
-    k2 = _eval(x + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = _eval(x + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = _eval(x + dt * k3, t + dt)
+    x2 = x + 0.5 * dt * k1
+    k2 = _eval(x2, t + 0.5 * dt)
+    x3 = x + 0.5 * dt * k2
+    k3 = _eval(x3, t + 0.5 * dt)
+    x4 = x + dt * k3
+    k4 = _eval(x4, t + dt)
+    if _stages is not None:
+        _stages.append(np.concatenate([np.atleast_2d(s) for s in (x, x2, x3, x4)]))
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

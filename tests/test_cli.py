@@ -584,6 +584,26 @@ class TestCompare:
             assert ((tmp_path / "stacked" / name).read_bytes()
                     == (tmp_path / "looped" / name).read_bytes()), name
 
+    def test_training_pairs_come_from_the_checked_discretization(self, tmp_path, monkeypatch):
+        from kooplab import dynamics
+
+        discretized = []
+        real = dynamics.discretize
+
+        def counted(system, dt):
+            discretized.append((system.name, dt))
+            return real(system, dt)
+
+        monkeypatch.setattr(dynamics, "discretize", counted)
+        cli.cmd_compare(parse_config(linear_raw(tmp_path / "compare")))
+        assert discretized == [("linear", 0.05)]
+        # the same pairs, bytes and envelope as `simulate` draws from its own discretization
+        cli.cmd_simulate(parse_config(linear_raw(tmp_path / "simulate")))
+        for name in ("dataset.csv", "dataset.json"):
+            assert ((tmp_path / "compare" / name).read_bytes()
+                    == (tmp_path / "simulate" / name).read_bytes()), name
+
+
 class TestDemo:
     def test_registry(self):
         assert cli.DEMO_NAMES == (

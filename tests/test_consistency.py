@@ -1310,6 +1310,51 @@ class TestNoPerRowEvaluation:
             assert at_next == ["Dictionary.jacobian"], variant
 
 
+class TestOneRK4PassPerPointSet:
+    """A check of a discretized system takes each RK4 step, and each tangent
+    pass, once per point set it asks about: the flow's field runs four times
+    per distinct point set, and its tangents once per point set whose
+    Jacobians are read."""
+
+    @pytest.fixture
+    def asked(self, monkeypatch):
+        """The point sets the map is asked to step ("step") or differentiate ("tangent")."""
+        from kooplab import dynamics
+
+        sets = {"step": set(), "tangent": set()}
+        for kind, attr in (("step", "_step"), ("tangent", "_jac")):
+            def asking(self, X, U, _real=getattr(dynamics._RK4Map, attr), _kind=kind):
+                sets[_kind].add((X.shape, U.shape, X.tobytes(), U.tobytes()))
+                return _real(self, X, U)
+            monkeypatch.setattr(dynamics._RK4Map, attr, asking)
+        return sets
+
+    def test_check_model_takes_each_pass_once(self, asked):
+        from kooplab.dynamics import _RK4Map
+
+        data = generate_dataset(discretize(builtin_system("duffing-forced", delta=0.3), 0.05),
+                                200, seed=1)
+        dx, du = monomials(2, 2), identity(1, var_prefix="u")
+        models = {"affine": fit_affine(data, dx), "separable": fit_separable(data, dx, du),
+                  "joint": fit_joint(data, dx, build_joint_dictionary(2, 1, 1, 1)),
+                  "bilinear": fit_bilinear(data, dx, monomials(1, 1, var_prefix="u"))}
+        for variant, model in models.items():
+            flow = builtin_system("duffing-forced", delta=0.3)
+            calls = Counter()
+            evaluate, tangents = flow.evaluate, flow._tangents
+            flow.evaluate = lambda x, u: calls.update(["field"]) or evaluate(x, u)
+            flow._tangents = lambda X, U: calls.update(["tangents"]) or tangents(X, U)
+            for kind in asked:
+                asked[kind].clear()
+            system = discretize(flow, 0.05)
+            reports, _ = check_model(system, model, default_grid(system, points_per_axis=3))
+            assert reports, variant
+            point_sets = asked["step"] | asked["tangent"]
+            assert asked["tangent"] and len(point_sets) <= _RK4Map.MEMO_SIZE, variant
+            assert calls == {"field": 4 * len(point_sets),
+                             "tangents": len(asked["tangent"])}, variant
+
+
 class TestCheckModel:
     @staticmethod
     def cases():

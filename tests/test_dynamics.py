@@ -1,6 +1,9 @@
 """System construction, simulation, discretization and dataset generation."""
 
+import gc
 import math
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +30,8 @@ from kooplab.dynamics import (
     validate_decomposition,
     validate_jacobians,
 )
+from kooplab.dynamics import _rk4_map_jacobians
+from kooplab.numerics import rk4_step
 
 A_DEFAULT = np.array([[-1.0, 0.0], [0.0, -2.0]])
 B_DEFAULT = np.array([[1.0], [1.0]])
@@ -380,6 +385,131 @@ class TestDiscretize:
     def test_rejects_discrete_input(self):
         with pytest.raises(ValueError, match="continuous"):
             discretize(scalar_linear_discrete(), 0.1)
+
+
+def memo_free_methods(flow, dt):
+    """The discretized system's public methods on stacks, from direct `rk4_step`
+    and `_rk4_map_jacobians` calls with nothing kept between calls."""
+    n, m = flow.state_dim, flow.input_dim
+
+    def step(X, U):
+        return rk4_step(flow.field, X, U, 0.0, dt)
+
+    def jac(X, U):
+        return _rk4_map_jacobians(flow, X, U, dt)
+
+    def at_u0(X):
+        return X, np.zeros((len(X), m))
+
+    def at_x0(U):
+        return np.zeros((len(U), n)), U
+
+    base = step(np.zeros((1, n)), np.zeros((1, m)))[0]
+
+    def f_u(U):
+        return step(*at_x0(U)) - base
+
+    return {
+        "evaluate": step,
+        "f_x": lambda X: step(*at_u0(X)),
+        "f_u": f_u,
+        "f_xu": lambda X, U: step(X, U) - step(*at_u0(X)) - f_u(U),
+        "jacobian_fx": lambda X: jac(*at_u0(X))[0],
+        "jacobian_fu": lambda U: jac(*at_x0(U))[1],
+        "jacobian_fxu_x": lambda X, U: jac(X, U)[0] - jac(*at_u0(X))[0],
+        "jacobian_fxu_u": lambda X, U: jac(X, U)[1] - jac(*at_x0(U))[1],
+        "jacobian_x": lambda X, U: jac(X, U)[0],
+        "jacobian_u": lambda X, U: jac(X, U)[1],
+    }
+
+
+def assert_same_bits(got, expected, what):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape, what
+    assert got.tobytes() == expected.tobytes(), what
+
+
+class TestDiscretizedMemo:
+    """The RK4 map keeps its steps and tangents per point set, and what its
+    methods return stays the caller's to change."""
+
+    FLOWS = {
+        "duffing-forced": lambda: builtin_system("duffing-forced", delta=0.3),
+        "user-cross-2d": user_cross_2d,
+    }
+
+    @pytest.mark.parametrize("name", sorted(FLOWS))
+    def test_results_are_owned_by_the_caller(self, name):
+        flow = self.FLOWS[name]()
+        ds = discretize(flow, 0.1)
+        rng = np.random.default_rng(3)
+        X, U = rng.uniform(-2.0, 2.0, (7, 2)), rng.uniform(-1.0, 1.0, (7, 1))
+        reference = memo_free_methods(flow, 0.1)
+        calls = []  # (method, arguments, expected), in stack and point form
+        for method, takes in STACK_METHODS.items():
+            cols = {"xu": (X, U), "x": (X,), "u": (U,)}[takes]
+            calls.append((method, cols, reference[method](*cols)))
+            point = tuple(c[2] for c in cols)
+            calls.append((method, point, reference[method](*(c[2:3] for c in cols))[0]))
+        # two rounds, so a result spoiled in the first would show in the second
+        for _ in range(2):
+            for method, args, expected in calls:
+                got = getattr(ds, method)(*args)
+                assert_same_bits(got, expected, (method, np.ndim(args[0])))
+                got[...] = np.nan  # the caller's array: writable, and never read again
+
+    def test_redraws_write_into_evaluate_results(self):
+        # a few draws leave |x+| <= 2.4, so the redraw loop writes rows into the
+        # array that the stacked evaluate returned, and takes too few single
+        # steps to push that stack out of the memo before the second call
+        ds = discretize(builtin_system("duffing-forced", delta=0.3), 0.05)
+        first = generate_dataset(ds, 60, seed=4, divergence_bound=2.4)
+        assert 0 < first.n_redraws < ds.MEMO_SIZE
+        again = generate_dataset(ds, 60, seed=4, divergence_bound=2.4)
+        fresh = generate_dataset(discretize(builtin_system("duffing-forced", delta=0.3), 0.05),
+                                 60, seed=4, divergence_bound=2.4)
+        for data in (again, fresh):
+            for arr in ("X", "U", "Y"):
+                assert_same_bits(getattr(data, arr), getattr(first, arr), arr)
+            assert data.n_redraws == first.n_redraws
+        TestGenerateDataset.assert_matches_row_by_row(first, ds, 60, seed=4, bound=2.4)
+
+    def test_dropped_map_is_freed_without_the_cyclic_collector(self):
+        gc.disable()
+        try:
+            ds = discretize(builtin_system("duffing-forced", delta=0.3), 0.05)
+            ds.jacobian_fxu_u(np.zeros((3, 2)), np.ones((3, 1)))  # fills the memo
+            alive = weakref.ref(ds)
+            del ds
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_point_loop_keeps_the_memo_at_its_bound(self):
+        flow = builtin_system("duffing-forced", delta=0.3)
+        ds = discretize(flow, 0.05)
+        field_calls = []
+        evaluate = flow.evaluate
+        flow.evaluate = lambda x, u: field_calls.append(len(x)) or evaluate(x, u)
+        rng = np.random.default_rng(8)
+        for x, u in zip(rng.uniform(-2.0, 2.0, (1000, 2)), rng.uniform(-1.0, 1.0, (1000, 1))):
+            ds.evaluate(x, u)
+        assert len(ds._memo) == ds.MEMO_SIZE
+        assert len(field_calls) == 4 * 1000  # one RK4 step per distinct point
+
+    def test_repeated_point_set_takes_one_step_and_one_tangent_pass(self):
+        flow = builtin_system("duffing-forced", delta=0.3)
+        ds = discretize(flow, 0.05)
+        calls = Counter()
+        evaluate, tangents = flow.evaluate, flow._tangents
+        flow.evaluate = lambda x, u: calls.update(["field"]) or evaluate(x, u)
+        flow._tangents = lambda X, U: calls.update(["tangents"]) or tangents(X, U)
+        X, U = np.full((4, 2), 0.5), np.full((4, 1), -0.25)
+        for _ in range(3):
+            ds.evaluate(X, U)
+            ds.jacobian_x(X, U)
+            ds.jacobian_u(X.copy(), U.copy())  # equal bytes are the same point set
+        assert calls == {"field": 4, "tangents": 1}
 
 
 class TestEvaluationGrid:

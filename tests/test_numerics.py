@@ -196,6 +196,23 @@ class TestRk4Step:
             x = rk4_step(lambda x, u, t: np.array([t]), x, np.zeros(0), k * 0.25, 0.25)
         np.testing.assert_allclose(x, [0.5], atol=1e-14)
 
+    def test_recorded_stages_are_the_evaluation_points(self):
+        seen = []
+
+        def field(x, u, t):
+            seen.append(np.array(x, copy=True))
+            return np.stack([x[..., 1], -x[..., 0] ** 3 + u[..., 0]], axis=-1)
+
+        X, U = np.array([[0.5, -1.0], [2.0, 0.25], [0.0, 0.0]]), np.array([[0.3], [-1.0], [0.0]])
+        stages = []
+        got = rk4_step(field, X, U, 0.0, 0.1, _stages=stages)
+        np.testing.assert_array_equal(stages[0], np.concatenate(seen))
+        assert stages[0].flags.owndata and not np.shares_memory(stages[0], X)
+        assert got.tobytes() == rk4_step(field, X, U, 0.0, 0.1).tobytes()
+        point = []
+        rk4_step(field, X[0], U[0], 0.0, 0.1, _stages=point)
+        assert point[0].shape == (4, 2)
+
     def test_non_finite_derivative_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             rk4_step(lambda x, u, t: x / 0.0, np.array([1.0]), np.zeros(0), 0.0, 0.1)
