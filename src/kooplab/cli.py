@@ -11,6 +11,7 @@ for `check`), 1 on computation failures or an inconsistent verdict,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -169,13 +170,13 @@ def _dispatch(args) -> int:
         cfg.dataset.seed = seed
     tolerance = getattr(args, "tolerance", None)
     if tolerance is not None:
-        if tolerance <= 0:
-            raise UsageError(f"--tolerance must be positive, got {tolerance}")
+        if not 0 < tolerance < math.inf:
+            raise UsageError(f"--tolerance must be positive and finite, got {tolerance}")
         cfg.tolerance = tolerance
     ridge = getattr(args, "ridge", None)
     if ridge is not None:
-        if ridge < 0:
-            raise UsageError(f"--ridge must be >= 0, got {ridge}")
+        if not 0 <= ridge < math.inf:
+            raise UsageError(f"--ridge must be >= 0 and finite, got {ridge}")
         for spec in cfg.formulations:
             spec.ridge = ridge
 
@@ -224,23 +225,29 @@ def _generate(cfg, kind=None, seed=None, system=None):
 
 
 def _fit_one(variant: str, data, cfg, ridge: float):
-    """Fit a single formulation, resolving the dictionaries it needs."""
+    """Fit a single formulation on the configured dictionaries it needs."""
     from . import formulations as F
+    from .config import _DICT_ROLES_BY_VARIANT
 
-    dict_x = cfg.dictionary("state")
-    if variant == "affine":
-        return F.fit_affine(data, dict_x, ridge=ridge)
-    if variant == "separable":
-        return F.fit_separable(data, dict_x, cfg.dictionary("input"), ridge=ridge)
-    if variant == "joint":
-        return F.fit_joint(data, dict_x, cfg.dictionary("cross"), ridge=ridge)
-    if variant == "bilinear":
-        return F.fit_bilinear(data, dict_x, cfg.dictionary("input"), ridge=ridge)
+    if variant not in _DICT_ROLES_BY_VARIANT:
+        raise UsageError(f"unknown formulation variant {variant!r}")
+    dictionaries = [cfg.dictionary(role) for role in _DICT_ROLES_BY_VARIANT[variant]]
     if variant == "eigen":
         if ridge:
             raise UsageError("the eigen fit solves per-eigenvalue problems and has no ridge parameter")
-        return F.fit_eigen(data, dict_x)
-    raise UsageError(f"unknown formulation variant {variant!r}")
+        return F.fit_eigen(data, *dictionaries)
+    return getattr(F, f"fit_{variant}")(data, *dictionaries, ridge=ridge)
+
+
+def _write_reports(reports, out: Path, system, grid, tolerance, seed, skipped=()):
+    """Write reports.json (+ reports.npz) and summary.csv; returns the summary."""
+    from .consistency import report_provenance, summarize, write_reports_json, write_summary_csv
+
+    summary = summarize(reports)
+    write_reports_json(reports, out / "reports.json", skipped,
+                       report_provenance(system, grid, tolerance, seed))
+    write_summary_csv(summary, out / "summary.csv")
+    return summary
 
 
 def _ordered_formulations(cfg):
@@ -333,7 +340,6 @@ def cmd_check(cfg, model_path, pairwise_seed=None) -> int:
 
     Exits 0 when every evaluated condition is within tolerance, 1 otherwise.
     """
-    from .consistency import report_provenance, summarize, write_reports_json, write_summary_csv
     from .dynamics import discretize
     from .formulations import load_model
 
@@ -373,11 +379,8 @@ def cmd_check(cfg, model_path, pairwise_seed=None) -> int:
     if not reports:
         raise PipelineError("check", "no condition could be evaluated for this model")
 
-    summary = summarize(reports)
     out = _out_dir(cfg)
-    reports_path = write_reports_json(reports, out / "reports.json", skipped,
-                                      report_provenance(system, grid, cfg.tolerance, seed))
-    summary_path = write_summary_csv(summary, out / "summary.csv")
+    summary = _write_reports(reports, out, system, grid, cfg.tolerance, seed, skipped)
 
     if model.variant == "bilinear":
         print("note: operator-family conditions evaluated through the equivalent "
@@ -385,7 +388,7 @@ def cmd_check(cfg, model_path, pairwise_seed=None) -> int:
     for family, reason in skipped:
         print(f"skipped {family}: {reason}")
     print(summary.to_text())
-    print(f"wrote {reports_path} and {summary_path}")
+    print(f"wrote {out / 'reports.json'} and {out / 'summary.csv'}")
     return EXIT_OK if summary.overall_verdict == "consistent" else EXIT_FAILURE
 
 
@@ -548,17 +551,6 @@ def cmd_compare(cfg) -> int:
 
 
 # -- demos ------------------------------------------------------------------------
-
-
-def _write_reports(reports, out: Path, system, grid, tolerance, seed, skipped=()):
-    """Write a demo's reports.json (+ reports.npz) and summary.csv; returns the summary."""
-    from .consistency import report_provenance, summarize, write_reports_json, write_summary_csv
-
-    summary = summarize(reports)
-    write_reports_json(reports, out / "reports.json", skipped,
-                       report_provenance(system, grid, tolerance, seed))
-    write_summary_csv(summary, out / "summary.csv")
-    return summary
 
 
 def _demo_corollary1(out: Path, seed: int) -> str:

@@ -9,6 +9,7 @@ and every complaint carries the dotted path of the offending field.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,9 +48,34 @@ def _require(cond: bool, path: str, message: str):
         raise ConfigError(path, message)
 
 
-def _get_mapping(raw, path: str) -> dict:
+def _section(raw, path: str, known=None, unknown: str = "unknown field") -> dict:
+    """An object; given `known`, every key must be in it (root keys carry no prefix)."""
     _require(isinstance(raw, dict), path, f"expected an object, got {type(raw).__name__}")
+    for key in sorted(set(raw) - set(raw if known is None else known)):
+        raise ConfigError(key if path == "<root>" else f"{path}.{key}", unknown)
     return raw
+
+
+_REQUIRED = object()
+
+
+def _field(sec: dict, path: str, key: str, ok, message: str, default=_REQUIRED):
+    """sec[key] (required unless a default is given); the value must pass `ok`,
+    else `message`, formatted with the value, is the error."""
+    where = f"{path}.{key}" if path else key
+    _require(default is not _REQUIRED or key in sec, where, "required field is missing")
+    value = sec.get(key, default)
+    _require(ok(value), where, message.format(value))
+    return value
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A finite real number: booleans, infinities, NaN and overflowing ints fail."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 @dataclass
@@ -69,7 +95,8 @@ class FormulationSpec:
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description; builders construct live objects."""
+    """Validated experiment description. The system, grid and dictionaries are
+    built once (parse_config builds them to validate them) and kept."""
 
     system_name: str
     system_params: dict = field(default_factory=dict)
@@ -83,23 +110,25 @@ class ExperimentConfig:
     checks: list = field(default_factory=list)
     tolerance: float = DEFAULT_TOLERANCE
     out_dir: str = "runs"
+    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _once(self, key: str, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
 
     def build_system(self) -> ControlledSystem:
-        return builtin_system(self.system_name, **self.system_params)
+        return self._once("system", lambda: builtin_system(self.system_name, **self.system_params))
 
     def build_grid(self) -> EvaluationGrid:
-        system = self.build_system()
-        state_box = self.state_box
-        if state_box is None:
-            state_box = [(-2.0, 2.0)] * system.state_dim
-        input_box = self.input_box
-        if input_box is None:
-            input_box = [(-1.0, 1.0)] * system.input_dim
-        grid = EvaluationGrid.from_boxes(state_box, input_box, self.points_per_axis)
-        return grid.autonomous() if self.zero_input_grid else grid
+        def build():
+            grid = EvaluationGrid.from_boxes(*self.sampling_regions(), self.points_per_axis)
+            return grid.autonomous() if self.zero_input_grid else grid
+
+        return self._once("grid", build)
 
     def dictionary(self, role: str):
-        """Build the dictionary for a role ('state'/'input'/'cross')."""
+        """The dictionary for a role ('state'/'input'/'cross')."""
         if role not in _DICTIONARY_ROLES:
             raise ValueError(f"unknown dictionary role {role!r}")
         spec = self.dictionaries.get(role)
@@ -107,16 +136,23 @@ class ExperimentConfig:
             raise ConfigError(
                 f"dictionaries.{role}", "section required for the requested operation"
             )
-        if role == "cross":
-            return joint_dictionary_from_spec(spec)
-        return build_dictionary(spec)
+        return self._once(role, lambda: joint_dictionary_from_spec(spec) if role == "cross"
+                          else build_dictionary(spec))
 
     def sampling_regions(self):
-        """State/input boxes reused as dataset sampling regions."""
+        """State and input boxes of the grid and the dataset: [-2, 2]^n x [-1, 1]^m unless given."""
         system = self.build_system()
-        state_box = self.state_box or [(-2.0, 2.0)] * system.state_dim
-        input_box = self.input_box or [(-1.0, 1.0)] * system.input_dim
-        return state_box, input_box
+        return (self.state_box or [(-2.0, 2.0)] * system.state_dim,
+                self.input_box or [(-1.0, 1.0)] * system.input_dim)
+
+
+_DICT_ROLES_BY_VARIANT = {
+    "affine": ("state",),
+    "separable": ("state", "input"),
+    "joint": ("state", "cross"),
+    "bilinear": ("state", "input"),
+    "eigen": ("state",),
+}
 
 
 def _validate_box(raw, path: str, expected_len: int, what: str) -> list:
@@ -134,66 +170,47 @@ def _validate_box(raw, path: str, expected_len: int, what: str) -> list:
             entry, "expected a [low, high] pair",
         )
         lo, hi = pair
-        _require(
-            isinstance(lo, (int, float)) and isinstance(hi, (int, float)),
-            entry, "bounds must be numbers",
-        )
+        _require(_is_real(lo) and _is_real(hi), entry, "bounds must be numbers")
         _require(lo < hi, entry, f"low bound must be < high bound, got [{lo}, {hi}]")
         box.append((float(lo), float(hi)))
     return box
 
 
 def _validate_dataset(raw) -> DatasetSection:
-    sec = _get_mapping(raw, "dataset")
-    known = {"n_samples", "seed", "control_kind", "dt", "kind"}
-    for key in sorted(set(sec) - known):
-        raise ConfigError(f"dataset.{key}", "unknown field")
-    _require("n_samples" in sec, "dataset.n_samples", "required field is missing")
-    n = sec["n_samples"]
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
-             "dataset.n_samples", f"expected an integer >= 1, got {n!r}")
+    sec = _section(raw, "dataset", ("n_samples", "seed", "control_kind", "dt", "kind"))
+    n = _field(sec, "dataset", "n_samples", lambda v: _is_int(v) and v >= 1,
+               "expected an integer >= 1, got {!r}")
     # determinism contract: any randomized draw must be reproducible
     _require("seed" in sec, "dataset.seed", "required field is missing (sampling must be seeded)")
-    seed = sec["seed"]
-    _require(isinstance(seed, int) and not isinstance(seed, bool),
-             "dataset.seed", f"expected an integer, got {seed!r}")
-    control_kind = sec.get("control_kind", "uniform-random")
-    _require(control_kind in _CONTROL_KINDS, "dataset.control_kind",
-             f"expected one of {', '.join(_CONTROL_KINDS)}, got {control_kind!r}")
-    dt = sec.get("dt", 0.1)
-    _require(isinstance(dt, (int, float)) and dt > 0, "dataset.dt",
-             f"expected a positive number, got {dt!r}")
-    kind = sec.get("kind")
-    if kind is not None:
-        _require(kind in _DATASET_KINDS, "dataset.kind",
-                 f"expected one of {', '.join(_DATASET_KINDS)}, got {kind!r}")
+    seed = _field(sec, "dataset", "seed", _is_int, "expected an integer, got {!r}")
+    control_kind = _field(sec, "dataset", "control_kind", lambda v: v in _CONTROL_KINDS,
+                          f"expected one of {', '.join(_CONTROL_KINDS)}, got {{!r}}",
+                          "uniform-random")
+    dt = _field(sec, "dataset", "dt", lambda v: _is_real(v) and v > 0,
+                "expected a positive number, got {!r}", 0.1)
+    kind = _field(sec, "dataset", "kind", lambda v: v is None or v in _DATASET_KINDS,
+                  f"expected one of {', '.join(_DATASET_KINDS)}, got {{!r}}", None)
     return DatasetSection(n_samples=n, seed=seed, control_kind=control_kind,
                           dt=float(dt), kind=kind)
 
 
-def _validate_formulations(raw) -> list:
+def _validate_formulations(raw, dictionaries: dict) -> list:
     _require(isinstance(raw, list), "formulations", "expected a list")
     out = []
     for i, entry in enumerate(raw):
         path = f"formulations[{i}]"
-        if isinstance(entry, str):
-            entry = {"variant": entry}
-        entry = _get_mapping(entry, path)
-        for key in sorted(set(entry) - {"variant", "ridge"}):
-            raise ConfigError(f"{path}.{key}", "unknown field")
-        _require("variant" in entry, f"{path}.variant", "required field is missing")
-        variant = entry["variant"]
-        _require(variant in VARIANTS, f"{path}.variant",
-                 f"expected one of {', '.join(VARIANTS)}, got {variant!r}")
-        ridge = entry.get("ridge", 0.0)
-        _require(isinstance(ridge, (int, float)) and ridge >= 0, f"{path}.ridge",
-                 f"expected a number >= 0, got {ridge!r}")
+        entry = _section({"variant": entry} if isinstance(entry, str) else entry, path,
+                         ("variant", "ridge"))
+        variant = _field(entry, path, "variant", lambda v: v in VARIANTS,
+                         f"expected one of {', '.join(VARIANTS)}, got {{!r}}")
+        ridge = _field(entry, path, "ridge", lambda v: _is_real(v) and v >= 0,
+                       "expected a number >= 0, got {!r}", 0.0)
+        _require(all(spec.variant != variant for spec in out), f"{path}.variant",
+                 f"duplicate formulation {variant!r}")
+        for role in _DICT_ROLES_BY_VARIANT[variant]:
+            _require(role in dictionaries, path,
+                     f"variant {variant!r} needs a dictionaries.{role} spec")
         out.append(FormulationSpec(variant=variant, ridge=float(ridge)))
-    seen = set()
-    for i, f_spec in enumerate(out):
-        _require(f_spec.variant not in seen, f"formulations[{i}].variant",
-                 f"duplicate formulation {f_spec.variant!r}")
-        seen.add(f_spec.variant)
     return out
 
 
@@ -212,75 +229,54 @@ def _validate_checks(raw) -> list:
     return out
 
 
-_DICT_ROLES_BY_VARIANT = {
-    "affine": ("state",),
-    "separable": ("state", "input"),
-    "joint": ("state", "cross"),
-    "bilinear": ("state", "input"),
-    "eigen": ("state",),
-}
-
-
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Validate a parsed JSON document into an ExperimentConfig."""
-    raw = _get_mapping(raw, "<root>")
-    version = raw.get("schema_version")
-    _require(version == CONFIG_SCHEMA_VERSION, "schema_version",
-             f"expected {CONFIG_SCHEMA_VERSION}, got {version!r}")
-    known = {"schema_version", "system", "grid", "dataset", "dictionaries",
-             "formulations", "checks", "tolerance", "out_dir"}
-    for key in sorted(set(raw) - known):
-        raise ConfigError(key, "unknown section")
+    """Validate a parsed JSON document into an ExperimentConfig.
 
-    system_sec = _get_mapping(raw.get("system"), "system")
-    _require("name" in system_sec, "system.name", "required field is missing")
-    name = system_sec["name"]
-    _require(isinstance(name, str), "system.name", "expected a string")
-    params = system_sec.get("params", {})
-    params = _get_mapping(params, "system.params")
+    The system and dictionaries built to validate the document are kept on
+    the returned config.
+    """
+    raw = _section(raw, "<root>", ("schema_version", "system", "grid", "dataset", "dictionaries",
+                                   "formulations", "checks", "tolerance", "out_dir"),
+                   "unknown section")
+    _field(raw, "", "schema_version", lambda v: v == CONFIG_SCHEMA_VERSION,
+           f"expected {CONFIG_SCHEMA_VERSION}, got {{!r}}", None)
+
+    system_sec = _section(raw.get("system"), "system")
+    name = _field(system_sec, "system", "name", lambda v: isinstance(v, str), "expected a string")
+    params = _section(system_sec.get("params", {}), "system.params")
+    cfg = ExperimentConfig(system_name=name, system_params=dict(params))
     try:
-        system = builtin_system(name, **params)
+        system = cfg.build_system()
     except (ValueError, TypeError) as exc:
         raise ConfigError("system", str(exc)) from exc
 
-    cfg = ExperimentConfig(system_name=name, system_params=dict(params))
-
-    grid_sec = raw.get("grid")
-    if grid_sec is not None:
-        grid_sec = _get_mapping(grid_sec, "grid")
-        for key in sorted(set(grid_sec) - {"state_box", "input_box", "points_per_axis",
-                                           "zero_input"}):
-            raise ConfigError(f"grid.{key}", "unknown field")
+    if raw.get("grid") is not None:
+        grid_sec = _section(raw["grid"], "grid",
+                            ("state_box", "input_box", "points_per_axis", "zero_input"))
         if "state_box" in grid_sec:
             cfg.state_box = _validate_box(grid_sec["state_box"], "grid.state_box",
                                           system.state_dim, "state")
         if "input_box" in grid_sec:
             cfg.input_box = _validate_box(grid_sec["input_box"], "grid.input_box",
                                           system.input_dim, "input")
-        pts = grid_sec.get("points_per_axis", 9)
-        _require(isinstance(pts, int) and not isinstance(pts, bool) and pts >= 2,
-                 "grid.points_per_axis", f"expected an integer >= 2, got {pts!r}")
-        cfg.points_per_axis = pts
-        zero_input = grid_sec.get("zero_input", False)
-        _require(isinstance(zero_input, bool), "grid.zero_input", "expected a boolean")
-        cfg.zero_input_grid = zero_input
+        cfg.points_per_axis = _field(grid_sec, "grid", "points_per_axis",
+                                     lambda v: _is_int(v) and v >= 2,
+                                     "expected an integer >= 2, got {!r}", 9)
+        cfg.zero_input_grid = _field(grid_sec, "grid", "zero_input",
+                                     lambda v: isinstance(v, bool), "expected a boolean", False)
 
     if raw.get("dataset") is not None:
         cfg.dataset = _validate_dataset(raw["dataset"])
 
-    dict_sec = raw.get("dictionaries")
-    if dict_sec is not None:
-        dict_sec = _get_mapping(dict_sec, "dictionaries")
-        for role in sorted(set(dict_sec) - set(_DICTIONARY_ROLES)):
-            raise ConfigError(f"dictionaries.{role}",
-                              f"unknown role (expected one of {', '.join(_DICTIONARY_ROLES)})")
+    if raw.get("dictionaries") is not None:
+        dict_sec = _section(raw["dictionaries"], "dictionaries", _DICTIONARY_ROLES,
+                            f"unknown role (expected one of {', '.join(_DICTIONARY_ROLES)})")
         for role, spec in dict_sec.items():
             path = f"dictionaries.{role}"
-            spec = _get_mapping(spec, path)
+            cfg.dictionaries[role] = dict(_section(spec, path))
             try:
-                built = joint_dictionary_from_spec(spec) if role == "cross" \
-                    else build_dictionary(spec)
-            except (ValueError, KeyError, TypeError) as exc:
+                built = cfg.dictionary(role)
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise ConfigError(path, str(exc)) from exc
             expected_dim = system.input_dim if role == "input" else system.state_dim
             got_dim = built.state_dim if role == "cross" else built.input_dim
@@ -291,28 +287,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 _require(built.input_dim == system.input_dim, path,
                          f"dictionary input dimension {built.input_dim} does not "
                          f"match the system ({system.input_dim})")
-        cfg.dictionaries = {role: dict(spec) for role, spec in dict_sec.items()}
 
     if raw.get("formulations") is not None:
-        cfg.formulations = _validate_formulations(raw["formulations"])
-        for i, f_spec in enumerate(cfg.formulations):
-            for role in _DICT_ROLES_BY_VARIANT[f_spec.variant]:
-                _require(role in cfg.dictionaries, f"formulations[{i}]",
-                         f"variant {f_spec.variant!r} needs a "
-                         f"dictionaries.{role} spec")
+        cfg.formulations = _validate_formulations(raw["formulations"], cfg.dictionaries)
 
     if raw.get("checks") is not None:
         cfg.checks = _validate_checks(raw["checks"])
 
-    tolerance = raw.get("tolerance", DEFAULT_TOLERANCE)
-    _require(isinstance(tolerance, (int, float)) and tolerance > 0, "tolerance",
-             f"expected a positive number, got {tolerance!r}")
-    cfg.tolerance = float(tolerance)
-
-    out_dir = raw.get("out_dir", "runs")
-    _require(isinstance(out_dir, str) and out_dir != "", "out_dir",
-             "expected a non-empty string")
-    cfg.out_dir = out_dir
+    cfg.tolerance = float(_field(raw, "", "tolerance", lambda v: _is_real(v) and v > 0,
+                                 "expected a positive number, got {!r}", DEFAULT_TOLERANCE))
+    cfg.out_dir = _field(raw, "", "out_dir", lambda v: isinstance(v, str) and v != "",
+                         "expected a non-empty string", "runs")
     return cfg
 
 

@@ -406,19 +406,36 @@ def bilinear_discrete(alpha: float, beta: float, name: str = "bilinear-discrete"
     return _scalar_bilinear(name, "discrete", float(alpha), float(beta))
 
 
-def _require_params(name, params, required):
-    unknown = sorted(set(params) - set(required))
+def _require_params(name, params, required=(), defaults=None):
+    """Float parameters: every required one given, the defaulted ones optional."""
+    defaults = defaults or {}
+    unknown = sorted(set(params) - set(required) - set(defaults))
     if unknown:
         raise ValueError(f"{name}: unknown parameter(s) {', '.join(unknown)}")
     missing = sorted(set(required) - set(params))
     if missing:
         raise ValueError(f"{name}: missing parameter(s) {', '.join(missing)}")
-    return {k: float(params[k]) for k in required}
+    return {**defaults, **{k: float(v) for k, v in params.items()}}
 
 
-def _second_input(U):
-    """(0, u) per row: the input drives the second state coordinate."""
-    return np.stack([np.zeros(len(U)), U[:, 0]], axis=1)
+def _planar(name, f_x, jac_fx_base, jac_fx_21) -> ControlledSystem:
+    """Continuous xdot = f_x(x) + (0, u); d f_x/dx is the constant jac_fx_base
+    except for its (2, 1) entry jac_fx_21(x1)."""
+    def jac_fx(X):
+        J = np.tile(jac_fx_base, (len(X), 1, 1))
+        J[:, 1, 0] = jac_fx_21(X[:, 0])
+        return J
+
+    return _catalog(
+        name, "continuous", 2, 1,
+        f_x=f_x,
+        f_u=lambda U: np.stack([np.zeros(len(U)), U[:, 0]], axis=1),
+        f_xu=_zeros(2),
+        jac_fx=jac_fx,
+        jac_fu=_constant([[0.0], [1.0]]),
+        jac_fxu_x=_zeros(2, 2),
+        jac_fxu_u=_zeros(2, 1),
+    )
 
 
 def builtin_system(name: str, **params) -> ControlledSystem:
@@ -438,11 +455,8 @@ def builtin_system(name: str, **params) -> ControlledSystem:
     Catalog systems evaluate stacks of points in one broadcast pass.
     """
     if name == "linear":
-        defaults = {"a11": -1.0, "a12": 0.0, "a21": 0.0, "a22": -2.0, "b1": 1.0, "b2": 1.0}
-        unknown = sorted(set(params) - set(defaults))
-        if unknown:
-            raise ValueError(f"linear: unknown parameter(s) {', '.join(unknown)}")
-        p = {**defaults, **{k: float(v) for k, v in params.items()}}
+        p = _require_params(name, params, defaults={"a11": -1.0, "a12": 0.0, "a21": 0.0,
+                                                    "a22": -2.0, "b1": 1.0, "b2": 1.0})
         A = np.array([[p["a11"], p["a12"]], [p["a21"], p["a22"]]])
         B = np.array([[p["b1"]], [p["b2"]]])
         return linear_system(A, B, name="linear")
@@ -452,23 +466,10 @@ def builtin_system(name: str, **params) -> ControlledSystem:
         return _scalar_bilinear(name, "continuous", p["a"], p["b"])
 
     if name == "duffing-forced":
-        p = _require_params(name, params, ("delta",))
-        d = p["delta"]
-
-        def jac_fx(X):
-            J = np.tile([[0.0, 1.0], [0.0, -d]], (len(X), 1, 1))
-            J[:, 1, 0] = 1.0 - 3.0 * X[:, 0] ** 2
-            return J
-
-        return _catalog(
-            name, "continuous", 2, 1,
-            f_x=lambda X: np.stack([X[:, 1], X[:, 0] - X[:, 0] ** 3 - d * X[:, 1]], axis=1),
-            f_u=_second_input,
-            f_xu=_zeros(2),
-            jac_fx=jac_fx,
-            jac_fu=_constant([[0.0], [1.0]]),
-            jac_fxu_x=_zeros(2, 2),
-            jac_fxu_u=_zeros(2, 1),
+        d = _require_params(name, params, ("delta",))["delta"]
+        return _planar(
+            name, lambda X: np.stack([X[:, 1], X[:, 0] - X[:, 0] ** 3 - d * X[:, 1]], axis=1),
+            [[0.0, 1.0], [0.0, -d]], lambda x1: 1.0 - 3.0 * x1 ** 2,
         )
 
     if name == "bilinear-discrete":
@@ -478,21 +479,9 @@ def builtin_system(name: str, **params) -> ControlledSystem:
     if name == "slow-manifold":
         p = _require_params(name, params, ("mu", "lam"))
         mu, lam = p["mu"], p["lam"]
-
-        def jac_fx(X):
-            J = np.tile([[mu, 0.0], [0.0, lam]], (len(X), 1, 1))
-            J[:, 1, 0] = -2.0 * lam * X[:, 0]
-            return J
-
-        return _catalog(
-            name, "continuous", 2, 1,
-            f_x=lambda X: np.stack([mu * X[:, 0], lam * (X[:, 1] - X[:, 0] ** 2)], axis=1),
-            f_u=_second_input,
-            f_xu=_zeros(2),
-            jac_fx=jac_fx,
-            jac_fu=_constant([[0.0], [1.0]]),
-            jac_fxu_x=_zeros(2, 2),
-            jac_fxu_u=_zeros(2, 1),
+        return _planar(
+            name, lambda X: np.stack([mu * X[:, 0], lam * (X[:, 1] - X[:, 0] ** 2)], axis=1),
+            [[mu, 0.0], [0.0, lam]], lambda x1: -2.0 * lam * x1,
         )
 
     raise ValueError(f"unknown system {name!r}; catalog: {', '.join(_CATALOG)}")

@@ -66,6 +66,21 @@ MODEL_SCHEMA_VERSION = 1
 VARIANTS = ("affine", "separable", "joint", "bilinear", "eigen")
 
 
+# fit metadata saved with a model: key -> (default on load, conversion or None)
+_METADATA = {
+    "training_residual": (None, None),
+    "n_samples": (None, None),
+    "ridge": (0.0, float),
+    "fully_identified": (True, bool),
+    "notes": ([], list),
+    "dt": (None, None),
+    "system_name": ("", None),
+    "design_rank": (None, None),
+    "design_condition": (None, None),
+    "design_matrix": (None, None),
+}
+
+
 class KoopmanModel:
     """Base for fitted lifted-dynamics models.
 
@@ -177,30 +192,16 @@ class KoopmanModel:
         }
 
     def _metadata(self) -> dict:
-        return {
-            "training_residual": self.training_residual,
-            "n_samples": self.n_samples,
-            "ridge": self.ridge,
-            "fully_identified": self.fully_identified,
-            "notes": list(self.notes),
-            "dt": self.dt,
-            "system_name": self.system_name,
-            "design_rank": self.design_rank,
-            "design_condition": self.design_condition,
-            "design_matrix": self.design_matrix,
-        }
+        return {key: getattr(self, key) if convert is None else convert(getattr(self, key))
+                for key, (_, convert) in _METADATA.items()}
 
     def _restore_metadata(self, meta: dict):
-        self.training_residual = meta.get("training_residual")
-        self.n_samples = meta.get("n_samples")
-        self.ridge = float(meta.get("ridge", 0.0))
-        self.fully_identified = bool(meta.get("fully_identified", True))
-        self.notes = list(meta.get("notes", []))
-        self.dt = meta.get("dt")
-        self.system_name = meta.get("system_name", "")
-        self.design_rank = meta.get("design_rank")
-        self.design_condition = meta.get("design_condition")
-        self.design_matrix = meta.get("design_matrix")
+        for key, (default, convert) in _METADATA.items():
+            value = meta.get(key, default)
+            try:
+                setattr(self, key, value if convert is None else convert(value))
+            except (TypeError, ValueError):
+                raise ValueError(f"model metadata field {key!r} has bad value {value!r}") from None
 
     def __repr__(self):
         return (
@@ -859,56 +860,34 @@ def model_from_payload(payload: dict) -> KoopmanModel:
             f"this build reads version {MODEL_SCHEMA_VERSION}"
         )
     variant = payload["variant"]
+    cls = next((c for c in (AffineModel, SeparableModel, JointModel, BilinearModel, EigenModel)
+                if c.variant == variant), None)
+    if cls is None:
+        raise ValueError(f"unknown model variant {variant!r}")
     dicts = payload.get("dictionaries", {})
     ops = payload.get("operators", {})
-    time_kind = payload["time_kind"]
     try:
-        if variant == "affine":
-            model = AffineModel(
-                build_dictionary(dicts["state"]),
-                np.asarray(ops["K"], dtype=float),
-                None if ops["B"] is None else np.asarray(ops["B"], dtype=float),
-                time_kind,
-                input_dim=int(payload.get("input_dim", 0)),
-            )
-        elif variant == "separable":
-            model = SeparableModel(
-                build_dictionary(dicts["state"]),
-                build_dictionary(dicts["input"]),
-                np.asarray(ops["K_x"], dtype=float),
-                np.asarray(ops["K_u"], dtype=float),
-                time_kind,
-            )
-        elif variant == "joint":
-            model = JointModel(
-                build_dictionary(dicts["state"]),
-                joint_dictionary_from_spec(dicts["cross"]),
-                np.asarray(ops["K_x"], dtype=float),
-                np.asarray(ops["K_xu"], dtype=float),
-                time_kind,
-            )
-        elif variant == "bilinear":
-            model = BilinearModel(
-                build_dictionary(dicts["state"]),
-                build_dictionary(dicts["input"]),
-                [np.asarray(K, dtype=float) for K in ops["K_terms"]],
-                time_kind,
-            )
-        elif variant == "eigen":
+        time_kind = payload["time_kind"]
+        input_dim = int(payload.get("input_dim", 0))
+        if cls is EigenModel:
             entry = dicts["eigen"]
-            eigendict = (
-                joint_dictionary_from_spec(entry["spec"])
-                if entry["joint"]
-                else build_dictionary(entry["spec"])
-            )
-            model = EigenModel(
-                eigendict, ops["eigenvalues"], input_dim=int(payload.get("input_dim", 0))
-            )
+            build = joint_dictionary_from_spec if entry["joint"] else build_dictionary
+            model = EigenModel(build(entry["spec"]), ops["eigenvalues"], input_dim=input_dim)
         else:
-            raise ValueError(f"unknown model variant {variant!r}")
+            # the tables to_payload writes from; a cross dictionary is a joint one
+            dictionaries = [(joint_dictionary_from_spec if key == "cross" else build_dictionary)(
+                dicts[key]) for key in cls._payload_dictionaries]
+            operators = [ops[name] for name in cls._payload_operators]
+            extra = {"input_dim": input_dim} if cls is AffineModel else {}
+            model = cls(*dictionaries, *operators, time_kind, **extra)
     except KeyError as exc:
         raise ValueError(f"model payload for {variant!r} is missing field {exc}") from None
-    model._restore_metadata(payload.get("metadata", {}))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"model payload for {variant!r} is malformed: {exc}") from None
+    meta = payload.get("metadata", {})
+    if not isinstance(meta, dict):
+        raise ValueError("model payload field 'metadata' must be an object")
+    model._restore_metadata(meta)
     return model
 
 

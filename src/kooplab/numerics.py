@@ -144,8 +144,8 @@ def solve_least_squares(A, B, ridge: float = 0.0, *, _conditioning: dict | None 
         )
     if A.shape[0] == 0 or A.shape[1] == 0:
         raise ValueError("A must have at least one row and one column")
-    if not np.isscalar(ridge) or ridge < 0:
-        raise ValueError(f"ridge must be a nonnegative scalar, got {ridge!r}")
+    if not np.isscalar(ridge) or not 0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be a finite nonnegative scalar, got {ridge!r}")
 
     n = A.shape[1]
     if ridge > 0.0:

@@ -289,16 +289,7 @@ def rbf(dim=None, centers=None, width=1.0, n_centers=None, region=None, seed=0) 
         raise ValueError("rbf needs either explicit centers or (n_centers, region)")
     if dim is not None and dim != len(region):
         raise ValueError("region length must equal dim")
-    pts = _latin_hypercube(n_centers, region, seed)
-    return RbfDictionary(
-        pts,
-        width,
-        spec={
-            "kind": "rbf",
-            "centers": pts.tolist(),
-            "width": float(width),
-        },
-    )
+    return RbfDictionary(_latin_hypercube(n_centers, region, seed), width)
 
 
 class CompositeDictionary(Dictionary):

@@ -682,3 +682,124 @@ class TestDemo:
         cli.cmd_demo("corollary1-obstruction", out_dir=tmp_path / "b")
         for name in ("interpretation.txt", "reports.json", "reports.npz", "summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def duffing_raw(out_dir):
+    """A three-role Duffing config at a small size."""
+    return {
+        "schema_version": 1,
+        "system": {"name": "duffing-forced", "params": {"delta": 0.3}},
+        "grid": {"points_per_axis": 3},
+        "dataset": {"n_samples": 80, "seed": 2, "dt": 0.05, "kind": "discrete-pairs"},
+        "dictionaries": {
+            "state": {"kind": "monomials", "dim": 2, "max_degree": 3, "include_constant": False},
+            "input": {"kind": "identity", "dim": 1, "var_prefix": "u"},
+            "cross": {"kind": "monomial-joint", "state_dim": 2, "input_dim": 1,
+                      "state_degree": 2, "input_degree": 1},
+        },
+        "formulations": ["affine", "separable", "joint"],
+        "tolerance": 1e-6,
+        "out_dir": str(out_dir),
+    }
+
+
+class TestOneBuildPerCommand:
+    """The config keeps the system and dictionaries it built to validate itself."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        import kooplab.config as config_module
+
+        calls = {"system": [], "dictionary": [], "joint": []}
+
+        def counted(kind, build):
+            def wrapper(*args, **kwargs):
+                calls[kind].append(args[0])
+                return build(*args, **kwargs)
+            return wrapper
+
+        for kind, name in (("system", "builtin_system"), ("dictionary", "build_dictionary"),
+                           ("joint", "joint_dictionary_from_spec")):
+            monkeypatch.setattr(config_module, name, counted(kind, getattr(config_module, name)))
+        return calls
+
+    def test_each_command_builds_the_system_and_each_role_once(self, tmp_path, builds, capsys):
+        import json
+
+        raw = duffing_raw(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        commands = [
+            ["simulate", "--config", str(path)],
+            ["fit", "--config", str(path), "--dataset", str(tmp_path / "dataset.csv")],
+            ["check", "--config", str(path), "--model", str(tmp_path / "model-joint.json")],
+            ["compare", "--config", str(path), "--out", str(tmp_path / "compare")],
+        ]
+        specs = raw["dictionaries"]
+        for argv in commands:
+            for calls in builds.values():
+                calls.clear()
+            assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_FAILURE), argv
+            assert builds["system"] == ["duffing-forced"], argv[0]
+            assert builds["dictionary"] == [specs["state"], specs["input"]], argv[0]
+            assert builds["joint"] == [specs["cross"]], argv[0]
+
+    def test_repeated_calls_hand_out_the_same_objects(self, tmp_path, builds):
+        cfg = parse_config(duffing_raw(tmp_path))
+        assert cfg.build_system() is cfg.build_system()
+        assert cfg.build_grid() is cfg.build_grid()
+        for role in ("state", "input", "cross"):
+            assert cfg.dictionary(role) is cfg.dictionary(role)
+        assert len(builds["system"]) == 1
+        assert len(builds["dictionary"]) + len(builds["joint"]) == 3
+
+    def test_built_objects_are_derived_not_parameters(self):
+        from kooplab.config import ExperimentConfig
+
+        with pytest.raises(TypeError):
+            ExperimentConfig(system_name="linear", _built={})
+        cfg = ExperimentConfig(system_name="linear")
+        assert cfg.build_system() is cfg.build_system()
+        assert cfg == ExperimentConfig(system_name="linear")
+        assert "_built" not in repr(cfg)
+
+    def test_default_boxes_feed_grid_and_dataset_alike(self, tmp_path):
+        cfg = parse_config({**duffing_raw(tmp_path), "grid": {"points_per_axis": 2}})
+        state_box, input_box = cfg.sampling_regions()
+        assert state_box == [(-2.0, 2.0)] * 2 and input_box == [(-1.0, 1.0)]
+        grid = cfg.build_grid()
+        assert grid.states.min() == -2.0 and grid.states.max() == 2.0
+        assert grid.inputs.min() == -1.0 and grid.inputs.max() == 1.0
+
+
+class TestMalformedModelFile:
+    @pytest.fixture
+    def joint_model(self, tmp_path):
+        import json
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(linear_raw(tmp_path, formulations=["joint"])))
+        assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
+        assert cli.main(["fit", "--config", str(path), "--dataset",
+                         str(tmp_path / "dataset.csv")]) == cli.EXIT_OK
+        return path, tmp_path / "model-joint.json"
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda p: p.pop("time_kind"), "time_kind"),
+        (lambda p: p["dictionaries"].pop("cross"), "cross"),
+        (lambda p: p["operators"].pop("K_xu"), "K_xu"),
+        (lambda p: p["metadata"].update(ridge=None), "ridge"),
+    ])
+    def test_check_exits_1_naming_the_field(self, joint_model, capsys, edit, field):
+        import json
+
+        config, model = joint_model
+        payload = json.loads(model.read_text())
+        edit(payload)
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        rc = cli.main(["check", "--config", str(config), "--model", str(model)])
+        assert rc == cli.EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert repr(field) in err

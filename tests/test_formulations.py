@@ -1,6 +1,9 @@
 """Formulation fits: exact recoveries, error contracts, predictions, payloads,
 and the point-or-stack contract of fitted models."""
 
+import copy
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +32,7 @@ from kooplab.formulations import (
     model_residual,
     model_to_payload,
     predict_step,
+    VARIANTS,
     rollout,
     save_model,
 )
@@ -561,6 +565,72 @@ class TestSerialization:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
             model_from_payload({"schema_version": 1, "variant": "spectral", "time_kind": "discrete"})
+
+
+def payload_models():
+    """One fitted model of each variant, all with spec-backed dictionaries."""
+    pairs = generate_dataset(bilinear_discrete(0.9, 0.1), 100, seed=1)
+    bilinear = fit_bilinear(pairs, identity(1), monomials(1, 1, var_prefix="u"))
+    decay = generate_dataset(linear_system([[-0.3]], [[0.0]]), 50, "zero", seed=0,
+                             kind="continuous-derivative")
+    return [
+        fit_affine(scalar_linear_pairs(), identity(1)),
+        fit_separable(pairs, identity(1), identity(1, var_prefix="u")),
+        fit_joint(pairs, identity(1), build_joint_dictionary(1, 1, 1, 1)),
+        bilinear,
+        fit_eigen(decay, identity(1)),
+    ]
+
+
+class TestMalformedPayload:
+    """A model file missing a field, or holding a badly typed one, raises
+    ValueError naming the field; the CLI turns that into exit 1."""
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_every_missing_field_is_named(self, index):
+        payload = model_to_payload(payload_models()[index])
+        removals = [((), "time_kind")]
+        removals += [(("dictionaries",), key) for key in payload["dictionaries"]]
+        removals += [(("operators",), key) for key in payload["operators"]]
+        assert len(removals) >= 3
+        for where, key in removals:
+            broken = copy.deepcopy(payload)
+            section = broken
+            for name in where:
+                section = section[name]
+            del section[key]
+            with pytest.raises(ValueError, match=re.escape(repr(key))):
+                model_from_payload(broken)
+
+    def test_all_five_variants_are_covered(self):
+        assert [m.variant for m in payload_models()] == list(VARIANTS)
+
+    @pytest.mark.parametrize("key, value", [("ridge", None), ("ridge", "high"),
+                                            ("notes", 5), ("notes", None)])
+    def test_badly_typed_metadata_is_named(self, key, value):
+        payload = model_to_payload(payload_models()[0])
+        payload["metadata"][key] = value
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            model_from_payload(payload)
+
+    def test_non_object_metadata_rejected(self):
+        payload = model_to_payload(payload_models()[0])
+        payload["metadata"] = [1, 2]
+        with pytest.raises(ValueError, match="metadata"):
+            model_from_payload(payload)
+
+    def test_badly_typed_operator_is_a_value_error(self):
+        payload = model_to_payload(payload_models()[3])
+        payload["operators"]["K_terms"] = 5
+        with pytest.raises(ValueError, match="bilinear"):
+            model_from_payload(payload)
+
+    def test_metadata_round_trips_through_the_table(self):
+        for model in payload_models():
+            model.notes.append("a note")
+            back = model_from_payload(model_to_payload(model))
+            assert back._metadata() == model._metadata()
+            assert back.notes is not model.notes
 
 
 class TestDesignConditioning:

@@ -96,6 +96,12 @@ class TestSolveLeastSquares:
         with pytest.raises(ValueError, match="ridge"):
             solve_least_squares(np.eye(2), np.ones(2), ridge=-1.0)
 
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf])
+    def test_non_finite_ridge_rejected(self, ridge):
+        # NaN compares false both ways, so a sign test alone lets it through
+        with pytest.raises(ValueError, match="ridge"):
+            solve_least_squares(np.eye(2), np.ones(2), ridge=ridge)
+
     def test_vector_rhs_shape(self):
         x = solve_least_squares(np.eye(2), np.ones(2))
         assert x.shape == (2,)
