@@ -553,23 +553,30 @@ def cmd_compare(cfg) -> int:
 # -- demos ------------------------------------------------------------------------
 
 
+def _demo_config(out: Path, seed: int, raw: dict):
+    """A demo's validated config: its own sections, with the seed in its dataset,
+    its artifacts in `out`, and tolerance 1e-8 unless it sets one."""
+    from .config import parse_config
+
+    if "dataset" in raw:
+        raw["dataset"]["seed"] = seed
+    return parse_config({"schema_version": 1, "tolerance": 1e-8, **raw, "out_dir": str(out)})
+
+
 def _demo_corollary1(out: Path, seed: int) -> str:
     """State-inclusive separable lifting is obstructed by a cross term."""
-    from .config import parse_config
     from .consistency import check_corollary1, check_corollary4
     from .dynamics import discretize
     from .formulations import fit_separable
 
-    cfg = parse_config({
-        "schema_version": 1,
+    cfg = _demo_config(out, seed, {
         "system": {"name": "bilinear-scalar", "params": {"a": -1.0, "b": 1.0}},
-        "dataset": {"n_samples": 400, "seed": seed, "kind": "continuous-derivative"},
+        "dataset": {"n_samples": 400, "kind": "continuous-derivative"},
         "dictionaries": {
             "state": {"kind": "identity", "dim": 1},
             "input": {"kind": "identity", "dim": 1, "var_prefix": "u"},
         },
         "tolerance": 1e-6,
-        "out_dir": str(out),
     })
     system = cfg.build_system()
     dict_x, grid = cfg.dictionary("state"), cfg.build_grid()
@@ -601,12 +608,9 @@ def _demo_corollary1(out: Path, seed: int) -> str:
 
 def _demo_joint_rescue(out: Path, seed: int) -> str:
     """A cross dictionary turns an unfittable bilinear map into an exact fit."""
-    from .config import parse_config
-
-    cfg = parse_config({
-        "schema_version": 1,
+    cfg = _demo_config(out, seed, {
         "system": {"name": "bilinear-discrete", "params": {"alpha": 0.9, "beta": 0.1}},
-        "dataset": {"n_samples": 400, "seed": seed, "control_kind": "uniform-random"},
+        "dataset": {"n_samples": 400, "control_kind": "uniform-random"},
         "dictionaries": {
             "state": {"kind": "identity", "dim": 1},
             "input": {"kind": "identity", "dim": 1, "var_prefix": "u"},
@@ -614,8 +618,6 @@ def _demo_joint_rescue(out: Path, seed: int) -> str:
                       "state_degree": 1, "input_degree": 1},
         },
         "formulations": ["separable", "joint"],
-        "tolerance": 1e-8,
-        "out_dir": str(out),
     })
     rows = _compare_pipeline(cfg, out)
     _write_comparison_csv(rows, out / "comparison.csv")
@@ -649,17 +651,15 @@ def _demo_kaiser(out: Path, seed: int) -> str:
     """Fit a diagonal eigen model and detect a perturbed eigenvalue."""
     import numpy as np
 
-    from .config import parse_config
     from .consistency import check_kaiser
     from .formulations import fit_eigen, save_model
 
     mu, lam = -0.05, -1.0
     b = lam / (lam - 2.0 * mu)
-    cfg = parse_config({
-        "schema_version": 1,
+    cfg = _demo_config(out, seed, {
         "system": {"name": "slow-manifold", "params": {"mu": mu, "lam": lam}},
         "grid": {"zero_input": True},
-        "dataset": {"n_samples": 300, "seed": seed, "control_kind": "zero",
+        "dataset": {"n_samples": 300, "control_kind": "zero",
                     "kind": "continuous-derivative"},
         "dictionaries": {
             "state": {
@@ -671,8 +671,6 @@ def _demo_kaiser(out: Path, seed: int) -> str:
                 "names": ["phi1", "phi2"],
             },
         },
-        "tolerance": 1e-8,
-        "out_dir": str(out),
     })
     system = cfg.build_system()
     eigendict = cfg.dictionary("state")
@@ -708,20 +706,16 @@ def _demo_williams(out: Path, seed: int) -> str:
     """An input-parameterized operator family equals a joint-dictionary lift."""
     import numpy as np
 
-    from .config import parse_config
     from .formulations import bilinear_to_joint, fit_bilinear, predict_step, save_model
 
-    cfg = parse_config({
-        "schema_version": 1,
+    cfg = _demo_config(out, seed, {
         "system": {"name": "bilinear-discrete", "params": {"alpha": 0.9, "beta": 0.1}},
-        "dataset": {"n_samples": 400, "seed": seed, "control_kind": "uniform-random"},
+        "dataset": {"n_samples": 400, "control_kind": "uniform-random"},
         "dictionaries": {
             "state": {"kind": "identity", "dim": 1},
             "input": {"kind": "monomials", "dim": 1, "max_degree": 1,
                       "include_constant": True, "var_prefix": "u"},
         },
-        "tolerance": 1e-8,
-        "out_dir": str(out),
     })
     system = cfg.build_system()
     data = _generate(cfg)
@@ -760,18 +754,14 @@ def _demo_williams(out: Path, seed: int) -> str:
 
 def _demo_gxfu(out: Path, seed: int) -> str:
     """Pairwise independence probes a state-dependent input gain."""
-    from .config import parse_config
     from .consistency import check_corollary2
 
-    cfg = parse_config({
-        "schema_version": 1,
+    cfg = _demo_config(out, seed, {
         "system": {"name": "duffing-forced", "params": {"delta": 0.5}},
         "dictionaries": {
             "state": {"kind": "monomials", "dim": 2, "max_degree": 2,
                       "include_constant": False},
         },
-        "tolerance": 1e-8,
-        "out_dir": str(out),
     })
     system = cfg.build_system()
     grid = cfg.build_grid()

@@ -241,9 +241,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _field(raw, "", "schema_version", lambda v: v == CONFIG_SCHEMA_VERSION,
            f"expected {CONFIG_SCHEMA_VERSION}, got {{!r}}", None)
 
-    system_sec = _section(raw.get("system"), "system")
+    system_sec = _section(raw.get("system"), "system", ("name", "params"))
     name = _field(system_sec, "system", "name", lambda v: isinstance(v, str), "expected a string")
     params = _section(system_sec.get("params", {}), "system.params")
+    for key in params:
+        _field(params, "system.params", key, _is_real, "expected a finite number, got {!r}")
     cfg = ExperimentConfig(system_name=name, system_params=dict(params))
     try:
         system = cfg.build_system()

@@ -36,7 +36,7 @@ import numpy as np
 
 from .dynamics import ControlledSystem, EvaluationGrid
 from .formulations import VARIANTS, bilinear_to_joint
-from .numerics import _mv, _stacked
+from .numerics import _mv, _read_only, _stacked
 from .observables import Dictionary, JointDictionary
 
 __all__ = [
@@ -180,7 +180,8 @@ class ConsistencyReport:
     points maps role names to aligned (P, dim) arrays; the roles depend on
     the condition ("x", "u" for grid conditions, "x1"/"x2"/"u1"/"u2" for
     the pairwise ones). verdict is consistent iff max_residual <= tolerance;
-    a non-finite residual raises ValueError, since such a field has no verdict.
+    a non-finite residual, or a tolerance that is not positive and finite,
+    raises ValueError, since such a field has no verdict.
     """
 
     condition: str
@@ -193,6 +194,8 @@ class ConsistencyReport:
     def __post_init__(self):
         if self.condition not in CONDITION_IDS:
             raise ValueError(f"unknown condition id {self.condition!r}")
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
         self.residuals = np.asarray(self.residuals, dtype=float).ravel()
         if self.residuals.size == 0:
             raise ValueError("a report needs at least one evaluation point")
@@ -283,13 +286,6 @@ def _norms(R) -> np.ndarray:
     return np.abs(R).max(axis=tuple(range(1, R.ndim)), initial=0.0)
 
 
-def _frozen(a) -> np.ndarray:
-    """A read-only view, so that one family cannot change another's ingredient."""
-    a = a.view()
-    a.flags.writeable = False
-    return a
-
-
 class _Ingredients:
     """The stacks that the conditions of one check share, for one (system, grid).
 
@@ -304,7 +300,8 @@ class _Ingredients:
     def __init__(self, system: ControlledSystem, grid: EvaluationGrid):
         self.system, self.grid = system, grid
         self._stacks = {}
-        self.product = (_frozen(self.per_state(grid.states)), _frozen(self.per_input(grid.inputs)))
+        self.product = (_read_only(self.per_state(grid.states)),
+                        _read_only(self.per_input(grid.inputs)))
         self.xu = dict(zip("xu", self.product))  # report points; each report copies the dict
 
     def per_state(self, A) -> np.ndarray:
@@ -330,7 +327,7 @@ class _Ingredients:
 
     def _memo(self, key, compute) -> np.ndarray:
         if key not in self._stacks:
-            self._stacks[key] = _frozen(compute())
+            self._stacks[key] = _read_only(compute())
         return self._stacks[key]
 
     def at(self, fn, where) -> np.ndarray:
@@ -896,23 +893,8 @@ def check_model(system: ControlledSystem, model, grid: EvaluationGrid,
     propagate, and each requested id yields one report. seed drives the
     pairwise samples. All families read one ingredient object per call.
     """
-    ing = _Ingredients(system, grid)
-    if conditions is None:
-        families = _families(cid for cid, c in CONDITIONS.items() if c.applies(model))
-        subsumed = {f for family in families for f in _SUBSUMED.get(family, ())}
-        reports, skipped = [], []
-        for family in families:
-            if family in subsumed:
-                continue
-            try:
-                reports.extend(_FAMILY_CHECKS[family](system, model, ing, tolerance, seed))
-            except (HypothesisViolationError, InapplicableConditionError) as exc:
-                skipped.append((family, str(exc)))
-        if getattr(model, "joint_observables", False):
-            skipped.append(("DEF1", "input-rate signal unavailable in batch mode"))
-        return reports, skipped
-
-    for cid in conditions:
+    strict = conditions is not None
+    for cid in conditions or ():
         if cid not in CONDITIONS:
             raise ValueError(f"unknown condition id {cid!r}")
         if not CONDITIONS[cid].applies(model):
@@ -920,15 +902,34 @@ def check_model(system: ControlledSystem, model, grid: EvaluationGrid,
                 f"condition {cid} requires {CONDITIONS[cid].requirement}; the loaded "
                 f"model is a {model.time_kind}-time {model.variant} model"
             )
-    # subsumed families run too, enforcing their own hypotheses; shared ids are kept once
-    reports = {}
-    for family in _families(conditions):
-        for r in _FAMILY_CHECKS[family](system, model, ing, tolerance, seed):
-            reports.setdefault(r.condition, r)
-    return [r for cid, r in reports.items() if cid in conditions], []
+    if not strict:
+        conditions = [cid for cid, c in CONDITIONS.items() if c.applies(model)]
+    families = _families(conditions)
+    # requested ids run subsumed families too, enforcing their own hypotheses
+    subsumed = () if strict else {f for family in families for f in _SUBSUMED.get(family, ())}
+    ing = _Ingredients(system, grid)
+    reports, skipped = {}, []  # shared ids are kept once
+    for family in families:
+        if family in subsumed:
+            continue
+        try:
+            for r in _FAMILY_CHECKS[family](system, model, ing, tolerance, seed):
+                reports.setdefault(r.condition, r)
+        except (HypothesisViolationError, InapplicableConditionError) as exc:
+            if strict:
+                raise
+            skipped.append((family, str(exc)))
+    if not strict and getattr(model, "joint_observables", False):
+        skipped.append(("DEF1", "input-rate signal unavailable in batch mode"))
+    return [r for cid, r in reports.items() if cid in conditions], skipped
 
 
 # -- summaries and serialization ---------------------------------------------------
+
+# summary.csv columns, and those of them written with repr and read back as floats
+_SUMMARY_FIELDS = ("condition", "max_residual", "mean_residual", "argmax",
+                   "verdict", "tolerance", "note")
+_SUMMARY_FLOATS = ("max_residual", "mean_residual", "tolerance")
 
 
 @dataclass
@@ -940,18 +941,11 @@ class ConsistencySummary:
     qualifier: str = NECESSITY_QUALIFIER
 
     def to_rows(self) -> list[dict]:
-        rows = []
-        for r in self.reports:
-            rows.append({
-                "condition": r.condition,
-                "max_residual": r.max_residual,
-                "mean_residual": r.mean_residual,
-                "argmax": _format_point(r.argmax_point),
-                "verdict": r.verdict,
-                "tolerance": r.tolerance,
-                "note": r.note or "",
-            })
-        return rows
+        """One summary.csv row per report, read off its JSON summary."""
+        rows = [r.to_dict() for r in self.reports]
+        for d in rows:
+            d.update(argmax=_format_point(d["argmax_point"]), note=d["note"] or "")
+        return [{key: d[key] for key in _SUMMARY_FIELDS} for d in rows]
 
     def to_text(self) -> str:
         rows = self.to_rows()
@@ -1103,21 +1097,13 @@ def read_reports_json(path) -> list[ConsistencyReport]:
     return reports
 
 
-_SUMMARY_FIELDS = ("condition", "max_residual", "mean_residual", "argmax",
-                   "verdict", "tolerance", "note")
-
-
 def write_summary_csv(summary: ConsistencySummary, path) -> Path:
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_SUMMARY_FIELDS)
         writer.writeheader()
         for row in summary.to_rows():
-            row = dict(row)
-            row["max_residual"] = repr(row["max_residual"])
-            row["mean_residual"] = repr(row["mean_residual"])
-            row["tolerance"] = repr(row["tolerance"])
-            writer.writerow(row)
+            writer.writerow({**row, **{key: repr(row[key]) for key in _SUMMARY_FLOATS}})
     return path
 
 
@@ -1125,15 +1111,5 @@ def read_summary_csv(path) -> list[dict]:
     """Rows with numeric fields parsed and argmax decoded to arrays."""
     with Path(path).open(newline="") as fh:
         rows = list(csv.DictReader(fh))
-    out = []
-    for row in rows:
-        out.append({
-            "condition": row["condition"],
-            "max_residual": float(row["max_residual"]),
-            "mean_residual": float(row["mean_residual"]),
-            "argmax": _parse_point(row["argmax"]),
-            "verdict": row["verdict"],
-            "tolerance": float(row["tolerance"]),
-            "note": row["note"],
-        })
-    return out
+    return [{**row, **{key: float(row[key]) for key in _SUMMARY_FLOATS},
+             "argmax": _parse_point(row["argmax"])} for row in rows]

@@ -24,6 +24,7 @@ from .numerics import (
     _aligned_rows,
     _as_rows,
     _Broadcast,
+    _read_only,
     _stacked,
     _unstack,
     finite_difference_jacobian,
@@ -581,8 +582,9 @@ def simulate(
         except ValueError:
             diverged = True
             break
-        if np.linalg.norm(x_next) > divergence_bound:
-            diverged = True
+        with np.errstate(over="ignore"):  # a norm past float range reads inf: diverged
+            diverged = bool(np.linalg.norm(x_next) > divergence_bound)
+        if diverged:
             break
         x = x_next
         times.append((k + 1) * dt)
@@ -621,11 +623,6 @@ def _rk4_map_jacobians(system: ControlledSystem, X, U, dt: float):
     stages = []
     rk4_step(system.field, X, U, 0.0, dt, _stages=stages)
     return _rk4_stage_jacobians(system, stages[0], U, dt)
-
-
-def _read_only(a) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 class _RK4Map(ControlledSystem):

@@ -22,6 +22,9 @@ fit evaluates each dictionary once on the whole dataset.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from .dynamics import SnapshotDataset
@@ -66,7 +69,9 @@ MODEL_SCHEMA_VERSION = 1
 VARIANTS = ("affine", "separable", "joint", "bilinear", "eigen")
 
 
-# fit metadata saved with a model: key -> (default on load, conversion or None)
+# fit metadata saved with a model: key -> (default on a new or loaded model,
+# conversion or None); design_* describe the regression's design matrix, set by
+# fits that solve one stacked regression ("ridge-augmented" when ridge > 0)
 _METADATA = {
     "training_residual": (None, None),
     "n_samples": (None, None),
@@ -101,19 +106,7 @@ class KoopmanModel:
         self.time_kind = time_kind
         self.state_dim = int(state_dim)
         self.input_dim = int(input_dim)
-        # fit metadata
-        self.training_residual: float | None = None
-        self.n_samples: int | None = None
-        self.ridge: float = 0.0
-        self.fully_identified: bool = True
-        self.notes: list[str] = []
-        self.dt: float | None = None
-        self.system_name: str = ""
-        # conditioning of the regression's design matrix, set by fits that
-        # solve one stacked regression; "ridge-augmented" when ridge > 0
-        self.design_rank: int | None = None
-        self.design_condition: float | None = None
-        self.design_matrix: str | None = None
+        self._restore_metadata({})  # every fit-metadata field at its default
 
     # -- time-kind guards ----------------------------------------------------
 
@@ -210,6 +203,14 @@ class KoopmanModel:
         )
 
 
+def _operator(K, name: str, rows: int, cols: int | None) -> np.ndarray:
+    """K as a float matrix of shape rows x cols (any column count when cols is None)."""
+    K = np.asarray(K, dtype=float)
+    if K.ndim != 2 or K.shape[0] != rows or cols not in (None, K.shape[1]):
+        raise ValueError(f"{name} must be {rows}x{'m' if cols is None else cols}, got {K.shape}")
+    return K
+
+
 def _require_spec(d, what: str):
     if d.spec is None:
         raise ValueError(
@@ -231,14 +232,10 @@ class AffineModel(KoopmanModel):
     _payload_operators = ("K", "B")
 
     def __init__(self, dictionary: Dictionary, K, B, time_kind: str, input_dim: int | None = None):
-        K = np.asarray(K, dtype=float)
         N = dictionary.size
-        if K.shape != (N, N):
-            raise ValueError(f"K must be {N}x{N} for this dictionary, got {K.shape}")
+        K = _operator(K, "K", N, N)
         if B is not None:
-            B = np.asarray(B, dtype=float)
-            if B.ndim != 2 or B.shape[0] != N:
-                raise ValueError(f"B must have {N} rows, got shape {B.shape}")
+            B = _operator(B, "B", N, None)
             input_dim = B.shape[1]
         elif input_dim is None:
             input_dim = 0
@@ -270,12 +267,8 @@ class SeparableModel(KoopmanModel):
     _payload_operators = ("K_x", "K_u")
 
     def __init__(self, dict_x: Dictionary, dict_u: Dictionary, K_x, K_u, time_kind: str):
-        K_x = np.asarray(K_x, dtype=float)
-        K_u = np.asarray(K_u, dtype=float)
-        if K_x.shape != (dict_x.size, dict_x.size):
-            raise ValueError(f"K_x must be {dict_x.size}x{dict_x.size}, got {K_x.shape}")
-        if K_u.shape != (dict_x.size, dict_u.size):
-            raise ValueError(f"K_u must be {dict_x.size}x{dict_u.size}, got {K_u.shape}")
+        K_x = _operator(K_x, "K_x", dict_x.size, dict_x.size)
+        K_u = _operator(K_u, "K_u", dict_x.size, dict_u.size)
         super().__init__(time_kind, dict_x.input_dim, dict_u.input_dim)
         self.dict_x = dict_x
         self.dict_u = dict_u
@@ -300,12 +293,8 @@ class JointModel(KoopmanModel):
     _payload_operators = ("K_x", "K_xu")
 
     def __init__(self, dict_x: Dictionary, dict_xu: JointDictionary, K_x, K_xu, time_kind: str):
-        K_x = np.asarray(K_x, dtype=float)
-        K_xu = np.asarray(K_xu, dtype=float)
-        if K_x.shape != (dict_x.size, dict_x.size):
-            raise ValueError(f"K_x must be {dict_x.size}x{dict_x.size}, got {K_x.shape}")
-        if K_xu.shape != (dict_x.size, dict_xu.size):
-            raise ValueError(f"K_xu must be {dict_x.size}x{dict_xu.size}, got {K_xu.shape}")
+        K_x = _operator(K_x, "K_x", dict_x.size, dict_x.size)
+        K_xu = _operator(K_xu, "K_xu", dict_x.size, dict_xu.size)
         if dict_xu.state_dim != dict_x.input_dim:
             raise ValueError("state and cross dictionaries disagree on state dimension")
         super().__init__(time_kind, dict_x.input_dim, dict_xu.input_dim)
@@ -332,16 +321,13 @@ class BilinearModel(KoopmanModel):
     _payload_operators = ("K_terms",)
 
     def __init__(self, dict_x: Dictionary, dict_u: Dictionary, K_terms, time_kind: str):
-        K_terms = [np.asarray(K, dtype=float) for K in K_terms]
-        N = dict_x.size
+        K_terms = [_operator(K, f"K_terms[{i}]", dict_x.size, dict_x.size)
+                   for i, K in enumerate(K_terms)]
         if len(K_terms) != dict_u.size:
             raise ValueError(
                 f"need one operator term per input observable "
                 f"({dict_u.size}), got {len(K_terms)}"
             )
-        for i, K in enumerate(K_terms):
-            if K.shape != (N, N):
-                raise ValueError(f"K_terms[{i}] must be {N}x{N}, got {K.shape}")
         super().__init__(time_kind, dict_x.input_dim, dict_u.input_dim)
         self.dict_x = dict_x
         self.dict_u = dict_u
@@ -447,19 +433,12 @@ def _lift_targets(data: SnapshotDataset, dict_x: Dictionary) -> np.ndarray:
     return _mv(dict_x.jacobian(data.X), data.Y)
 
 
-def _check_data_dims(data: SnapshotDataset, dict_x: Dictionary):
-    if dict_x.input_dim != data.state_dim:
+def _check_dims(dictionary: Dictionary, role: str, data_dim: int):
+    """A state or input dictionary must be over the data's state or input space."""
+    if dictionary.input_dim != data_dim:
         raise ValueError(
-            f"state dictionary is over R^{dict_x.input_dim} but data has "
-            f"state dimension {data.state_dim}"
-        )
-
-
-def _check_input_dims(data: SnapshotDataset, dict_u: Dictionary):
-    if dict_u.input_dim != data.input_dim:
-        raise ValueError(
-            f"input dictionary is over R^{dict_u.input_dim} but data has "
-            f"input dimension {data.input_dim}"
+            f"{role} dictionary is over R^{dictionary.input_dim} but data has "
+            f"{role} dimension {data_dim}"
         )
 
 
@@ -534,7 +513,7 @@ def fit_affine(data: SnapshotDataset, dict_x: Dictionary, ridge: float = 0.0) ->
     Raises a rank error when the inputs are identically zero: the B columns
     are then unidentifiable (fit with ridge > 0 or excite the input).
     """
-    _check_data_dims(data, dict_x)
+    _check_dims(dict_x, "state", data.state_dim)
     N, m = data.n_samples, data.input_dim
     _require_samples(N, dict_x.size + m, "the affine fit")
     Psi = dict_x.evaluate(data.X)
@@ -549,13 +528,13 @@ def fit_affine(data: SnapshotDataset, dict_x: Dictionary, ridge: float = 0.0) ->
 def fit_separable(data: SnapshotDataset, dict_x: Dictionary, dict_u: Dictionary,
                   ridge: float = 0.0) -> SeparableModel:
     """Joint least squares over [K_x | K_u] with independent input observables."""
-    _check_data_dims(data, dict_x)
+    _check_dims(dict_x, "state", data.state_dim)
     if not dict_u.zero_at_zero:
         raise ValueError(
             "input dictionary must vanish at u = 0; wrap it with "
             "subtract_value_at_zero or drop the constant"
         )
-    _check_input_dims(data, dict_u)
+    _check_dims(dict_u, "input", data.input_dim)
     _require_samples(data.n_samples, dict_x.size + dict_u.size, "the separable fit")
     return _fit_blocks(
         data, dict_x, [dict_x.evaluate(data.X), dict_u.evaluate(data.U)], ridge,
@@ -581,7 +560,7 @@ def fit_joint(data: SnapshotDataset, dict_x: Dictionary, dict_xu: JointDictionar
     actuated samples with K_x frozen. With no actuated samples K_xu is left
     at zero and the model is flagged not fully identified.
     """
-    _check_data_dims(data, dict_x)
+    _check_dims(dict_x, "state", data.state_dim)
     if dict_xu.state_dim != data.state_dim or dict_xu.input_dim != data.input_dim:
         raise ValueError(
             f"cross dictionary is over R^{dict_xu.state_dim} x R^{dict_xu.input_dim} "
@@ -637,13 +616,13 @@ def fit_bilinear(data: SnapshotDataset, dict_x: Dictionary, dict_u: Dictionary,
     combined operator K(u0) is identifiable; the fit then falls back to the
     minimum-norm split across the K_i and flags the model accordingly.
     """
-    _check_data_dims(data, dict_x)
+    _check_dims(dict_x, "state", data.state_dim)
     if dict_u.constant_index is None:
         raise ValueError(
             "input dictionary must contain the constant function so the "
             "zero-input operator K(0) is representable"
         )
-    _check_input_dims(data, dict_u)
+    _check_dims(dict_u, "input", data.input_dim)
     _require_samples(data.n_samples, dict_x.size * dict_u.size, "the bilinear fit")
     Psi_x = dict_x.evaluate(data.X)
     Psi_u = dict_u.evaluate(data.U)
@@ -892,16 +871,10 @@ def model_from_payload(payload: dict) -> KoopmanModel:
 
 
 def save_model(model: KoopmanModel, path) -> None:
-    import json
-    from pathlib import Path
-
     Path(path).write_text(
         json.dumps(model_to_payload(model), indent=2, sort_keys=True) + "\n"
     )
 
 
 def load_model(path):
-    import json
-    from pathlib import Path
-
     return model_from_payload(json.loads(Path(path).read_text()))

@@ -76,6 +76,13 @@ def _unstack(values, single: bool):
     return values[0] if single else values
 
 
+def _read_only(a) -> np.ndarray:
+    """A read-only view of a, so that no holder of a shared array can change it."""
+    a = a.view()
+    a.flags.writeable = False
+    return a
+
+
 def _mv(A, v) -> np.ndarray:
     """A @ v per point: one shared or (P, ...) stacked matrices times one
     vector or (P, ...) stacked vectors; equal to per-row A @ v bit for bit."""

@@ -21,6 +21,7 @@ adapter of `numerics`.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from numbers import Integral
 
 import numpy as np
 
@@ -454,29 +455,39 @@ def subtract_value_at_zero(dictionary: Dictionary) -> ShiftedDictionary:
     return ShiftedDictionary(dictionary)
 
 
+_SPEC_TYPES = {int: (Integral, "an integer"), bool: (bool, "a boolean"), str: (str, "a string")}
+
+
+def _spec_field(spec: dict, key: str, kind: type, *default):
+    """spec[key], or the default (when given) if it is absent. The value must be of
+    `kind`, and a bool is no integer; else ValueError names the field."""
+    value = spec.get(key, *default) if default else spec[key]
+    types, what = _SPEC_TYPES[kind]
+    if not isinstance(value, types) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"dictionary spec field {key!r} must be {what}, got {value!r}")
+    return kind(value)
+
+
 def build_dictionary(spec: dict) -> Dictionary:
     """Rebuild a dictionary from its JSON spec (see Dictionary.spec)."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError(f"dictionary spec must be a dict with a 'kind' key, got {spec!r}")
     kind = spec["kind"]
     try:
-        if kind == "monomials":
-            return monomials(
-                int(spec["dim"]),
-                int(spec["max_degree"]),
-                bool(spec.get("include_constant", True)),
-                str(spec.get("var_prefix", "x")),
-            )
-        if kind == "identity":
-            return identity(int(spec["dim"]), str(spec.get("var_prefix", "x")))
+        if kind in ("monomials", "identity"):
+            dim, prefix = _spec_field(spec, "dim", int), _spec_field(spec, "var_prefix", str, "x")
+            if kind == "identity":
+                return identity(dim, prefix)
+            return monomials(dim, _spec_field(spec, "max_degree", int),
+                             _spec_field(spec, "include_constant", bool, True), prefix)
         if kind == "rbf":
             if "centers" in spec:
                 return RbfDictionary(spec["centers"], float(spec["width"]))
             return rbf(
-                n_centers=int(spec["n_centers"]),
+                n_centers=_spec_field(spec, "n_centers", int),
                 region=[tuple(b) for b in spec["region"]],
                 width=float(spec["width"]),
-                seed=int(spec.get("seed", 0)),
+                seed=_spec_field(spec, "seed", int, 0),
             )
         if kind == "composite":
             return CompositeDictionary([build_dictionary(s) for s in spec["parts"]])
@@ -662,12 +673,8 @@ def joint_dictionary_from_spec(spec: dict) -> JointDictionary:
     kind = spec["kind"]
     try:
         if kind == "monomial-joint":
-            return MonomialJointDictionary(
-                int(spec["state_dim"]),
-                int(spec["input_dim"]),
-                int(spec["state_degree"]),
-                int(spec["input_degree"]),
-            )
+            return MonomialJointDictionary(*(_spec_field(spec, key, int) for key in (
+                "state_dim", "input_dim", "state_degree", "input_degree")))
         if kind == "bilinear-derived":
             return bilinear_cross_dictionary(
                 build_dictionary(spec["state"]),

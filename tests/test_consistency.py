@@ -1431,3 +1431,44 @@ class TestCheckModel:
         with pytest.raises(ValueError, match="unknown condition id 'NOPE'"):
             check_model(system, model, default_grid(system, points_per_axis=3),
                         conditions=["COR6-B", "NOPE"])
+
+
+class TestReportTolerance:
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1e-6], ids=["inf", "nan", "0", "neg"])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            ConsistencyReport("COR1-FXU", tol, {"x": np.zeros((2, 1))}, [0.0, 5.0])
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_library_checks_have_no_verdict_at_a_bad_tolerance(self, tol):
+        # at tolerance inf the cross term used to read consistent, at NaN inconsistent
+        system = builtin_system("bilinear-scalar", a=-1.0, b=1.0)
+        grid = default_grid(system, points_per_axis=3)
+        with pytest.raises(ValueError, match="tolerance"):
+            check_corollary1(system, identity(1), grid, tolerance=tol)
+        model = fit_separable(generate_dataset(system, 100, seed=2, kind="continuous-derivative"),
+                              identity(1), identity(1, var_prefix="u"))
+        with pytest.raises(ValueError, match="tolerance"):
+            check_model(system, model, grid, tolerance=tol)
+
+
+class TestCheckModelModes:
+    def test_explicit_ids_reproduce_the_all_applicable_fields(self):
+        system = bilinear_discrete(0.9, 0.1)
+        data = generate_dataset(system, 200, seed=4)
+        grid = default_grid(system, points_per_axis=4)
+        u_dict = identity(1, var_prefix="u")
+        models = [fit_affine(data, monomials(1, 2)),
+                  fit_separable(data, monomials(1, 2), u_dict),
+                  fit_joint(data, identity(1), xu_joint_dict()),
+                  fit_bilinear(data, identity(1), monomials(1, 1, var_prefix="u"))]
+        for model in models:
+            reports, skipped = check_model(system, model, grid, seed=3)
+            ids = [r.condition for r in reports]
+            assert len(set(ids)) == len(ids)
+            explicit, none = check_model(system, model, grid, seed=3, conditions=ids)
+            assert none == []
+            assert sorted(r.condition for r in explicit) == sorted(ids)
+            fields = {r.condition: r.residuals for r in explicit}
+            for r in reports:
+                np.testing.assert_array_equal(fields[r.condition], r.residuals)

@@ -749,3 +749,24 @@ class TestBilinearDiscreteHelper:
         np.testing.assert_allclose(got, [0.9 * 2.0 + 0.1 * 2.0 * 0.5], atol=0.0)
         validate_decomposition(sys, default_grid(sys, points_per_axis=5))
         validate_jacobians(sys, default_grid(sys, points_per_axis=3))
+
+
+class TestDivergenceGuardWarnings:
+    @pytest.mark.parametrize("bound", [1e6, 1e300])
+    def test_blowup_truncates_without_a_warning(self, bound):
+        import warnings
+
+        blowup = ControlledSystem(
+            "blowup", "continuous", 1, 0,
+            f_x=lambda x: x**3,
+            f_u=lambda u: np.zeros(1),
+            f_xu=lambda x, u: np.zeros(1),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = simulate(blowup, np.array([2.0]), lambda t: np.zeros(0), 0.05, 200,
+                            divergence_bound=bound)
+        # the fifth sample is finite, but its 2-norm is past float range: inf, so diverged
+        assert traj.diverged
+        assert len(traj) == 4
+        assert np.all(np.isfinite(traj.states))

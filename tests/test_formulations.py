@@ -777,3 +777,28 @@ class TestModelStackContract:
         eigen = STACK_MODELS["eigen"]
         assert eigen.observe_jac_u(X, U).shape == (4, eigen.lifted_dim, 1)
         assert eigen.observe_jac_u(X[0], U[0]).shape == (eigen.lifted_dim, 1)
+
+
+class TestMetadataDefaults:
+    @staticmethod
+    def new_models():
+        return [AffineModel(identity(1), [[0.5]], None, "discrete"),
+                AffineModel(identity(1), [[0.5]], [[1.0]], "continuous"),
+                EigenModel(identity(1), [-1.0])]
+
+    def test_every_metadata_key_starts_at_its_default(self):
+        from kooplab.formulations import _METADATA
+
+        for model in self.new_models():
+            for key, (default, _) in _METADATA.items():
+                value = getattr(model, key)
+                assert value == default and type(value) is type(default), (model, key)
+
+    def test_new_models_do_not_share_notes(self):
+        from kooplab.formulations import _METADATA
+
+        models = self.new_models() + self.new_models()
+        models[0].notes.append("only the first model")
+        assert [m.notes for m in models[1:]] == [[]] * (len(models) - 1)
+        assert len({id(m.notes) for m in models}) == len(models)
+        assert _METADATA["notes"][0] == []
