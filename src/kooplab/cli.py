@@ -157,15 +157,17 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
     if args.command == "demo":
-        return cmd_demo(args.name, out_dir=args.out, seed=args.seed)
+        return cmd_demo(args.name, out_dir=args.out, seed=seed)
 
     from .config import load_config
 
     cfg = load_config(args.config)
     if args.out is not None:
         cfg.out_dir = args.out
-    seed = getattr(args, "seed", None)
     if seed is not None and cfg.dataset is not None:
         cfg.dataset.seed = seed
     tolerance = getattr(args, "tolerance", None)
@@ -227,11 +229,11 @@ def _generate(cfg, kind=None, seed=None, system=None):
 def _fit_one(variant: str, data, cfg, ridge: float):
     """Fit a single formulation on the configured dictionaries it needs."""
     from . import formulations as F
-    from .config import _DICT_ROLES_BY_VARIANT
 
-    if variant not in _DICT_ROLES_BY_VARIANT:
+    if variant not in F.VARIANTS:
         raise UsageError(f"unknown formulation variant {variant!r}")
-    dictionaries = [cfg.dictionary(role) for role in _DICT_ROLES_BY_VARIANT[variant]]
+    roles = F._MODEL_CLASSES[variant]._payload_dictionaries
+    dictionaries = [cfg.dictionary(role) for role in roles]
     if variant == "eigen":
         if ridge:
             raise UsageError("the eigen fit solves per-eigenvalue problems and has no ridge parameter")
@@ -405,7 +407,7 @@ def _compare_pipeline(cfg, out: Path) -> list[dict]:
 
     from .config import ConfigError
     from .consistency import summarize
-    from .dynamics import discretize, save_dataset
+    from .dynamics import _draw_box, discretize, save_dataset
     from .formulations import rollout, save_model
 
     if len(cfg.formulations) < 2:
@@ -432,13 +434,10 @@ def _compare_pipeline(cfg, out: Path) -> list[dict]:
     # held-out evaluation trajectories, drawn apart from the training stream
     state_box, input_box = cfg.sampling_regions()
     rng = np.random.default_rng(cfg.dataset.seed + 1)
-    lo = np.array([b[0] for b in state_box])
-    hi = np.array([b[1] for b in state_box])
-    x0s = rng.uniform(lo, hi, size=(_N_HELDOUT, dsystem.state_dim))
+    x0s = _draw_box(rng, state_box, _N_HELDOUT)
     if dsystem.input_dim:
-        ulo = np.array([b[0] for b in input_box])
-        uhi = np.array([b[1] for b in input_box])
-        controls = rng.uniform(ulo, uhi, size=(_N_HELDOUT, _HORIZON, dsystem.input_dim))
+        controls = _draw_box(rng, input_box, _N_HELDOUT * _HORIZON).reshape(
+            _N_HELDOUT, _HORIZON, dsystem.input_dim)
     else:
         controls = np.zeros((_N_HELDOUT, _HORIZON, 0))
     # every trajectory advances together: one stacked step per time step

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .consistency import CONDITION_IDS, DEFAULT_TOLERANCE
 from .dynamics import ControlledSystem, EvaluationGrid, builtin_system
-from .formulations import VARIANTS
+from .formulations import VARIANTS, _MODEL_CLASSES
 from .observables import build_dictionary, joint_dictionary_from_spec
 
 __all__ = [
@@ -146,15 +146,6 @@ class ExperimentConfig:
                 self.input_box or [(-1.0, 1.0)] * system.input_dim)
 
 
-_DICT_ROLES_BY_VARIANT = {
-    "affine": ("state",),
-    "separable": ("state", "input"),
-    "joint": ("state", "cross"),
-    "bilinear": ("state", "input"),
-    "eigen": ("state",),
-}
-
-
 def _validate_box(raw, path: str, expected_len: int, what: str) -> list:
     _require(isinstance(raw, list) and len(raw) > 0, path, f"expected a list of {what} bounds")
     _require(
@@ -182,7 +173,8 @@ def _validate_dataset(raw) -> DatasetSection:
                "expected an integer >= 1, got {!r}")
     # determinism contract: any randomized draw must be reproducible
     _require("seed" in sec, "dataset.seed", "required field is missing (sampling must be seeded)")
-    seed = _field(sec, "dataset", "seed", _is_int, "expected an integer, got {!r}")
+    seed = _field(sec, "dataset", "seed", lambda v: _is_int(v) and v >= 0,
+                  "expected an integer >= 0, got {!r}")
     control_kind = _field(sec, "dataset", "control_kind", lambda v: v in _CONTROL_KINDS,
                           f"expected one of {', '.join(_CONTROL_KINDS)}, got {{!r}}",
                           "uniform-random")
@@ -207,7 +199,7 @@ def _validate_formulations(raw, dictionaries: dict) -> list:
                        "expected a number >= 0, got {!r}", 0.0)
         _require(all(spec.variant != variant for spec in out), f"{path}.variant",
                  f"duplicate formulation {variant!r}")
-        for role in _DICT_ROLES_BY_VARIANT[variant]:
+        for role in _MODEL_CLASSES[variant]._payload_dictionaries:
             _require(role in dictionaries, path,
                      f"variant {variant!r} needs a dictionaries.{role} spec")
         out.append(FormulationSpec(variant=variant, ridge=float(ridge)))

@@ -855,28 +855,25 @@ _FAMILY_CHECKS = {
     "DEF2": lambda s, m, g, tol, seed: check_def2(s, m, g, tolerance=tol),
     "T2": lambda s, m, g, tol, seed: check_theorem2(
         s, m.dict_x, m.dict_u, m.K_x, m.K_u, g, tolerance=tol),
+    "COR3": lambda s, m, g, tol, seed: check_corollary3_kma(
+        s, m.dict_x, m.K, _input_matrix(s, m), g, seed=seed, tolerance=tol),
     "COR1": lambda s, m, g, tol, seed: [check_corollary1(s, m.dict_x, g, tolerance=tol)],
     "COR2": lambda s, m, g, tol, seed: [
         check_corollary2(s, m.dict_x, g, seed=seed, tolerance=tol)],
-    "COR3": lambda s, m, g, tol, seed: check_corollary3_kma(
-        s, m.dict_x, m.K, _input_matrix(s, m), g, seed=seed, tolerance=tol),
     "T3": lambda s, m, g, tol, seed: check_theorem3(s, *_joint_operators(m), g, tolerance=tol),
     "KAISER": lambda s, m, g, tol, seed: [check_kaiser(s, m.eigendict, m.Lam, g, tolerance=tol)],
     "T4": lambda s, m, g, tol, seed: check_theorem4(
         s, m.dict_x, m.dict_u, m.K_x, m.K_u, g, tolerance=tol),
-    "COR4": lambda s, m, g, tol, seed: [check_corollary4(s, m.dict_x, g, tolerance=tol)],
-    "COR5": lambda s, m, g, tol, seed: check_corollary5(s, m.dict_x, g, seed=seed, tolerance=tol),
     "COR6": lambda s, m, g, tol, seed: check_corollary6(
         s, m.dict_x, m.K, _input_matrix(s, m), g, tolerance=tol),
+    "COR4": lambda s, m, g, tol, seed: [check_corollary4(s, m.dict_x, g, tolerance=tol)],
+    "COR5": lambda s, m, g, tol, seed: check_corollary5(s, m.dict_x, g, seed=seed, tolerance=tol),
     "T5": lambda s, m, g, tol, seed: check_theorem5(s, *_joint_operators(m), g, tolerance=tol),
 }
 
-# COR3 already returns the COR1/COR2 reports, and COR6 the COR4 report
+# COR3 already returns the COR1/COR2 reports, and COR6 the COR4 report; check_model
+# runs families in table order, where these two come first, so their reports are kept
 _SUBSUMED = {"COR3": ("COR1", "COR2"), "COR6": ("COR4",)}
-
-
-def _families(ids) -> list:
-    return list(dict.fromkeys(CONDITIONS[cid].family for cid in ids))
 
 
 def check_model(system: ControlledSystem, model, grid: EvaluationGrid,
@@ -890,8 +887,9 @@ def check_model(system: ControlledSystem, model, grid: EvaluationGrid,
     (family, reason) note, and any other error propagates. An explicit id
     list is strict: an unknown id raises ValueError, an id whose row does
     not apply raises InapplicableConditionError, hypothesis violations
-    propagate, and each requested id yields one report. seed drives the
-    pairwise samples. All families read one ingredient object per call.
+    propagate, and each requested id yields one report. Reports come in
+    CONDITION_IDS order in both modes. seed drives the pairwise samples. All
+    families read one ingredient object per call, in _FAMILY_CHECKS order.
     """
     strict = conditions is not None
     for cid in conditions or ():
@@ -904,13 +902,13 @@ def check_model(system: ControlledSystem, model, grid: EvaluationGrid,
             )
     if not strict:
         conditions = [cid for cid, c in CONDITIONS.items() if c.applies(model)]
-    families = _families(conditions)
+    families = {CONDITIONS[cid].family for cid in conditions}
     # requested ids run subsumed families too, enforcing their own hypotheses
     subsumed = () if strict else {f for family in families for f in _SUBSUMED.get(family, ())}
     ing = _Ingredients(system, grid)
     reports, skipped = {}, []  # shared ids are kept once
-    for family in families:
-        if family in subsumed:
+    for family in _FAMILY_CHECKS:
+        if family not in families or family in subsumed:
             continue
         try:
             for r in _FAMILY_CHECKS[family](system, model, ing, tolerance, seed):
@@ -921,7 +919,7 @@ def check_model(system: ControlledSystem, model, grid: EvaluationGrid,
             skipped.append((family, str(exc)))
     if not strict and getattr(model, "joint_observables", False):
         skipped.append(("DEF1", "input-rate signal unavailable in batch mode"))
-    return [r for cid, r in reports.items() if cid in conditions], skipped
+    return [reports[cid] for cid in CONDITION_IDS if cid in reports and cid in conditions], skipped
 
 
 # -- summaries and serialization ---------------------------------------------------

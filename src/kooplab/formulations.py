@@ -66,7 +66,6 @@ __all__ = [
 ]
 
 MODEL_SCHEMA_VERSION = 1
-VARIANTS = ("affine", "separable", "joint", "bilinear", "eigen")
 
 
 # fit metadata saved with a model: key -> (default on a new or loaded model,
@@ -96,7 +95,7 @@ class KoopmanModel:
     """
 
     variant = "abstract"
-    # payload dictionary key -> attribute, and operator attributes, for to_payload
+    # role -> dictionary attribute, in a fit's argument order, and operator attributes
     _payload_dictionaries: dict = {}
     _payload_operators: tuple = ()
 
@@ -357,6 +356,7 @@ class EigenModel(KoopmanModel):
     """
 
     variant = "eigen"
+    _payload_dictionaries = {"state": "eigendict"}  # written as "eigen", with its kind
     _payload_operators = ("eigenvalues",)
 
     def __init__(self, eigendict, eigenvalues, input_dim: int = 0):
@@ -421,6 +421,11 @@ class EigenModel(KoopmanModel):
                 "spec": _require_spec(self.eigendict, "eigenfunction dictionary"),
             }
         }
+
+
+_MODEL_CLASSES = {cls.variant: cls for cls in
+                  (AffineModel, SeparableModel, JointModel, BilinearModel, EigenModel)}
+VARIANTS = tuple(_MODEL_CLASSES)
 
 
 # -- fitting -------------------------------------------------------------------
@@ -839,10 +844,9 @@ def model_from_payload(payload: dict) -> KoopmanModel:
             f"this build reads version {MODEL_SCHEMA_VERSION}"
         )
     variant = payload["variant"]
-    cls = next((c for c in (AffineModel, SeparableModel, JointModel, BilinearModel, EigenModel)
-                if c.variant == variant), None)
-    if cls is None:
+    if variant not in VARIANTS:
         raise ValueError(f"unknown model variant {variant!r}")
+    cls = _MODEL_CLASSES[variant]
     dicts = payload.get("dictionaries", {})
     ops = payload.get("operators", {})
     try:

@@ -241,6 +241,15 @@ def identity(dim, var_prefix="x") -> MonomialDictionary:
                               _kind="identity")
 
 
+def _numbers(values, what: str) -> np.ndarray:
+    """`values` as a float array; ValueError naming `what` unless every entry is a
+    finite number (booleans and strings are not numbers)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite numbers, got {values!r}")
+    return arr.astype(float)
+
+
 def _latin_hypercube(n_centers, region, seed):
     rng = np.random.default_rng(seed)
     pts = np.empty((n_centers, len(region)))
@@ -256,9 +265,10 @@ class RbfDictionary(Dictionary):
     kind = "rbf"
 
     def __init__(self, centers, width, spec=None):
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
-        if width <= 0:
-            raise ValueError("width must be positive")
+        centers = np.atleast_2d(_numbers(centers, "rbf centers"))
+        w = np.asarray(width)
+        if w.ndim or w.dtype.kind not in "iuf" or not 0 < w < np.inf:
+            raise ValueError(f"rbf width must be a finite number > 0, got {width!r}")
         self.centers = centers
         self.width = float(width)
         names = [f"rbf{i + 1}" for i in range(centers.shape[0])]
@@ -288,6 +298,11 @@ def rbf(dim=None, centers=None, width=1.0, n_centers=None, region=None, seed=0) 
         return RbfDictionary(centers, width)
     if n_centers is None or region is None:
         raise ValueError("rbf needs either explicit centers or (n_centers, region)")
+    if n_centers < 1:
+        raise ValueError(f"rbf n_centers must be >= 1, got {n_centers!r}")
+    box = _numbers(region, "rbf region")
+    if box.ndim != 2 or box.shape[1] != 2 or not np.all(box[:, 0] < box[:, 1]):
+        raise ValueError(f"rbf region must be [low, high] pairs with low < high, got {region!r}")
     if dim is not None and dim != len(region):
         raise ValueError("region length must equal dim")
     return RbfDictionary(_latin_hypercube(n_centers, region, seed), width)
@@ -344,7 +359,7 @@ class CombinationDictionary(Dictionary):
     kind = "combination"
 
     def __init__(self, base: Dictionary, coefficients, names=None):
-        C = np.atleast_2d(np.asarray(coefficients, dtype=float))
+        C = np.atleast_2d(_numbers(coefficients, "combination coefficients"))
         if C.shape[1] != base.size:
             raise ValueError(
                 f"coefficients must have {base.size} columns, got {C.shape[1]}"
@@ -353,6 +368,10 @@ class CombinationDictionary(Dictionary):
         self.coefficients = C
         if names is None:
             names = [f"combo{i + 1}" for i in range(C.shape[0])]
+        if (not isinstance(names, (list, tuple)) or len(names) != C.shape[0]
+                or not all(isinstance(n, str) for n in names)):
+            raise ValueError(f"combination names must be a list of {C.shape[0]} strings, one "
+                             f"per coefficient row, got {names!r}")
         # a row reproduces coordinate z_j exactly iff it selects the z_j row
         # of a state-inclusive base with a unit coefficient
         state_map = []
@@ -482,11 +501,11 @@ def build_dictionary(spec: dict) -> Dictionary:
                              _spec_field(spec, "include_constant", bool, True), prefix)
         if kind == "rbf":
             if "centers" in spec:
-                return RbfDictionary(spec["centers"], float(spec["width"]))
+                return RbfDictionary(spec["centers"], spec["width"])
             return rbf(
                 n_centers=_spec_field(spec, "n_centers", int),
                 region=[tuple(b) for b in spec["region"]],
-                width=float(spec["width"]),
+                width=spec["width"],
                 seed=_spec_field(spec, "seed", int, 0),
             )
         if kind == "composite":
