@@ -209,7 +209,7 @@ def _require_dataset_section(cfg, command: str):
         raise ConfigError("dataset", f"section required for {command}")
 
 
-def _generate(cfg, kind=None, seed=None, system=None):
+def _generate(cfg, kind=None, system=None):
     from .dynamics import generate_dataset
 
     ds = cfg.dataset
@@ -218,7 +218,7 @@ def _generate(cfg, kind=None, seed=None, system=None):
         system if system is not None else cfg.build_system(),
         ds.n_samples,
         control_kind=ds.control_kind,
-        seed=ds.seed if seed is None else seed,
+        seed=ds.seed,
         dt=ds.dt,
         region=state_box,
         input_region=input_box,

@@ -36,7 +36,7 @@ import numpy as np
 
 from .dynamics import ControlledSystem, EvaluationGrid
 from .formulations import VARIANTS, bilinear_to_joint
-from .numerics import _mv, _read_only, _stacked
+from .numerics import _check_seed, _mv, _read_only, _rng, _stacked
 from .observables import Dictionary, JointDictionary
 
 __all__ = [
@@ -390,7 +390,7 @@ def _require_separable(ing, dict_u):
 
 
 def _sample_pair_indices(grid, n_pairs, seed, n_index_sets):
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     sizes = {"x": len(grid.states), "u": len(grid.inputs)}
     return [rng.integers(0, sizes[kind], size=n_pairs) for kind in n_index_sets]
 
@@ -888,9 +888,11 @@ def check_model(system: ControlledSystem, model, grid: EvaluationGrid,
     list is strict: an unknown id raises ValueError, an id whose row does
     not apply raises InapplicableConditionError, hypothesis violations
     propagate, and each requested id yields one report. Reports come in
-    CONDITION_IDS order in both modes. seed drives the pairwise samples. All
-    families read one ingredient object per call, in _FAMILY_CHECKS order.
+    CONDITION_IDS order in both modes. seed, an integer >= 0, drives the
+    pairwise samples. All families read one ingredient object per call, in
+    _FAMILY_CHECKS order.
     """
+    _check_seed(seed)
     strict = conditions is not None
     for cid in conditions or ():
         if cid not in CONDITIONS:

@@ -25,6 +25,7 @@ from .numerics import (
     _as_rows,
     _Broadcast,
     _read_only,
+    _rng,
     _stacked,
     _unstack,
     finite_difference_jacobian,
@@ -798,7 +799,8 @@ def generate_dataset(
     integrated arcs (derivative_mode="finite-difference").
 
     Samples whose successor crosses the divergence bound are redrawn from the
-    same seeded stream, so a given seed always yields the same dataset.
+    same seeded stream, so a given seed (an integer >= 0) always yields the
+    same dataset.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -818,7 +820,7 @@ def generate_dataset(
     if len(region) != system.state_dim or len(input_region) != system.input_dim:
         raise ValueError("region/input_region dimensions do not match the system")
 
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     X = _draw_box(rng, region, n_samples)
     U = _input_sequence(rng, control_kind, n_samples, input_region, dt)
 

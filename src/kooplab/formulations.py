@@ -16,8 +16,10 @@ than finite-differencing psi along trajectories, which would add a noise
 floor unrelated to model class.
 
 Model methods (lift, lift_next, rate, their Jacobians, observe*, K_of) take
-one point or aligned (P, ...) stacks, like the dictionaries they call, so a
-fit evaluates each dictionary once on the whole dataset.
+one point or aligned (P, ...) stacks, like the dictionaries they call. A fit
+evaluates each dictionary once per row block and folds the blocks into one
+QR factor (numerics._block_least_squares), so its memory does not grow with
+the sample count.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import SnapshotDataset
-from .numerics import RankDeficiencyError, _mv, solve_least_squares
+from .numerics import (RankDeficiencyError, _block_least_squares, _mv, _row_slices,
+                       solve_least_squares)
 from .observables import (
     Dictionary,
     JointDictionary,
@@ -431,11 +434,11 @@ VARIANTS = tuple(_MODEL_CLASSES)
 # -- fitting -------------------------------------------------------------------
 
 
-def _lift_targets(data: SnapshotDataset, dict_x: Dictionary) -> np.ndarray:
+def _lift_targets(data: SnapshotDataset, dict_x: Dictionary, rows=slice(None)) -> np.ndarray:
     if data.kind == "discrete-pairs":
-        return dict_x.evaluate(data.Y)
+        return dict_x.evaluate(data.Y[rows])
     # rows are J_psi(x_k) @ xdot_k, the sampled d/dt of the lifted state
-    return _mv(dict_x.jacobian(data.X), data.Y)
+    return _mv(dict_x.jacobian(data.X[rows]), data.Y[rows])
 
 
 def _check_dims(dictionary: Dictionary, role: str, data_dim: int):
@@ -472,42 +475,44 @@ def _time_kind(data: SnapshotDataset) -> str:
     return "discrete" if data.kind == "discrete-pairs" else "continuous"
 
 
-def _fit_blocks(data: SnapshotDataset, dict_x: Dictionary, blocks, ridge: float, build,
-                rank_fallback=None) -> KoopmanModel:
-    """One regression of the lift targets on stacked feature blocks.
+def _fit_blocks(data: SnapshotDataset, dict_x: Dictionary, features, widths, ridge: float,
+                build, rank_fallback=None) -> KoopmanModel:
+    """One regression of the lift targets on feature blocks, streamed by rows.
 
-    Stacks the (n, k_i) blocks into the design matrix, solves for Theta,
-    and calls build(operators, time_kind) with Theta split into one
-    (N_x, k_i) operator per block. rank_fallback(err, G, T), when given,
-    handles a rank-deficient design: it returns Theta or raises. The
-    model records the design's rank and condition number s_max / s_min
-    from the solve's own SVD (of [G; sqrt(ridge) I] when ridge > 0).
+    features(rows) returns the (b, k_i) feature blocks of the samples in the
+    row slice rows, with k_i = widths[i]; the core builds each slice's design
+    rows and lift targets on demand, so no n-row stack is held. It calls
+    build(operators, time_kind) with Theta split into one (N_x, k_i)
+    operator per block. rank_fallback(err), when given, handles a
+    rank-deficient design: it raises, or returns to keep the minimum-norm
+    Theta. The model records the design's rank and condition number
+    s_max / s_min (of [G; sqrt(ridge) I] when ridge > 0).
     """
-    T = _lift_targets(data, dict_x)
-    G = np.hstack(blocks)
-    conditioning = {}
-    try:
-        Theta = solve_least_squares(G, T, ridge=ridge, _conditioning=conditioning)
-    except RankDeficiencyError as err:
+    Theta, rank, s, residual = _block_least_squares(
+        data.n_samples,
+        lambda rows: (np.hstack(features(rows)), _lift_targets(data, dict_x, rows)),
+        ridge,
+    )
+    if ridge == 0.0 and rank < len(Theta):
+        err = RankDeficiencyError(rank, len(Theta))
         if rank_fallback is None:
-            raise
-        Theta = rank_fallback(err, G, T)
-    splits = np.cumsum([block.shape[1] for block in blocks])[:-1]
-    model = build([part.T for part in np.split(Theta, splits)], _time_kind(data))
-    s = conditioning["singular_values"]
-    model.design_rank = conditioning["rank"]
+            raise err
+        rank_fallback(err)
+    model = build([part.T for part in np.split(Theta, np.cumsum(widths)[:-1])],
+                  _time_kind(data))
+    model.design_rank = rank
     model.design_condition = float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
     model.design_matrix = "ridge-augmented" if ridge > 0 else "plain"
-    return _finish(model, data, _rms(G @ Theta - T, data.n_samples), ridge)
+    return _finish(model, data, residual, ridge)
 
 
 def _zero_input_error(data: SnapshotDataset, consequence: str):
     """Rank fallback naming identically zero inputs as the cause."""
-    def fallback(err, G, T):
+    def fallback(err):
         if np.all(data.U == 0.0):
             raise RankDeficiencyError(
-                err.rank, G.shape[1], f"inputs are identically zero, so {consequence}"
-            ) from None
+                err.rank, err.columns, f"inputs are identically zero, so {consequence}"
+            )
         raise err
     return fallback
 
@@ -521,9 +526,9 @@ def fit_affine(data: SnapshotDataset, dict_x: Dictionary, ridge: float = 0.0) ->
     _check_dims(dict_x, "state", data.state_dim)
     N, m = data.n_samples, data.input_dim
     _require_samples(N, dict_x.size + m, "the affine fit")
-    Psi = dict_x.evaluate(data.X)
     return _fit_blocks(
-        data, dict_x, [Psi, data.U] if m else [Psi], ridge,
+        data, dict_x, lambda rows: [dict_x.evaluate(data.X[rows]), data.U[rows]],
+        [dict_x.size, m], ridge,
         lambda ops, tk: AffineModel(dict_x, ops[0], ops[1] if m else None, tk, input_dim=m),
         _zero_input_error(data, "the input operator B is unidentifiable; add ridge "
                                 "regularization or excite the input") if m else None,
@@ -542,7 +547,9 @@ def fit_separable(data: SnapshotDataset, dict_x: Dictionary, dict_u: Dictionary,
     _check_dims(dict_u, "input", data.input_dim)
     _require_samples(data.n_samples, dict_x.size + dict_u.size, "the separable fit")
     return _fit_blocks(
-        data, dict_x, [dict_x.evaluate(data.X), dict_u.evaluate(data.U)], ridge,
+        data, dict_x,
+        lambda rows: [dict_x.evaluate(data.X[rows]), dict_u.evaluate(data.U[rows])],
+        [dict_x.size, dict_u.size], ridge,
         lambda ops, tk: SeparableModel(dict_x, dict_u, *ops, tk),
         _zero_input_error(data, "the input observables never vary and K_u is "
                                 "unidentifiable; add ridge or excite the input"),
@@ -550,8 +557,11 @@ def fit_separable(data: SnapshotDataset, dict_x: Dictionary, dict_u: Dictionary,
 
 
 def _check_cross_vanishes(dict_xu: JointDictionary, states: np.ndarray):
-    """psi_xu(x, 0) = 0 at every data state; a non-finite value fails too."""
-    worst = np.max(np.abs(dict_xu.evaluate(states, np.zeros((len(states), dict_xu.input_dim)))))
+    """psi_xu(x, 0) = 0 at every data state, by row slices; a non-finite value fails too."""
+    worst = np.max([
+        np.max(np.abs(dict_xu.evaluate(X, np.zeros((len(X), dict_xu.input_dim)))))
+        for X in (states[rows] for rows in _row_slices(len(states)))
+    ])
     if not worst <= 1e-10:
         raise ValueError(f"cross dictionary must vanish at u = 0; got |psi_xu| = {worst:.3g} there")
 
@@ -573,14 +583,18 @@ def fit_joint(data: SnapshotDataset, dict_x: Dictionary, dict_xu: JointDictionar
         )
     _check_cross_vanishes(dict_xu, data.X)
     N = data.n_samples
-    Psi_x = dict_x.evaluate(data.X)
-    Psi_xu = dict_xu.evaluate(data.X, data.U)
-
     if not two_stage:
         _require_samples(N, dict_x.size + dict_xu.size, "the joint fit")
-        return _fit_blocks(data, dict_x, [Psi_x, Psi_xu], ridge,
-                           lambda ops, tk: JointModel(dict_x, dict_xu, *ops, tk))
+        return _fit_blocks(
+            data, dict_x,
+            lambda rows: [dict_x.evaluate(data.X[rows]),
+                          dict_xu.evaluate(data.X[rows], data.U[rows])],
+            [dict_x.size, dict_xu.size], ridge,
+            lambda ops, tk: JointModel(dict_x, dict_xu, *ops, tk))
 
+    # the two-stage fit selects rows by their input, so it holds its stacks
+    Psi_x = dict_x.evaluate(data.X)
+    Psi_xu = dict_xu.evaluate(data.X, data.U)
     T = _lift_targets(data, dict_x)
     zero_rows = np.all(data.U == 0.0, axis=1)
     n0 = int(np.count_nonzero(zero_rows))
@@ -629,23 +643,23 @@ def fit_bilinear(data: SnapshotDataset, dict_x: Dictionary, dict_u: Dictionary,
         )
     _check_dims(dict_u, "input", data.input_dim)
     _require_samples(data.n_samples, dict_x.size * dict_u.size, "the bilinear fit")
-    Psi_x = dict_x.evaluate(data.X)
-    Psi_u = dict_u.evaluate(data.U)
-
     notes = []
 
-    def constant_inputs(err, G, T):
+    def constant_inputs(err):
         if not np.all(data.U == data.U[0]):
             raise err
         notes.append(
             "inputs constant across all samples: only the combined operator "
             "K(u0) is identified; the stored terms are its minimum-norm split"
         )
-        return np.linalg.lstsq(G, T, rcond=None)[0]
 
-    # block i holds psi_u_i(u_k) psi_x(x_k): the columns multiplying K_i
+    def features(rows):
+        # block i holds psi_u_i(u_k) psi_x(x_k): the columns multiplying K_i
+        Psi_x, Psi_u = dict_x.evaluate(data.X[rows]), dict_u.evaluate(data.U[rows])
+        return [Psi_u[:, [i]] * Psi_x for i in range(dict_u.size)]
+
     model = _fit_blocks(
-        data, dict_x, [Psi_u[:, [i]] * Psi_x for i in range(dict_u.size)], ridge,
+        data, dict_x, features, [dict_x.size] * dict_u.size, ridge,
         lambda ops, tk: BilinearModel(dict_x, dict_u, ops, tk), constant_inputs,
     )
     if notes:
@@ -670,20 +684,33 @@ def fit_eigen(data: SnapshotDataset, eigendict) -> EigenModel:
     if dims != (data.state_dim, data.input_dim)[:len(dims)]:
         raise ValueError("eigenfunction dictionary dimensions do not match the data")
     model = EigenModel(eigendict, np.zeros(eigendict.size), input_dim=data.input_dim)
-    Psi = model.observe(data.X, data.U)
-    D = _mv(model.observe_jac_x(data.X, data.U), data.Y)
 
-    lam = model.eigenvalues
-    for i in range(eigendict.size):
-        den = float(Psi[:, i] @ Psi[:, i])
-        if den == 0.0:
-            model.notes.append(
-                f"observable {eigendict.names[i]!r} vanishes on the data; "
-                "its eigenvalue is set to 0"
-            )
-            continue
-        lam[i] = float(Psi[:, i] @ D[:, i]) / den
-    return _finish(model, data, _rms(Psi * lam - D, data.n_samples), 0.0)
+    def ratio(num, den):
+        return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+
+    # per observable, running sums den = psi . psi and num = psi . D, the
+    # eigenvalue lam = num / den and the residual squares ss at lam, merged
+    # slice by slice: at any l a part's squares are ss + den (l - lam)^2, so
+    # the residual needs no second pass and no cancelling difference of sums
+    den, num, lam, ss = np.zeros((4, eigendict.size))
+    for rows in _row_slices(data.n_samples):
+        X, U = data.X[rows], data.U[rows]
+        Psi, D = model.observe(X, U), _mv(model.observe_jac_x(X, U), data.Y[rows])
+        den_b, num_b = np.einsum("ki,ki->i", Psi, Psi), np.einsum("ki,ki->i", Psi, D)
+        lam_b = ratio(num_b, den_b)
+        merged = ratio(num + num_b, den + den_b)
+        R = D - Psi * lam_b
+        ss += (np.einsum("ki,ki->i", R, R) + den * (merged - lam) ** 2
+               + den_b * (merged - lam_b) ** 2)
+        den, num, lam = den + den_b, num + num_b, merged
+
+    for i in np.flatnonzero(den == 0.0):
+        model.notes.append(
+            f"observable {eigendict.names[i]!r} vanishes on the data; "
+            "its eigenvalue is set to 0"
+        )
+    model.eigenvalues[:] = lam
+    return _finish(model, data, float(np.sqrt(np.sum(ss)) / np.sqrt(data.n_samples)), 0.0)
 
 
 def bilinear_to_joint(model: BilinearModel) -> JointModel:

@@ -14,6 +14,7 @@ per-point user callable reaches them through the one row adapter here,
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -27,6 +28,10 @@ __all__ = [
 
 # Central differences: optimal step scale for O(h^2) truncation vs roundoff.
 _FD_STEP_SCALE = float(np.cbrt(np.finfo(float).eps))
+
+# rows of the design reduced per QR update: a fit's working memory is bounded
+# by this many rows of features and targets, however many samples it streams
+_BLOCK_ROWS = 512
 
 
 class _Broadcast:
@@ -112,6 +117,63 @@ def _as_float_array(a, name: str, ndim: int | None = None) -> np.ndarray:
     return arr
 
 
+def _row_slices(n: int) -> list:
+    """The row slices, _BLOCK_ROWS long, in which a fit streams its n samples."""
+    return [slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS)]
+
+
+def _check_seed(seed):
+    """seed, when it is an integer >= 0 (a bool is not); else ValueError naming it."""
+    if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return seed
+
+
+def _rng(seed) -> np.random.Generator:
+    """The seeded random stream of one draw; the seed is checked first."""
+    return np.random.default_rng(_check_seed(seed))
+
+
+def _block_least_squares(n_rows: int, rows, ridge: float = 0.0):
+    """The one least-squares core: min ||G X - T||_F^2 (+ ridge ||X||_F^2) for a
+    design G (n_rows, k) and targets T (n_rows, p) that rows(sl) hands out as
+    (G[sl], T[sl]), one row slice at a time.
+
+    Each block updates the triangular factor F <- qr([F; G_b | T_b]), so memory
+    does not grow with n_rows. With F = [[R, Q^T T], [0, S]], one lstsq on the
+    k x k triangle R (sqrt(ridge) I rows appended when ridge > 0) gives X, with
+    the rank rule of an SVD of the whole (ridge-augmented) design: singular
+    values at or below eps * max(rows, k) * s_max count as zero, and a
+    rank-deficient design gets the minimum-norm X. Returns (X (k, p), rank,
+    the design's singular values, RMS residual ||G X - T||_F / sqrt(n_rows)),
+    the residual as sqrt(||S||^2 + ||R X - Q^T T||^2): no second pass over
+    the data and no cancellation.
+    """
+    if not np.isscalar(ridge) or not 0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be a finite nonnegative scalar, got {ridge!r}")
+    F = None
+    for block_rows in _row_slices(n_rows):
+        G, T = rows(block_rows)
+        G = _as_float_array(G, "A", ndim=2)
+        T = _as_float_array(T, "B", ndim=2)
+        block = np.hstack([G, T])
+        F = np.linalg.qr(block if F is None else np.vstack([F, block]), mode="r")
+    if F is None or G.shape[1] == 0:
+        raise ValueError("A must have at least one row and one column")
+    k, width = G.shape[1], F.shape[1]
+    F = np.vstack([F, np.zeros((width - len(F), width))])  # fewer rows than columns
+    R, QtT, S = F[:k, :k], F[:k, k:], F[k:, k:]
+    design, rhs, design_rows = R, QtT, n_rows
+    if ridge > 0.0:
+        design = np.vstack([R, np.sqrt(ridge) * np.eye(k)])
+        rhs = np.vstack([QtT, np.zeros_like(QtT)])
+        design_rows += k
+    X, _, rank, s = np.linalg.lstsq(design, rhs,
+                                    rcond=np.finfo(float).eps * max(design_rows, k))
+    residual = np.hypot(np.linalg.norm(S), np.linalg.norm(R @ X - QtT))
+    return X, int(rank), s[:min(design_rows, k)], float(residual / np.sqrt(n_rows))
+
+
 def solve_least_squares(A, B, ridge: float = 0.0, *, _conditioning: dict | None = None) -> np.ndarray:
     """Minimize ||A X - B||_F^2 (+ ridge * ||X||_F^2) over X.
 
@@ -133,37 +195,28 @@ def solve_least_squares(A, B, ridge: float = 0.0, *, _conditioning: dict | None 
 
     Notes
     -----
-    The solve goes through an orthogonal decomposition (SVD), never the
-    normal equations, so conditioning is that of A itself. A caller that
-    passes a dict as the private `_conditioning` receives that SVD's
-    rank and singular values (of the augmented matrix when ridge > 0),
-    also when the solve then raises for rank deficiency.
+    The solve runs on the row-block QR core the fits use, never the normal
+    equations, so conditioning is that of A itself. A caller that passes a
+    dict as the private `_conditioning` receives the rank and singular values
+    of A (of the augmented matrix when ridge > 0), also when the solve then
+    raises for rank deficiency.
     """
     A = _as_float_array(A, "A", ndim=2)
-    B_in = np.asarray(B, dtype=float)
-    if B_in.ndim not in (1, 2):
-        raise ValueError(f"B must be 1- or 2-dimensional, got shape {B_in.shape}")
-    vector_rhs = B_in.ndim == 1
-    B2 = _as_float_array(B_in if not vector_rhs else B_in[:, None], "B", ndim=2)
+    B = np.asarray(B, dtype=float)
+    if B.ndim not in (1, 2):
+        raise ValueError(f"B must be 1- or 2-dimensional, got shape {B.shape}")
+    B2 = B[:, None] if B.ndim == 1 else B
     if A.shape[0] != B2.shape[0]:
         raise ValueError(
             f"A and B row counts differ: A has {A.shape[0]} rows, B has {B2.shape[0]}"
         )
-    if A.shape[0] == 0 or A.shape[1] == 0:
-        raise ValueError("A must have at least one row and one column")
-    if not np.isscalar(ridge) or not 0 <= ridge < np.inf:
-        raise ValueError(f"ridge must be a finite nonnegative scalar, got {ridge!r}")
-
-    n = A.shape[1]
-    if ridge > 0.0:
-        A = np.vstack([A, np.sqrt(ridge) * np.eye(n)])
-        B2 = np.vstack([B2, np.zeros((n, B2.shape[1]))])
-    X, _, rank, singular_values = np.linalg.lstsq(A, B2, rcond=None)
+    X, rank, singular_values, _ = _block_least_squares(
+        A.shape[0], lambda rows: (A[rows], B2[rows]), ridge)
     if _conditioning is not None:
-        _conditioning.update(rank=int(rank), singular_values=singular_values)
-    if ridge == 0.0 and rank < n:
-        raise RankDeficiencyError(rank, n)
-    return X[:, 0] if vector_rhs else X
+        _conditioning.update(rank=rank, singular_values=singular_values)
+    if ridge == 0.0 and rank < A.shape[1]:
+        raise RankDeficiencyError(rank, A.shape[1])
+    return X[:, 0] if B.ndim == 1 else X
 
 
 def finite_difference_jacobian(

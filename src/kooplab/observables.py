@@ -25,7 +25,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .numerics import _aligned_rows, _as_rows, _Broadcast, _mv, _stacked, _unstack
+from .numerics import _aligned_rows, _as_rows, _Broadcast, _mv, _rng, _stacked, _unstack
 
 __all__ = [
     "Dictionary",
@@ -251,7 +251,7 @@ def _numbers(values, what: str) -> np.ndarray:
 
 
 def _latin_hypercube(n_centers, region, seed):
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     pts = np.empty((n_centers, len(region)))
     for j, (lo, hi) in enumerate(region):
         cells = (rng.permutation(n_centers) + rng.random(n_centers)) / n_centers
