@@ -226,28 +226,72 @@ def _generate(cfg, kind=None, system=None):
     )
 
 
-def _fit_one(variant: str, data, cfg, ridge: float):
-    """Fit a single formulation on the configured dictionaries it needs."""
+def _check_dims(noun: str, artifact, cfg):
+    """A usage error unless the dataset or model `artifact` has the state and
+    input dimensions of the configured system."""
+    system = cfg.build_system()
+    if (artifact.state_dim, artifact.input_dim) != (system.state_dim, system.input_dim):
+        raise UsageError(
+            f"{noun} dimensions (n={artifact.state_dim}, m={artifact.input_dim}) do not match "
+            f"system {cfg.system_name!r} (n={system.state_dim}, m={system.input_dim})"
+        )
+
+
+def _checked_system(cfg, time_kind: str, dt=None):
+    """The system a model of `time_kind` is checked against: a discrete model of a
+    continuous system meets its RK4 map at `dt` (the dataset's dt when None); a
+    continuous model of a discrete system is a usage error."""
+    from .dynamics import discretize
+
+    system = cfg.build_system()
+    if time_kind == "discrete" and system.time_kind == "continuous":
+        dt = dt if dt is not None else (cfg.dataset.dt if cfg.dataset else None)
+        if dt is None:
+            raise UsageError(
+                "discrete-time model over a continuous-time system: no dt recorded "
+                "on the model and no dataset section to take one from"
+            )
+        return discretize(system, dt)
+    if time_kind == "continuous" and system.time_kind == "discrete":
+        raise UsageError(
+            f"continuous-time model cannot be checked against the discrete-time "
+            f"system {cfg.system_name!r}"
+        )
+    return system
+
+
+def _fit_and_save(variant: str, data, cfg, out: Path, ridge: float = 0.0):
+    """Fit one formulation on the configured dictionaries it needs and save it as
+    model-<variant>.json; returns (model, path). A failed fit is a PipelineError
+    tagged fit[<variant>]."""
     from . import formulations as F
 
     if variant not in F.VARIANTS:
         raise UsageError(f"unknown formulation variant {variant!r}")
-    roles = F._MODEL_CLASSES[variant]._payload_dictionaries
-    dictionaries = [cfg.dictionary(role) for role in roles]
-    if variant == "eigen":
-        if ridge:
-            raise UsageError("the eigen fit solves per-eigenvalue problems and has no ridge parameter")
-        return F.fit_eigen(data, *dictionaries)
-    return getattr(F, f"fit_{variant}")(data, *dictionaries, ridge=ridge)
+    if variant == "eigen" and ridge:
+        raise UsageError("the eigen fit solves per-eigenvalue problems and has no ridge parameter")
+    dictionaries = [cfg.dictionary(role) for role in F._MODEL_CLASSES[variant]._payload_dictionaries]
+    try:
+        if variant == "eigen":
+            model = F.fit_eigen(data, *dictionaries)
+        else:
+            model = getattr(F, f"fit_{variant}")(data, *dictionaries, ridge=ridge)
+    except ValueError as exc:
+        raise PipelineError(f"fit[{variant}]", str(exc)) from None
+    path = out / f"model-{variant}.json"
+    F.save_model(model, path)
+    return model, path
 
 
-def _write_reports(reports, out: Path, system, grid, tolerance, seed, skipped=()):
-    """Write reports.json (+ reports.npz) and summary.csv; returns the summary."""
+def _write_reports(reports, cfg, system, seed, skipped=()):
+    """Write reports.json (+ reports.npz) and summary.csv into the config's out_dir,
+    with its grid and tolerance as provenance; returns the summary."""
     from .consistency import report_provenance, summarize, write_reports_json, write_summary_csv
 
+    out = _out_dir(cfg)
     summary = summarize(reports)
     write_reports_json(reports, out / "reports.json", skipped,
-                       report_provenance(system, grid, tolerance, seed))
+                       report_provenance(system, cfg.build_grid(), cfg.tolerance, seed))
     write_summary_csv(summary, out / "summary.csv")
     return summary
 
@@ -285,7 +329,6 @@ def cmd_fit(cfg, dataset_path) -> int:
     """Fit every configured formulation to a saved dataset."""
     from .config import ConfigError
     from .dynamics import load_dataset
-    from .formulations import save_model
 
     if not cfg.formulations:
         raise ConfigError("formulations", "at least one formulation is required for fit")
@@ -297,30 +340,15 @@ def cmd_fit(cfg, dataset_path) -> int:
         data = load_dataset(stem)
     except FileNotFoundError:
         raise UsageError(f"no dataset at {dataset_path!r} (expected {stem}.csv/.json)") from None
-    system = cfg.build_system()
-    if (data.state_dim, data.input_dim) != (system.state_dim, system.input_dim):
-        raise UsageError(
-            f"dataset dimensions (n={data.state_dim}, m={data.input_dim}) do not match "
-            f"system {cfg.system_name!r} (n={system.state_dim}, m={system.input_dim})"
-        )
+    _check_dims("dataset", data, cfg)
 
     out = _out_dir(cfg)
-    rows = []
-    for spec in _ordered_formulations(cfg):
-        try:
-            model = _fit_one(spec.variant, data, cfg, spec.ridge)
-        except (UsageError, ConfigError):
-            raise
-        except ValueError as exc:
-            raise PipelineError(f"fit[{spec.variant}]", str(exc)) from None
-        path = out / f"model-{spec.variant}.json"
-        save_model(model, path)
-        rows.append((spec.variant, spec.ridge, model.training_residual, path))
-
+    rows = [(spec, *_fit_and_save(spec.variant, data, cfg, out, spec.ridge))
+            for spec in _ordered_formulations(cfg)]
     print(f"{'formulation':<12} {'ridge':>10} {'train residual':>16}")
-    for variant, ridge, residual, _ in rows:
-        print(f"{variant:<12} {ridge:>10.3g} {residual:>16.6e}")
-    for _, _, _, path in rows:
+    for spec, model, _ in rows:
+        print(f"{spec.variant:<12} {spec.ridge:>10.3g} {model.training_residual:>16.6e}")
+    for _, _, path in rows:
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -337,52 +365,35 @@ def _run_checks(system, model, grid, tol, seed, requested) -> tuple[list, list]:
         raise UsageError(str(exc)) from None
 
 
+def _check_and_write(cfg, system, model, seed, requested=None):
+    """Check `model` against `system` on the config's grid and write the reports;
+    returns (reports, skipped, summary). No evaluable condition is a failure."""
+    reports, skipped = _run_checks(system, model, cfg.build_grid(), cfg.tolerance, seed,
+                                   requested)
+    if not reports:
+        raise PipelineError("check", "no condition could be evaluated for this model")
+    return reports, skipped, _write_reports(reports, cfg, system, seed, skipped)
+
+
 def cmd_check(cfg, model_path, pairwise_seed=None) -> int:
     """Evaluate the configured conditions for a saved model.
 
     Exits 0 when every evaluated condition is within tolerance, 1 otherwise.
     """
-    from .dynamics import discretize
     from .formulations import load_model
 
     try:
         model = load_model(model_path)
     except FileNotFoundError:
         raise UsageError(f"no model file at {model_path!r}") from None
-    system = cfg.build_system()
-    if (model.state_dim, model.input_dim) != (system.state_dim, system.input_dim):
-        raise UsageError(
-            f"model dimensions (n={model.state_dim}, m={model.input_dim}) do not match "
-            f"system {cfg.system_name!r} (n={system.state_dim}, m={system.input_dim})"
-        )
+    _check_dims("model", model, cfg)
+    system = _checked_system(cfg, model.time_kind, model.dt)
 
-    # align time kinds: discrete models are checked against the discretized flow
-    if model.time_kind == "discrete" and system.time_kind == "continuous":
-        dt = model.dt if model.dt is not None else (cfg.dataset.dt if cfg.dataset else None)
-        if dt is None:
-            raise UsageError(
-                "discrete-time model over a continuous-time system: no dt recorded "
-                "on the model and no dataset section to take one from"
-            )
-        system = discretize(system, dt)
-    elif model.time_kind == "continuous" and system.time_kind == "discrete":
-        raise UsageError(
-            f"continuous-time model cannot be checked against the discrete-time "
-            f"system {cfg.system_name!r}"
-        )
-
-    grid = cfg.build_grid()
     seed = pairwise_seed
     if seed is None:
         seed = cfg.dataset.seed if cfg.dataset is not None else 0
     requested = None if (not cfg.checks or cfg.checks == ["all-applicable"]) else cfg.checks
-
-    reports, skipped = _run_checks(system, model, grid, cfg.tolerance, seed, requested)
-    if not reports:
-        raise PipelineError("check", "no condition could be evaluated for this model")
-
-    out = _out_dir(cfg)
-    summary = _write_reports(reports, out, system, grid, cfg.tolerance, seed, skipped)
+    _, skipped, summary = _check_and_write(cfg, system, model, seed, requested)
 
     if model.variant == "bilinear":
         print("note: operator-family conditions evaluated through the equivalent "
@@ -390,6 +401,7 @@ def cmd_check(cfg, model_path, pairwise_seed=None) -> int:
     for family, reason in skipped:
         print(f"skipped {family}: {reason}")
     print(summary.to_text())
+    out = Path(cfg.out_dir)
     print(f"wrote {out / 'reports.json'} and {out / 'summary.csv'}")
     return EXIT_OK if summary.overall_verdict == "consistent" else EXIT_FAILURE
 
@@ -401,15 +413,17 @@ _N_HELDOUT = 5
 _HORIZON = 20
 
 
-def _compare_pipeline(cfg, out: Path) -> list[dict]:
-    """simulate -> fit -> rollout -> check for every configured formulation."""
+def _compare_pipeline(cfg) -> list[dict]:
+    """simulate -> fit -> rollout -> check for every configured formulation, then
+    the trajectory files and comparison.csv, all in the config's out_dir."""
     import numpy as np
 
     from .config import ConfigError
     from .consistency import summarize
-    from .dynamics import _draw_box, discretize, save_dataset
-    from .formulations import rollout, save_model
+    from .dynamics import _draw_box, save_dataset
+    from .formulations import rollout
 
+    out = _out_dir(cfg)
     if len(cfg.formulations) < 2:
         raise ConfigError("formulations", "compare needs at least two formulations")
     for i, spec in enumerate(cfg.formulations):
@@ -424,8 +438,7 @@ def _compare_pipeline(cfg, out: Path) -> list[dict]:
     # stage: simulate (training data is one-step pairs so every fit rolls out);
     # the pairs come from the same discretized system that is checked below
     try:
-        system = cfg.build_system()
-        dsystem = system if system.time_kind == "discrete" else discretize(system, cfg.dataset.dt)
+        dsystem = _checked_system(cfg, "discrete")
         data = _generate(cfg, kind="discrete-pairs", system=dsystem)
         save_dataset(data, out / "dataset")
     except ValueError as exc:
@@ -435,11 +448,8 @@ def _compare_pipeline(cfg, out: Path) -> list[dict]:
     state_box, input_box = cfg.sampling_regions()
     rng = np.random.default_rng(cfg.dataset.seed + 1)
     x0s = _draw_box(rng, state_box, _N_HELDOUT)
-    if dsystem.input_dim:
-        controls = _draw_box(rng, input_box, _N_HELDOUT * _HORIZON).reshape(
-            _N_HELDOUT, _HORIZON, dsystem.input_dim)
-    else:
-        controls = np.zeros((_N_HELDOUT, _HORIZON, 0))
+    controls = _draw_box(rng, input_box, _N_HELDOUT * _HORIZON).reshape(
+        _N_HELDOUT, _HORIZON, dsystem.input_dim)
     # every trajectory advances together: one stacked step per time step
     path = [x0s]
     for k in range(_HORIZON):
@@ -449,12 +459,7 @@ def _compare_pipeline(cfg, out: Path) -> list[dict]:
     grid = cfg.build_grid()
     rows = []
     for spec in _ordered_formulations(cfg):
-        # stage: fit
-        try:
-            model = _fit_one(spec.variant, data, cfg, spec.ridge)
-        except ValueError as exc:
-            raise PipelineError(f"fit[{spec.variant}]", str(exc)) from None
-        save_model(model, out / f"model-{spec.variant}.json")
+        model, _ = _fit_and_save(spec.variant, data, cfg, out, spec.ridge)
 
         # stage: rollout
         try:
@@ -462,15 +467,10 @@ def _compare_pipeline(cfg, out: Path) -> list[dict]:
         except ValueError as exc:
             raise PipelineError(f"rollout[{spec.variant}]", str(exc)) from None
         rmse = {}
-        for k in _RMSE_STEPS:
-            errs = []
-            for pred, true in zip(preds, true_paths):
-                if len(pred) <= k:  # divergence guard truncated the prediction
-                    errs = None
-                    break
-                errs_k = pred[k] - true[k]
-                errs.append(float(errs_k @ errs_k))
-            rmse[k] = float(np.sqrt(np.mean(errs))) if errs is not None else float("inf")
+        for k in _RMSE_STEPS:  # inf where the divergence guard truncated a prediction
+            errs = [pred[k] - true[k] for pred, true in zip(preds, true_paths) if len(pred) > k]
+            rmse[k] = (float(np.sqrt(np.mean([float(e @ e) for e in errs])))
+                       if len(errs) == len(preds) else float("inf"))
 
         # stage: check
         try:
@@ -512,10 +512,11 @@ def _compare_pipeline(cfg, out: Path) -> list[dict]:
         path = out / f"trajectory-{row['formulation']}.dat"
         path.write_text("\n".join(lines) + "\n")
 
+    _write_comparison_csv(rows, out / "comparison.csv")
     return rows
 
 
-def _write_comparison_csv(rows, path: Path) -> Path:
+def _write_comparison_csv(rows, path: Path):
     import csv
 
     fields = ["formulation", "train_residual", "rmse_1", "rmse_5", "rmse_20",
@@ -529,15 +530,11 @@ def _write_comparison_csv(rows, path: Path) -> Path:
                 *(repr(row[f]) for f in fields[1:-1]),
                 row["verdict"],
             ])
-    return path
 
 
 def cmd_compare(cfg) -> int:
     """Fit every configured formulation to one dataset and rank them."""
-    out = _out_dir(cfg)
-    rows = _compare_pipeline(cfg, out)
-    csv_path = _write_comparison_csv(rows, out / "comparison.csv")
-
+    rows = _compare_pipeline(cfg)
     header = (f"{'formulation':<12} {'train residual':>16} {'rmse@1':>12} "
               f"{'rmse@5':>12} {'rmse@20':>12} {'worst residual':>16}  verdict")
     print(header)
@@ -545,7 +542,7 @@ def cmd_compare(cfg) -> int:
         print(f"{row['formulation']:<12} {row['train_residual']:>16.6e} "
               f"{row['rmse_1']:>12.4e} {row['rmse_5']:>12.4e} {row['rmse_20']:>12.4e} "
               f"{row['worst_consistency']:>16.6e}  {row['verdict']}")
-    print(f"wrote {csv_path}")
+    print(f"wrote {Path(cfg.out_dir) / 'comparison.csv'}")
     return EXIT_OK
 
 
@@ -553,22 +550,22 @@ def cmd_compare(cfg) -> int:
 
 
 def _demo_config(out: Path, seed: int, raw: dict):
-    """A demo's validated config: its own sections, with the seed in its dataset,
-    its artifacts in `out`, and tolerance 1e-8 unless it sets one."""
+    """A demo's validated config, system and grid: its own sections, with the seed
+    in its dataset, its artifacts in `out`, and tolerance 1e-8 unless it sets one."""
     from .config import parse_config
 
     if "dataset" in raw:
         raw["dataset"]["seed"] = seed
-    return parse_config({"schema_version": 1, "tolerance": 1e-8, **raw, "out_dir": str(out)})
+    cfg = parse_config({"schema_version": 1, "tolerance": 1e-8, **raw, "out_dir": str(out)})
+    return cfg, cfg.build_system(), cfg.build_grid()
 
 
 def _demo_corollary1(out: Path, seed: int) -> str:
     """State-inclusive separable lifting is obstructed by a cross term."""
     from .consistency import check_corollary1, check_corollary4
-    from .dynamics import discretize
     from .formulations import fit_separable
 
-    cfg = _demo_config(out, seed, {
+    cfg, system, grid = _demo_config(out, seed, {
         "system": {"name": "bilinear-scalar", "params": {"a": -1.0, "b": 1.0}},
         "dataset": {"n_samples": 400, "kind": "continuous-derivative"},
         "dictionaries": {
@@ -577,13 +574,12 @@ def _demo_corollary1(out: Path, seed: int) -> str:
         },
         "tolerance": 1e-6,
     })
-    system = cfg.build_system()
-    dict_x, grid = cfg.dictionary("state"), cfg.build_grid()
+    dict_x = cfg.dictionary("state")
     model = fit_separable(_generate(cfg), dict_x, cfg.dictionary("input"))
     report = check_corollary1(system, dict_x, grid, tolerance=cfg.tolerance)
-    _write_reports([report], out, system, grid, cfg.tolerance, seed)
+    _write_reports([report], cfg, system, seed)
     dt = 0.1
-    discrete = check_corollary4(discretize(system, dt), dict_x, grid,
+    discrete = check_corollary4(_checked_system(cfg, "discrete", dt), dict_x, grid,
                                 tolerance=cfg.tolerance)
     x_star, u_star = report.argmax_point["x"][0], report.argmax_point["u"][0]
     return (
@@ -607,7 +603,7 @@ def _demo_corollary1(out: Path, seed: int) -> str:
 
 def _demo_joint_rescue(out: Path, seed: int) -> str:
     """A cross dictionary turns an unfittable bilinear map into an exact fit."""
-    cfg = _demo_config(out, seed, {
+    cfg, _, _ = _demo_config(out, seed, {
         "system": {"name": "bilinear-discrete", "params": {"alpha": 0.9, "beta": 0.1}},
         "dataset": {"n_samples": 400, "control_kind": "uniform-random"},
         "dictionaries": {
@@ -618,9 +614,7 @@ def _demo_joint_rescue(out: Path, seed: int) -> str:
         },
         "formulations": ["separable", "joint"],
     })
-    rows = _compare_pipeline(cfg, out)
-    _write_comparison_csv(rows, out / "comparison.csv")
-    sep, joint = rows  # canonical variant order
+    sep, joint = _compare_pipeline(cfg)  # canonical variant order
 
     def rmse(row):
         return f"{row['rmse_1']:.3e}, {row['rmse_5']:.3e} and {row['rmse_20']:.3e}"
@@ -651,13 +645,12 @@ def _demo_kaiser(out: Path, seed: int) -> str:
     import numpy as np
 
     from .consistency import check_kaiser
-    from .formulations import fit_eigen, save_model
 
     mu, lam = -0.05, -1.0
     b = lam / (lam - 2.0 * mu)
-    cfg = _demo_config(out, seed, {
+    cfg, system, grid = _demo_config(out, seed, {
         "system": {"name": "slow-manifold", "params": {"mu": mu, "lam": lam}},
-        "grid": {"zero_input": True},
+        "grid": {"zero_input": True},  # the eigenpair lives on the u = 0 slice
         "dataset": {"n_samples": 300, "control_kind": "zero",
                     "kind": "continuous-derivative"},
         "dictionaries": {
@@ -671,18 +664,14 @@ def _demo_kaiser(out: Path, seed: int) -> str:
             },
         },
     })
-    system = cfg.build_system()
     eigendict = cfg.dictionary("state")
-    data = _generate(cfg)
-    model = fit_eigen(data, eigendict)
-    save_model(model, out / "model-eigen.json")
-    grid = cfg.build_grid()  # zero-input slice: the eigenpair lives at u = 0
+    model, _ = _fit_and_save("eigen", _generate(cfg), cfg, out)
     fitted = check_kaiser(system, eigendict, model.eigenvalues, grid,
                           tolerance=cfg.tolerance)
     perturbed = check_kaiser(system, eigendict,
                              model.eigenvalues + np.array([0.0, 0.1]),
                              grid, tolerance=cfg.tolerance)
-    _write_reports([fitted, perturbed], out, system, grid, cfg.tolerance, seed)
+    _write_reports([fitted, perturbed], cfg, system, seed)
     lam1, lam2 = model.eigenvalues
     x1, x2 = perturbed.argmax_point["x"]
     return (
@@ -705,9 +694,9 @@ def _demo_williams(out: Path, seed: int) -> str:
     """An input-parameterized operator family equals a joint-dictionary lift."""
     import numpy as np
 
-    from .formulations import bilinear_to_joint, fit_bilinear, predict_step, save_model
+    from .formulations import bilinear_to_joint, predict_step, save_model
 
-    cfg = _demo_config(out, seed, {
+    cfg, system, _ = _demo_config(out, seed, {
         "system": {"name": "bilinear-discrete", "params": {"alpha": 0.9, "beta": 0.1}},
         "dataset": {"n_samples": 400, "control_kind": "uniform-random"},
         "dictionaries": {
@@ -716,20 +705,15 @@ def _demo_williams(out: Path, seed: int) -> str:
                       "include_constant": True, "var_prefix": "u"},
         },
     })
-    system = cfg.build_system()
-    data = _generate(cfg)
-    bil = fit_bilinear(data, cfg.dictionary("state"), cfg.dictionary("input"))
+    bil, _ = _fit_and_save("bilinear", _generate(cfg), cfg, out)
     joint = bilinear_to_joint(bil)
-    save_model(bil, out / "model-bilinear.json")
     save_model(joint, out / "model-joint.json")
 
     R = np.random.default_rng(seed).random((100, 2))
     x, u = -2.0 + 4.0 * R[:, :1], -1.0 + 2.0 * R[:, 1:]
     max_dev = float(np.max(np.abs(predict_step(bil, x, u)[0] - predict_step(joint, x, u)[0])))
 
-    grid = cfg.build_grid()
-    reports, skipped = _run_checks(system, joint, grid, cfg.tolerance, seed, None)
-    summary = _write_reports(reports, out, system, grid, cfg.tolerance, seed, skipped)
+    reports, _, summary = _check_and_write(cfg, system, joint, seed)
     worst = max(r.max_residual for r in reports)
     operators = ", ".join(f"K[{name}] = {K.item():+.6f}"
                           for name, K in zip(bil.dict_u.names, bil.K_terms))
@@ -755,18 +739,16 @@ def _demo_gxfu(out: Path, seed: int) -> str:
     """Pairwise independence probes a state-dependent input gain."""
     from .consistency import check_corollary2
 
-    cfg = _demo_config(out, seed, {
+    cfg, system, grid = _demo_config(out, seed, {
         "system": {"name": "duffing-forced", "params": {"delta": 0.5}},
         "dictionaries": {
             "state": {"kind": "monomials", "dim": 2, "max_degree": 2,
                       "include_constant": False},
         },
     })
-    system = cfg.build_system()
-    grid = cfg.build_grid()
     report = check_corollary2(system, cfg.dictionary("state"), grid,
                               seed=seed, tolerance=cfg.tolerance)
-    _write_reports([report], out, system, grid, cfg.tolerance, seed)
+    _write_reports([report], cfg, system, seed)
     return (
         "For systems of the form xdot = f_x(x) + G(x) f_u(u) one might hope to "
         "lift the input channel through observables of u alone. COR2-PAIRWISE "

@@ -9,10 +9,10 @@ consistent verdict never establishes that a lifted representation exists.
 The conditions share their ingredients: f, its pieces f_x, f_u, f_xu, their
 Jacobians, and psi and J_psi at the states, the inputs and the next states
 f(x, u), f(x, 0), f(0, u). One ingredient object per (system, grid) evaluates
-each once, as one read-only stack, and a residual field is an array
-expression over those stacks, broadcast onto the (x, u) product in
-state-major order. check_model hands one such object to every family in the
-grid slot; a checker called with a plain grid builds its own. A non-finite
+each once, as one read-only stack, and check_model hands one to every family.
+A residual field is an array expression over those stacks on the (x, u)
+product in state-major order. A point's residual is the max-abs entry of its
+block (`_norms`), the || . || of every checker docstring. A non-finite
 residual raises ValueError: such a field has no verdict.
 
 Condition identifiers form a closed set (CONDITION_IDS). The DEF1-*/DEF2-*

@@ -27,6 +27,7 @@ from .numerics import (
     _read_only,
     _rng,
     _stacked,
+    _typed_field,
     _unstack,
     finite_difference_jacobian,
     rk4_step,
@@ -883,15 +884,9 @@ def save_dataset(dataset: SnapshotDataset, stem) -> tuple[Path, Path]:
     csv_path = stem.with_suffix(".csv")
     json_path = stem.with_suffix(".json")
     n, m = dataset.state_dim, dataset.input_dim
-    header = (
-        ["k"]
-        + [f"x_{i + 1}" for i in range(n)]
-        + [f"u_{j + 1}" for j in range(m)]
-        + [f"y_{i + 1}" for i in range(n)]
-    )
     rows = map(np.ndarray.tolist, np.hstack([dataset.X, dataset.U, dataset.Y]))
     with open(csv_path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+        fh.write(",".join(_dataset_columns(n, m)) + "\r\n")
         fh.writelines(f"{k},{','.join(map(repr, row))}\r\n" for k, row in enumerate(rows))
     envelope = {
         "schema_version": DATASET_SCHEMA_VERSION,
@@ -912,38 +907,57 @@ def save_dataset(dataset: SnapshotDataset, stem) -> tuple[Path, Path]:
     return csv_path, json_path
 
 
+def _dataset_columns(n: int, m: int) -> list:
+    """The CSV header of a dataset with n states and m inputs."""
+    return (["k"] + [f"x_{i + 1}" for i in range(n)] + [f"u_{j + 1}" for j in range(m)]
+            + [f"y_{i + 1}" for i in range(n)])
+
+
 def load_dataset(stem) -> SnapshotDataset:
-    """Read a dataset written by `save_dataset` from `<stem>.csv` + `<stem>.json`."""
+    """Read a dataset written by `save_dataset` from `<stem>.csv` + `<stem>.json`; a
+    badly typed envelope field or a header off its dims is a ValueError naming it."""
     stem = Path(stem)
     json_path = stem.with_suffix(".json")
     csv_path = stem.with_suffix(".csv")
     with open(json_path) as fh:
         env = json.load(fh)
+    if not isinstance(env, dict):
+        raise ValueError(f"{json_path.name}: dataset envelope must be a JSON object, "
+                         f"got {type(env).__name__}")
     if env.get("schema_version") != DATASET_SCHEMA_VERSION:
         raise ValueError(
             f"unsupported dataset schema_version {env.get('schema_version')!r}"
         )
-    n, m = int(env["state_dim"]), int(env["input_dim"])
-    n_rows, width = int(env["n_samples"]), 1 + 2 * n + m
+
+    def field(key, kind, *default):
+        return _typed_field(env, key, kind, *default, what="dataset envelope field")
+
+    try:
+        n, m, n_rows = (field(key, int) for key in ("state_dim", "input_dim", "n_samples"))
+        kind, dt = field("kind", str), field("dt", float)
+    except KeyError as exc:
+        raise ValueError(f"dataset envelope field {exc} is missing") from None
+    columns = _dataset_columns(n, m)
     with open(csv_path) as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if len(header) != width:
-            raise ValueError(f"{csv_path.name}: expected {width} columns, got {len(header)}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2) if n_rows else np.zeros((0, width))
-    if data.shape != (n_rows, width):
+        header = fh.readline().rstrip("\r\n").split(",")
+        if header != columns:
+            raise ValueError(f"{csv_path.name}: expected columns {','.join(columns)}, "
+                             f"got {','.join(header)}")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2) if n_rows else np.zeros((0, len(columns)))
+    if data.shape != (n_rows, len(columns)):
         raise ValueError(
-            f"{csv_path.name}: expected {n_rows} rows of {width} columns, "
+            f"{csv_path.name}: expected {n_rows} rows of {len(columns)} columns, "
             f"got {data.shape[0]} of {data.shape[1]}"
         )
     data = data[:, 1:]
     return SnapshotDataset(
-        kind=env["kind"],
+        kind=kind,
         X=data[:, :n],
         U=data[:, n : n + m],
         Y=data[:, n + m :],
-        dt=float(env["dt"]),
+        dt=dt,
         seed=env.get("seed"),
-        system_name=env.get("system", ""),
-        control_kind=env.get("control_kind", ""),
-        n_redraws=int(env.get("n_redraws", 0)),
+        system_name=field("system", str, ""),
+        control_kind=field("control_kind", str, ""),
+        n_redraws=field("n_redraws", int, 0),
     )

@@ -31,7 +31,7 @@ import numpy as np
 
 from .dynamics import SnapshotDataset
 from .numerics import (RankDeficiencyError, _block_least_squares, _mv, _row_slices,
-                       solve_least_squares)
+                       _typed_field, solve_least_squares)
 from .observables import (
     Dictionary,
     JointDictionary,
@@ -72,8 +72,9 @@ MODEL_SCHEMA_VERSION = 1
 
 
 # fit metadata saved with a model: key -> (default on a new or loaded model,
-# conversion or None); design_* describe the regression's design matrix, set by
-# fits that solve one stacked regression ("ridge-augmented" when ridge > 0)
+# the `numerics._typed_field` kind it must have, or None); design_* describe the
+# regression's design matrix, set by fits that solve one stacked regression
+# ("ridge-augmented" when ridge > 0)
 _METADATA = {
     "training_residual": (None, None),
     "n_samples": (None, None),
@@ -187,16 +188,13 @@ class KoopmanModel:
         }
 
     def _metadata(self) -> dict:
-        return {key: getattr(self, key) if convert is None else convert(getattr(self, key))
-                for key, (_, convert) in _METADATA.items()}
+        return {key: getattr(self, key) if kind is None else kind(getattr(self, key))
+                for key, (_, kind) in _METADATA.items()}
 
     def _restore_metadata(self, meta: dict):
-        for key, (default, convert) in _METADATA.items():
-            value = meta.get(key, default)
-            try:
-                setattr(self, key, value if convert is None else convert(value))
-            except (TypeError, ValueError):
-                raise ValueError(f"model metadata field {key!r} has bad value {value!r}") from None
+        for key, (default, kind) in _METADATA.items():
+            setattr(self, key, meta.get(key, default) if kind is None
+                    else _typed_field(meta, key, kind, default, what="model metadata field"))
 
     def __repr__(self):
         return (

@@ -14,7 +14,7 @@ per-point user callable reaches them through the one row adapter here,
 
 from __future__ import annotations
 
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -129,6 +129,28 @@ def _check_seed(seed):
     return seed
 
 
+# kind -> (test, what the message calls it); a bool is a boolean and nothing else
+_FIELD_TYPES = {
+    int: (lambda v: isinstance(v, Integral) and not isinstance(v, bool), "an integer"),
+    float: (lambda v: isinstance(v, Real) and not isinstance(v, bool)
+            and 0 <= v <= np.finfo(float).max, "a finite number >= 0"),
+    bool: (lambda v: isinstance(v, bool), "a boolean"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    list: (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+           "a list of strings"),
+}
+
+
+def _typed_field(fields: dict, key: str, kind: type, *default, what="dictionary spec field"):
+    """fields[key] as a `kind`, or the default (when given) if it is absent. A
+    present value must be of `kind`, else ValueError names it as `what` `key`."""
+    value = fields.get(key, *default) if default else fields[key]
+    test, noun = _FIELD_TYPES[kind]
+    if not test(value):
+        raise ValueError(f"{what} {key!r} must be {noun}, got {value!r}")
+    return kind(value)
+
+
 def _rng(seed) -> np.random.Generator:
     """The seeded random stream of one draw; the seed is checked first."""
     return np.random.default_rng(_check_seed(seed))
@@ -174,7 +196,7 @@ def _block_least_squares(n_rows: int, rows, ridge: float = 0.0):
     return X, int(rank), s[:min(design_rows, k)], float(residual / np.sqrt(n_rows))
 
 
-def solve_least_squares(A, B, ridge: float = 0.0, *, _conditioning: dict | None = None) -> np.ndarray:
+def solve_least_squares(A, B, ridge: float = 0.0) -> np.ndarray:
     """Minimize ||A X - B||_F^2 (+ ridge * ||X||_F^2) over X.
 
     Parameters
@@ -196,10 +218,7 @@ def solve_least_squares(A, B, ridge: float = 0.0, *, _conditioning: dict | None 
     Notes
     -----
     The solve runs on the row-block QR core the fits use, never the normal
-    equations, so conditioning is that of A itself. A caller that passes a
-    dict as the private `_conditioning` receives the rank and singular values
-    of A (of the augmented matrix when ridge > 0), also when the solve then
-    raises for rank deficiency.
+    equations, so conditioning is that of A itself.
     """
     A = _as_float_array(A, "A", ndim=2)
     B = np.asarray(B, dtype=float)
@@ -210,10 +229,7 @@ def solve_least_squares(A, B, ridge: float = 0.0, *, _conditioning: dict | None 
         raise ValueError(
             f"A and B row counts differ: A has {A.shape[0]} rows, B has {B2.shape[0]}"
         )
-    X, rank, singular_values, _ = _block_least_squares(
-        A.shape[0], lambda rows: (A[rows], B2[rows]), ridge)
-    if _conditioning is not None:
-        _conditioning.update(rank=rank, singular_values=singular_values)
+    X, rank, _, _ = _block_least_squares(A.shape[0], lambda rows: (A[rows], B2[rows]), ridge)
     if ridge == 0.0 and rank < A.shape[1]:
         raise RankDeficiencyError(rank, A.shape[1])
     return X[:, 0] if B.ndim == 1 else X

@@ -21,11 +21,11 @@ adapter of `numerics`.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from numbers import Integral
 
 import numpy as np
 
-from .numerics import _aligned_rows, _as_rows, _Broadcast, _mv, _rng, _stacked, _unstack
+from .numerics import (_aligned_rows, _as_rows, _Broadcast, _mv, _rng, _stacked, _typed_field,
+                       _unstack)
 
 __all__ = [
     "Dictionary",
@@ -474,19 +474,6 @@ def subtract_value_at_zero(dictionary: Dictionary) -> ShiftedDictionary:
     return ShiftedDictionary(dictionary)
 
 
-_SPEC_TYPES = {int: (Integral, "an integer"), bool: (bool, "a boolean"), str: (str, "a string")}
-
-
-def _spec_field(spec: dict, key: str, kind: type, *default):
-    """spec[key], or the default (when given) if it is absent. The value must be of
-    `kind`, and a bool is no integer; else ValueError names the field."""
-    value = spec.get(key, *default) if default else spec[key]
-    types, what = _SPEC_TYPES[kind]
-    if not isinstance(value, types) or (kind is int and isinstance(value, bool)):
-        raise ValueError(f"dictionary spec field {key!r} must be {what}, got {value!r}")
-    return kind(value)
-
-
 def build_dictionary(spec: dict) -> Dictionary:
     """Rebuild a dictionary from its JSON spec (see Dictionary.spec)."""
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -494,19 +481,19 @@ def build_dictionary(spec: dict) -> Dictionary:
     kind = spec["kind"]
     try:
         if kind in ("monomials", "identity"):
-            dim, prefix = _spec_field(spec, "dim", int), _spec_field(spec, "var_prefix", str, "x")
+            dim, prefix = _typed_field(spec, "dim", int), _typed_field(spec, "var_prefix", str, "x")
             if kind == "identity":
                 return identity(dim, prefix)
-            return monomials(dim, _spec_field(spec, "max_degree", int),
-                             _spec_field(spec, "include_constant", bool, True), prefix)
+            return monomials(dim, _typed_field(spec, "max_degree", int),
+                             _typed_field(spec, "include_constant", bool, True), prefix)
         if kind == "rbf":
             if "centers" in spec:
                 return RbfDictionary(spec["centers"], spec["width"])
             return rbf(
-                n_centers=_spec_field(spec, "n_centers", int),
+                n_centers=_typed_field(spec, "n_centers", int),
                 region=[tuple(b) for b in spec["region"]],
                 width=spec["width"],
-                seed=_spec_field(spec, "seed", int, 0),
+                seed=_typed_field(spec, "seed", int, 0),
             )
         if kind == "composite":
             return CompositeDictionary([build_dictionary(s) for s in spec["parts"]])
@@ -692,7 +679,7 @@ def joint_dictionary_from_spec(spec: dict) -> JointDictionary:
     kind = spec["kind"]
     try:
         if kind == "monomial-joint":
-            return MonomialJointDictionary(*(_spec_field(spec, key, int) for key in (
+            return MonomialJointDictionary(*(_typed_field(spec, key, int) for key in (
                 "state_dim", "input_dim", "state_degree", "input_degree")))
         if kind == "bilinear-derived":
             return bilinear_cross_dictionary(

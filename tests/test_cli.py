@@ -193,6 +193,25 @@ class TestFit:
         with pytest.raises(cli.UsageError, match="do not match"):
             cli.cmd_fit(other, tmp_path / "dataset.csv")
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda env: [1, 2], "JSON object"),
+        (lambda env: {k: v for k, v in env.items() if k != "state_dim"}, "'state_dim'"),
+        (lambda env: {**env, "dt": "0.05"}, "'dt'"),
+    ], ids=["not-an-object", "missing-field", "string-dt"])
+    def test_malformed_envelope_is_an_error_naming_it(self, tmp_path, capsys, edit, named):
+        import json
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(linear_raw(tmp_path)))
+        assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
+        envelope = tmp_path / "dataset.json"
+        envelope.write_text(json.dumps(edit(json.loads(envelope.read_text()))))
+        capsys.readouterr()
+        rc = cli.main(["fit", "--config", str(path), "--dataset", str(tmp_path / "dataset.csv")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_FAILURE
+        assert err.startswith("error: ") and named in err
+
     def test_fit_error_is_tagged_with_the_formulation(self, tmp_path):
         raw = linear_raw(tmp_path, formulations=["separable"])
         raw["dataset"]["control_kind"] = "zero"
@@ -556,6 +575,27 @@ class TestCompare:
         with pytest.raises(ConfigError) as excinfo:
             cli.cmd_compare(cfg)
         assert excinfo.value.path == "formulations[1].variant"
+
+    def compare_main(self, tmp_path, raw):
+        import json
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        return cli.main(["compare", "--config", str(path)])
+
+    def test_failing_fit_is_tagged_with_its_formulation(self, tmp_path, capsys):
+        # a separable fit needs actuated samples to identify its input operator
+        raw = bilinear_raw(tmp_path)
+        raw["dataset"]["control_kind"] = "zero"
+        assert self.compare_main(tmp_path, raw) == cli.EXIT_FAILURE
+        assert capsys.readouterr().err.startswith("error: fit[separable]: ")
+
+    def test_failing_simulate_is_tagged(self, tmp_path, capsys):
+        # RK4 at dt = 50 carries the cubic Duffing flow off from every start
+        raw = duffing_raw(tmp_path)
+        raw["dataset"]["dt"] = 50.0
+        assert self.compare_main(tmp_path, raw) == cli.EXIT_FAILURE
+        assert capsys.readouterr().err.startswith("error: simulate: ")
 
     def test_byte_identical_reruns(self, tmp_path):
         for sub in ("a", "b"):

@@ -1,6 +1,7 @@
 """System construction, simulation, discretization and dataset generation."""
 
 import gc
+import json
 import math
 import weakref
 from collections import Counter
@@ -731,6 +732,43 @@ class TestDatasetSerialization:
         env = (tmp_path / "d.json").read_text().replace('"schema_version": 1', '"schema_version": 99')
         (tmp_path / "d.json").write_text(env)
         with pytest.raises(ValueError, match="schema_version"):
+            load_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("field", ["state_dim", "input_dim", "n_samples", "kind", "dt"])
+    def test_missing_envelope_field_is_named(self, tmp_path, field):
+        save_dataset(self._signed_zero_case(), tmp_path / "d")
+        env = json.loads((tmp_path / "d.json").read_text())
+        del env[field]
+        (tmp_path / "d.json").write_text(json.dumps(env))
+        with pytest.raises(ValueError, match=repr(field)):
+            load_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("field, value", [
+        ("state_dim", "2"), ("state_dim", 2.0), ("input_dim", True), ("n_samples", None),
+        ("kind", 1), ("dt", "0.1"), ("dt", True), ("dt", -0.1), ("n_redraws", "0"),
+        ("system", 3), ("control_kind", None),
+    ])
+    def test_badly_typed_envelope_field_is_named(self, tmp_path, field, value):
+        save_dataset(self._signed_zero_case(), tmp_path / "d")
+        env = json.loads((tmp_path / "d.json").read_text())
+        env[field] = value
+        (tmp_path / "d.json").write_text(json.dumps(env))
+        with pytest.raises(ValueError, match=f"dataset envelope field {field!r}"):
+            load_dataset(tmp_path / "d")
+
+    def test_non_object_envelope_rejected(self, tmp_path):
+        save_dataset(self._signed_zero_case(), tmp_path / "d")
+        (tmp_path / "d.json").write_text("[1, 2]")
+        with pytest.raises(ValueError, match="JSON object"):
+            load_dataset(tmp_path / "d")
+
+    def test_dims_must_match_the_header(self, tmp_path):
+        # same width as n=2, m=1 (six columns), but the envelope says n=1, m=3
+        save_dataset(self._signed_zero_case(), tmp_path / "d")
+        env = json.loads((tmp_path / "d.json").read_text())
+        env.update(state_dim=1, input_dim=3)
+        (tmp_path / "d.json").write_text(json.dumps(env))
+        with pytest.raises(ValueError, match="expected columns k,x_1,u_1,u_2,u_3,y_1"):
             load_dataset(tmp_path / "d")
 
     def test_dataset_shape_validation(self):

@@ -606,7 +606,9 @@ class TestMalformedPayload:
         assert [m.variant for m in payload_models()] == list(VARIANTS)
 
     @pytest.mark.parametrize("key, value", [("ridge", None), ("ridge", "high"),
-                                            ("notes", 5), ("notes", None)])
+                                            ("notes", 5), ("notes", None),
+                                            ("fully_identified", "no"), ("notes", "abc"),
+                                            ("ridge", True)])
     def test_badly_typed_metadata_is_named(self, key, value):
         payload = model_to_payload(payload_models()[0])
         payload["metadata"][key] = value

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from kooplab.numerics import (
     RankDeficiencyError,
+    _block_least_squares,
     finite_difference_jacobian,
     rk4_step,
     solve_least_squares,
@@ -63,16 +64,18 @@ class TestSolveLeastSquares:
         A = np.zeros((6, 3))
         A[:, 0] = 1.0
         A[:, 1] = np.arange(6.0)
-        info = {}
+        B = np.ones((6, 1))
+        _, rank, singular_values, _ = _block_least_squares(6, lambda rows: (A[rows], B[rows]))
+        assert rank == 2
+        np.testing.assert_allclose(singular_values, np.linalg.svd(A, compute_uv=False))
         with pytest.raises(RankDeficiencyError):
-            solve_least_squares(A, np.ones(6), _conditioning=info)
-        assert info["rank"] == 2
-        np.testing.assert_allclose(info["singular_values"], np.linalg.svd(A, compute_uv=False))
-        solve_least_squares(A, np.ones(6), ridge=1e-6, _conditioning=info)
+            solve_least_squares(A, B)
+        _, rank, singular_values, _ = _block_least_squares(
+            6, lambda rows: (A[rows], B[rows]), ridge=1e-6)
         augmented = np.vstack([A, 1e-3 * np.eye(3)])
-        assert info["rank"] == 3
-        np.testing.assert_allclose(info["singular_values"],
-                                   np.linalg.svd(augmented, compute_uv=False))
+        assert rank == 3
+        np.testing.assert_allclose(singular_values, np.linalg.svd(augmented, compute_uv=False))
+        solve_least_squares(A, B, ridge=1e-6)
 
     def test_ridge_accepts_rank_deficient_design(self):
         A = np.zeros((6, 3))
