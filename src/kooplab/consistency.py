@@ -21,7 +21,9 @@ conditions test operator matrices against a system's decomposition pieces
 f_x, f_u, f_xu and the dictionary Jacobians, and come in continuous
 (T2/T3/COR1-3 and the eigen condition) and discrete (T4/T5/COR4-8) families.
 CONDITIONS is the one table of which checker family evaluates each id and
-which fitted models it applies to; check_model runs a model through it.
+which fitted models it applies to; check_model runs a model through it. An
+id comes from its row's family alone: affine models (separable ones with
+psi_u(u) = u) get COR1, COR2 and COR4 because those rows list them.
 """
 
 from __future__ import annotations
@@ -276,13 +278,8 @@ class ConsistencyReport:
 # -- shared ingredients ------------------------------------------------------------
 
 
-def _inf(arr) -> float:
-    arr = np.asarray(arr, dtype=float)
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
-
-
 def _norms(R) -> np.ndarray:
-    """Max-abs of each point's block of a stacked field; NaN propagates as in _inf."""
+    """Max-abs of each point's block of a stacked field; NaN propagates."""
     return np.abs(R).max(axis=tuple(range(1, R.ndim)), initial=0.0)
 
 
@@ -340,13 +337,15 @@ class _Ingredients:
 
     def require_vanishing(self, hypothesis, fn, where, *cols):
         """Raise HypothesisViolationError, naming the worst point's rows of cols, unless
-        at(fn, where) vanishes; a non-finite norm counts as inf, so NaN cannot pass."""
+        at(fn, where) vanishes; a non-finite norm counts as inf, so NaN cannot pass.
+        A single point ("x=0", "u=0") takes no cols and names no location."""
         v = self.norms(fn, where)
         v = np.where(np.isfinite(v), v, np.inf)
         i = int(np.argmax(v))
         if v[i] > _HYPOTHESIS_TOL:
             at = tuple(c[i] for c in cols)
-            raise HypothesisViolationError(hypothesis, v[i], where=at if len(at) > 1 else at[0])
+            raise HypothesisViolationError(hypothesis, v[i],
+                                           where=at[0] if len(at) == 1 else at or None)
 
     def autonomous(self) -> "_Ingredients":
         """The ingredients on the zero-input slice of the grid: self when the
@@ -379,14 +378,10 @@ def _require_state_inclusive(dict_x: Dictionary, checker: str):
 
 def _require_separable(ing, dict_u):
     """Hypotheses shared by the separable-formulation conditions."""
-    v = _inf(ing.at(ing.system.f_u, "u=0"))
-    if not v <= _HYPOTHESIS_TOL:
-        raise HypothesisViolationError("f_u(0) = 0", v)
+    ing.require_vanishing("f_u(0) = 0", ing.system.f_u, "u=0")
     ing.require_vanishing("f_xu(x, 0) = 0", ing.system.f_xu, "(x,0)", ing.grid.states)
     ing.require_vanishing("f_xu(0, u) = 0", ing.system.f_xu, "(0,u)", ing.grid.inputs)
-    v = _inf(ing.at(dict_u.evaluate, "u=0"))
-    if not v <= _HYPOTHESIS_TOL:
-        raise HypothesisViolationError("psi_u(0) = 0", v)
+    ing.require_vanishing("psi_u(0) = 0", dict_u.evaluate, "u=0")
 
 
 def _sample_pair_indices(grid, n_pairs, seed, n_index_sets):
@@ -576,34 +571,26 @@ def check_corollary2(system: ControlledSystem, dict_x: Dictionary, grid: Evaluat
 
 
 def check_corollary3_kma(system: ControlledSystem, dict_x: Dictionary, L, B,
-                         grid: EvaluationGrid, n_pairs: int = 200, seed: int = 0,
+                         grid: EvaluationGrid,
                          tolerance: float = DEFAULT_TOLERANCE) -> list[ConsistencyReport]:
     """Conditions for the continuous affine formulation (constant B).
 
-    Returns the inherited COR1/COR2 checks plus
     COR3-KMA-B: || J_psi_x(0) df_u/du(u) - B ||     over inputs
     COR3-KMA-L: || J_psi_x(x) f_x(x) - L psi_x(x) || over states
 
-    When f_xu is not identically zero the pairwise check's hypothesis fails;
-    that report is skipped (the cross-term violation is already captured by
-    COR1-FXU, which carries a note).
+    An affine model also inherits the separable COR1-FXU and COR2-PAIRWISE;
+    check_corollary1 and check_corollary2 evaluate those, not this checker.
     """
     ing = _ingredients(system, grid, "check_corollary3_kma", "continuous")
     _require_state_inclusive(dict_x, "check_corollary3_kma")
     L = np.asarray(L, dtype=float)
     B = np.asarray(B, dtype=float)
-
-    reports = [check_corollary1(system, dict_x, ing, tolerance=tolerance)]
-    try:
-        reports.append(check_corollary2(system, dict_x, ing, n_pairs, seed, tolerance=tolerance))
-    except HypothesisViolationError:
-        reports[0].note = "cross term nonzero: pairwise condition skipped (its hypothesis fails)"
-
     res_b = _norms(ing.at(dict_x.jacobian, "x=0") @ ing.at(system.jacobian_fu, "u") - B)
-    reports.append(ConsistencyReport("COR3-KMA-B", tolerance, {"u": ing.grid.inputs}, res_b))
-    reports.append(ConsistencyReport("COR3-KMA-L", tolerance, {"x": ing.grid.states},
-                                     _drift(ing, dict_x, L)))
-    return reports
+    return [
+        ConsistencyReport("COR3-KMA-B", tolerance, {"u": ing.grid.inputs}, res_b),
+        ConsistencyReport("COR3-KMA-L", tolerance, {"x": ing.grid.states},
+                          _drift(ing, dict_x, L)),
+    ]
 
 
 def check_theorem3(system: ControlledSystem, dict_x: Dictionary,
@@ -720,8 +707,8 @@ def check_corollary4(system: ControlledSystem, dict_x: Dictionary, grid: Evaluat
     """
     ing = _ingredients(system, grid, "check_corollary4", "discrete")
     _require_state_inclusive(dict_x, "check_corollary4")
-    details = {"max_cross_jac_x": _inf(ing.at(system.jacobian_fxu_x, "(x,u)")),
-               "max_cross_jac_u": _inf(ing.at(system.jacobian_fxu_u, "(x,u)"))}
+    details = {"max_cross_jac_x": float(ing.norms(system.jacobian_fxu_x, "(x,u)").max()),
+               "max_cross_jac_u": float(ing.norms(system.jacobian_fxu_u, "(x,u)").max())}
     return ConsistencyReport("COR4-FXU", tolerance, ing.xu,
                              ing.norms(system.f_xu, "(x,u)"), details=details)
 
@@ -759,20 +746,19 @@ def check_corollary5(system: ControlledSystem, dict_x: Dictionary, grid: Evaluat
 def check_corollary6(system: ControlledSystem, dict_x: Dictionary, K, B,
                      grid: EvaluationGrid,
                      tolerance: float = DEFAULT_TOLERANCE) -> list[ConsistencyReport]:
-    """Conditions for the discrete affine formulation (constant B).
+    """Condition for the discrete affine formulation (constant B); returns [COR6-B].
 
-    Returns the inherited COR4-FXU check plus
     COR6-B: || J_psi_x(f(x,u)) df_u/du(u) - B ||  over the product.
+
+    An affine model also inherits the separable COR4-FXU, which
+    check_corollary4 evaluates, not this checker.
     """
     ing = _ingredients(system, grid, "check_corollary6", "discrete")
     _require_state_inclusive(dict_x, "check_corollary6")
     B = np.asarray(B, dtype=float)
-
-    reports = [check_corollary4(system, dict_x, ing, tolerance=tolerance)]
     res = _norms(ing.at(dict_x.jacobian, "f(x,u)") @ ing.per_input(ing.at(system.jacobian_fu, "u"))
                  - B)
-    reports.append(ConsistencyReport("COR6-B", tolerance, ing.xu, res))
-    return reports
+    return [ConsistencyReport("COR6-B", tolerance, ing.xu, res)]
 
 
 def check_theorem5(system: ControlledSystem, dict_x: Dictionary,
@@ -849,31 +835,28 @@ def _joint_operators(model):
 
 
 # family -> its public checker for a fitted model, (system, model, ingredients, tol,
-# seed) -> reports; checkers are looked up by name at call time, so a rebound one is used
+# seed) -> the reports of exactly the ids whose CONDITIONS rows name that family;
+# checkers are looked up by name at call time, so a rebound one is used
 _FAMILY_CHECKS = {
     "DEF1": lambda s, m, g, tol, seed: [check_def1(s, m, g, tolerance=tol)],
     "DEF2": lambda s, m, g, tol, seed: check_def2(s, m, g, tolerance=tol),
     "T2": lambda s, m, g, tol, seed: check_theorem2(
         s, m.dict_x, m.dict_u, m.K_x, m.K_u, g, tolerance=tol),
-    "COR3": lambda s, m, g, tol, seed: check_corollary3_kma(
-        s, m.dict_x, m.K, _input_matrix(s, m), g, seed=seed, tolerance=tol),
     "COR1": lambda s, m, g, tol, seed: [check_corollary1(s, m.dict_x, g, tolerance=tol)],
     "COR2": lambda s, m, g, tol, seed: [
         check_corollary2(s, m.dict_x, g, seed=seed, tolerance=tol)],
+    "COR3": lambda s, m, g, tol, seed: check_corollary3_kma(
+        s, m.dict_x, m.K, _input_matrix(s, m), g, tolerance=tol),
     "T3": lambda s, m, g, tol, seed: check_theorem3(s, *_joint_operators(m), g, tolerance=tol),
     "KAISER": lambda s, m, g, tol, seed: [check_kaiser(s, m.eigendict, m.Lam, g, tolerance=tol)],
     "T4": lambda s, m, g, tol, seed: check_theorem4(
         s, m.dict_x, m.dict_u, m.K_x, m.K_u, g, tolerance=tol),
-    "COR6": lambda s, m, g, tol, seed: check_corollary6(
-        s, m.dict_x, m.K, _input_matrix(s, m), g, tolerance=tol),
     "COR4": lambda s, m, g, tol, seed: [check_corollary4(s, m.dict_x, g, tolerance=tol)],
     "COR5": lambda s, m, g, tol, seed: check_corollary5(s, m.dict_x, g, seed=seed, tolerance=tol),
+    "COR6": lambda s, m, g, tol, seed: check_corollary6(
+        s, m.dict_x, m.K, _input_matrix(s, m), g, tolerance=tol),
     "T5": lambda s, m, g, tol, seed: check_theorem5(s, *_joint_operators(m), g, tolerance=tol),
 }
-
-# COR3 already returns the COR1/COR2 reports, and COR6 the COR4 report; check_model
-# runs families in table order, where these two come first, so their reports are kept
-_SUBSUMED = {"COR3": ("COR1", "COR2"), "COR6": ("COR4",)}
 
 
 def check_model(system: ControlledSystem, model, grid: EvaluationGrid,
@@ -881,16 +864,17 @@ def check_model(system: ControlledSystem, model, grid: EvaluationGrid,
                 conditions=None) -> tuple[list, list]:
     """Evaluate table conditions for a fitted model; returns (reports, skipped).
 
-    conditions = None runs every family with an id whose CONDITIONS row
-    applies to the model; a family whose hypothesis fails, or which is
-    inapplicable to the model's dictionary, is skipped with a
+    The families of the ids in play run in CONDITION_IDS order on one
+    ingredient object, each returning its own ids only, so an id reports or
+    is skipped alike for every variant its row lists. conditions = None takes
+    every id whose row applies to the model; a family whose hypothesis fails,
+    or which is inapplicable to the model's dictionary, is skipped with a
     (family, reason) note, and any other error propagates. An explicit id
     list is strict: an unknown id raises ValueError, an id whose row does
     not apply raises InapplicableConditionError, hypothesis violations
     propagate, and each requested id yields one report. Reports come in
     CONDITION_IDS order in both modes. seed, an integer >= 0, drives the
-    pairwise samples. All families read one ingredient object per call, in
-    _FAMILY_CHECKS order.
+    pairwise samples.
     """
     _check_seed(seed)
     strict = conditions is not None
@@ -902,26 +886,21 @@ def check_model(system: ControlledSystem, model, grid: EvaluationGrid,
                 f"condition {cid} requires {CONDITIONS[cid].requirement}; the loaded "
                 f"model is a {model.time_kind}-time {model.variant} model"
             )
-    if not strict:
-        conditions = [cid for cid, c in CONDITIONS.items() if c.applies(model)]
-    families = {CONDITIONS[cid].family for cid in conditions}
-    # requested ids run subsumed families too, enforcing their own hypotheses
-    subsumed = () if strict else {f for family in families for f in _SUBSUMED.get(family, ())}
+    ids = [cid for cid, c in CONDITIONS.items()
+           if (cid in conditions if strict else c.applies(model))]
     ing = _Ingredients(system, grid)
-    reports, skipped = {}, []  # shared ids are kept once
-    for family in _FAMILY_CHECKS:
-        if family not in families or family in subsumed:
-            continue
+    reports, skipped = {}, []
+    for family in dict.fromkeys(CONDITIONS[cid].family for cid in ids):
         try:
-            for r in _FAMILY_CHECKS[family](system, model, ing, tolerance, seed):
-                reports.setdefault(r.condition, r)
+            reports.update((r.condition, r) for r in
+                           _FAMILY_CHECKS[family](system, model, ing, tolerance, seed))
         except (HypothesisViolationError, InapplicableConditionError) as exc:
             if strict:
                 raise
             skipped.append((family, str(exc)))
     if not strict and getattr(model, "joint_observables", False):
         skipped.append(("DEF1", "input-rate signal unavailable in batch mode"))
-    return [reports[cid] for cid in CONDITION_IDS if cid in reports and cid in conditions], skipped
+    return [reports[cid] for cid in ids if cid in reports], skipped
 
 
 # -- summaries and serialization ---------------------------------------------------

@@ -24,6 +24,7 @@ from .numerics import (
     _aligned_rows,
     _as_rows,
     _Broadcast,
+    _check_seed,
     _read_only,
     _rng,
     _stacked,
@@ -956,7 +957,7 @@ def load_dataset(stem) -> SnapshotDataset:
         U=data[:, n : n + m],
         Y=data[:, n + m :],
         dt=dt,
-        seed=env.get("seed"),
+        seed=field("seed", _check_seed, None),
         system_name=field("system", str, ""),
         control_kind=field("control_kind", str, ""),
         n_redraws=field("n_redraws", int, 0),

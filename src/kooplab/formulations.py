@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import SnapshotDataset
-from .numerics import (RankDeficiencyError, _block_least_squares, _mv, _row_slices,
-                       _typed_field, solve_least_squares)
+from .numerics import (RankDeficiencyError, _block_least_squares, _magnitude, _mv,
+                       _row_slices, _typed_field, solve_least_squares)
 from .observables import (
     Dictionary,
     JointDictionary,
@@ -71,22 +71,28 @@ __all__ = [
 MODEL_SCHEMA_VERSION = 1
 
 
-# fit metadata saved with a model: key -> (default on a new or loaded model,
-# the `numerics._typed_field` kind it must have, or None); design_* describe the
-# regression's design matrix, set by fits that solve one stacked regression
-# ("ridge-augmented" when ridge > 0)
+# fit metadata saved with a model: key -> (default on a new or loaded model, the
+# `numerics._typed_field` kind it must have, null allowed where the default is None);
+# design_* describe the design matrix of fits that solve one stacked regression
+# ("ridge-augmented" when ridge > 0; design_condition Infinity when s_min = 0)
 _METADATA = {
-    "training_residual": (None, None),
-    "n_samples": (None, None),
+    "training_residual": (None, float),
+    "n_samples": (None, int),
     "ridge": (0.0, float),
     "fully_identified": (True, bool),
     "notes": ([], list),
-    "dt": (None, None),
-    "system_name": ("", None),
-    "design_rank": (None, None),
-    "design_condition": (None, None),
-    "design_matrix": (None, None),
+    "dt": (None, float),
+    "system_name": ("", str),
+    "design_rank": (None, int),
+    "design_condition": (None, _magnitude),
+    "design_matrix": (None, str),
 }
+
+
+def _typed_metadata(meta: dict) -> dict:
+    """Every _METADATA key of meta as its kind, or at its default when absent."""
+    return {key: _typed_field(meta, key, kind, default, what="model metadata field")
+            for key, (default, kind) in _METADATA.items()}
 
 
 class KoopmanModel:
@@ -188,13 +194,10 @@ class KoopmanModel:
         }
 
     def _metadata(self) -> dict:
-        return {key: getattr(self, key) if kind is None else kind(getattr(self, key))
-                for key, (_, kind) in _METADATA.items()}
+        return _typed_metadata(vars(self))
 
     def _restore_metadata(self, meta: dict):
-        for key, (default, kind) in _METADATA.items():
-            setattr(self, key, meta.get(key, default) if kind is None
-                    else _typed_field(meta, key, kind, default, what="model metadata field"))
+        vars(self).update(_typed_metadata(meta))
 
     def __repr__(self):
         return (

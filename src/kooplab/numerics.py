@@ -122,29 +122,45 @@ def _row_slices(n: int) -> list:
     return [slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS)]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
 def _check_seed(seed):
-    """seed, when it is an integer >= 0 (a bool is not); else ValueError naming it."""
-    if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
+    """seed, when it is an integer >= 0 (a bool is not); else ValueError naming it.
+    Also the `_typed_field` kind of a seed."""
+    if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     return seed
 
 
+def _magnitude(v) -> float:
+    """float(v): the `_typed_field` kind of a number >= 0 that may be Infinity."""
+    return float(v)
+
+
 # kind -> (test, what the message calls it); a bool is a boolean and nothing else
 _FIELD_TYPES = {
-    int: (lambda v: isinstance(v, Integral) and not isinstance(v, bool), "an integer"),
+    int: (_is_int, "an integer"),
+    _check_seed: (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     float: (lambda v: isinstance(v, Real) and not isinstance(v, bool)
             and 0 <= v <= np.finfo(float).max, "a finite number >= 0"),
     bool: (lambda v: isinstance(v, bool), "a boolean"),
     str: (lambda v: isinstance(v, str), "a string"),
     list: (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
            "a list of strings"),
+    _magnitude: (lambda v: isinstance(v, Real) and not isinstance(v, bool) and v >= 0,
+                 "a number >= 0 or Infinity"),
 }
 
 
-def _typed_field(fields: dict, key: str, kind: type, *default, what="dictionary spec field"):
+def _typed_field(fields: dict, key: str, kind: Callable, *default, what="dictionary spec field"):
     """fields[key] as a `kind`, or the default (when given) if it is absent. A
-    present value must be of `kind`, else ValueError names it as `what` `key`."""
+    present value must be of `kind`, or null where the default is None, else
+    ValueError names it as `what` `key`."""
     value = fields.get(key, *default) if default else fields[key]
+    if value is None and default == (None,):
+        return None
     test, noun = _FIELD_TYPES[kind]
     if not test(value):
         raise ValueError(f"{what} {key!r} must be {noun}, got {value!r}")

@@ -264,7 +264,7 @@ class RbfDictionary(Dictionary):
 
     kind = "rbf"
 
-    def __init__(self, centers, width, spec=None):
+    def __init__(self, centers, width):
         centers = np.atleast_2d(_numbers(centers, "rbf centers"))
         w = np.asarray(width)
         if w.ndim or w.dtype.kind not in "iuf" or not 0 < w < np.inf:
@@ -279,9 +279,7 @@ class RbfDictionary(Dictionary):
             state_index_map=None,
             zero_at_zero=False,
             constant_index=None,
-            spec=spec
-            if spec is not None
-            else {"kind": "rbf", "centers": centers.tolist(), "width": float(width)},
+            spec={"kind": "rbf", "centers": centers.tolist(), "width": float(width)},
         )
 
     def _values(self, Z):

@@ -116,6 +116,21 @@ class TestMain:
                        "--tolerance", "-1"])
         assert rc == cli.EXIT_USAGE
 
+    def test_readme_usage_names_each_commands_options(self):
+        import argparse
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Batch CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        documented = {line.split()[1]: set(re.findall(r"--[a-z-]+", line))
+                      for line in block.splitlines()}
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        assert documented.keys() == subparsers.choices.keys()
+        for command, parser in subparsers.choices.items():
+            options = {s for a in parser._actions for s in a.option_strings
+                       if s.startswith("--")} - {"--help"}
+            assert documented[command] == options, command
+
 
 class TestSimulate:
     def test_round_trip_and_stdout(self, tmp_path, capsys):
@@ -197,7 +212,8 @@ class TestFit:
         (lambda env: [1, 2], "JSON object"),
         (lambda env: {k: v for k, v in env.items() if k != "state_dim"}, "'state_dim'"),
         (lambda env: {**env, "dt": "0.05"}, "'dt'"),
-    ], ids=["not-an-object", "missing-field", "string-dt"])
+        (lambda env: {**env, "seed": "abc"}, "'seed'"),
+    ], ids=["not-an-object", "missing-field", "string-dt", "string-seed"])
     def test_malformed_envelope_is_an_error_naming_it(self, tmp_path, capsys, edit, named):
         import json
 
@@ -286,7 +302,8 @@ class TestCheck:
         assert [r.condition for r in reports] == ["COR4-FXU"]
 
     def test_explicit_subsumed_id_is_reported_once(self, tmp_path, capsys):
-        # COR6 returns the COR4-FXU report as well; requesting both prints and writes it once
+        # an affine model inherits COR4-FXU beside its COR6-B; requesting both prints
+        # and writes each once
         cfg = parse_config(bilinear_raw(tmp_path, formulations=["affine"],
                                         checks=["COR4-FXU", "COR6-B"]))
         cli.cmd_simulate(cfg)
@@ -462,8 +479,7 @@ class TestApplicabilityTable:
             accepted.add(cid)
         assert accepted == _APPLICABLE_IDS[kind]
 
-        # all of them at once: one report per id, though COR3 and COR6 return the
-        # COR1/COR2 and COR4 reports too
+        # all of them at once: one report per id
         reports, _ = cli._run_checks(system, model, grid, 1e-6, 0, sorted(accepted))
         assert sorted(r.condition for r in reports) == sorted(accepted)
 
@@ -492,10 +508,12 @@ class TestSkipRule:
         raw, model = rbf_affine_run
         cli.cmd_check(parse_config(dict(raw, out_dir=str(tmp_path))), model)
         out = capsys.readouterr().out
+        # COR1 and COR3 need a state-inclusive dictionary; COR2 does not
+        assert "skipped COR1: check_corollary1 is inapplicable" in out
         assert "skipped COR3: check_corollary3_kma is inapplicable" in out
         assert "state-inclusive" in out
         assert [r.condition for r in read_reports_json(tmp_path / "reports.json")] == [
-            "DEF1-CTRL"]
+            "DEF1-CTRL", "COR2-PAIRWISE"]
 
     def test_explicit_inapplicable_request_exits_2(self, rbf_affine_run, tmp_path, capsys):
         import json
@@ -829,6 +847,8 @@ class TestMalformedModelFile:
         (lambda p: p["dictionaries"].pop("cross"), "cross"),
         (lambda p: p["operators"].pop("K_xu"), "K_xu"),
         (lambda p: p["metadata"].update(ridge=None), "ridge"),
+        (lambda p: p["metadata"].update(dt="0.05"), "dt"),
+        (lambda p: p["metadata"].update(dt=True), "dt"),
     ])
     def test_check_exits_1_naming_the_field(self, joint_model, capsys, edit, field):
         import json

@@ -532,28 +532,33 @@ class TestCorollary2:
 
 class TestCorollary3:
     def test_linear_exact_all_four(self):
+        # the affine conditions: the inherited COR1/COR2 from their own checkers, and COR3's two
         system = builtin_system("linear")
         A = np.array([[-1.0, 0.0], [0.0, -2.0]])
         B = np.array([[1.0], [1.0]])
-        reports = check_corollary3_kma(system, identity(2), A, B, default_grid(system))
-        assert [r.condition for r in reports] == [
-            "COR1-FXU", "COR2-PAIRWISE", "COR3-KMA-B", "COR3-KMA-L"
-        ]
+        grid = default_grid(system)
+        kma = check_corollary3_kma(system, identity(2), A, B, grid)
+        assert [r.condition for r in kma] == ["COR3-KMA-B", "COR3-KMA-L"]
+        reports = [check_corollary1(system, identity(2), grid),
+                   check_corollary2(system, identity(2), grid), *kma]
         for r in reports:
             assert r.max_residual <= 1e-13
             assert r.verdict == "consistent"
 
     def test_cross_term_skips_pairwise(self):
         system = builtin_system("bilinear-scalar", a=-1.0, b=1.0)
-        reports = check_corollary3_kma(
-            system, identity(1), [[-1.0]], [[0.0]], default_grid(system)
-        )
-        assert [r.condition for r in reports] == ["COR1-FXU", "COR3-KMA-B", "COR3-KMA-L"]
-        assert "skipped" in reports[0].note
-        assert reports[0].max_residual == pytest.approx(2.0, abs=1e-9)
+        grid = default_grid(system)
+        reports = check_corollary3_kma(system, identity(1), [[-1.0]], [[0.0]], grid)
+        assert [r.condition for r in reports] == ["COR3-KMA-B", "COR3-KMA-L"]
         # the x-only and u-only parts of the bilinear field are affine-exact
-        assert reports[1].max_residual <= 1e-13
-        assert reports[2].max_residual <= 1e-13
+        for r in reports:
+            assert r.max_residual <= 1e-13
+            assert r.note is None
+        # the cross term fails COR1 and the pairwise hypothesis, in their own checkers
+        assert check_corollary1(system, identity(1), grid).max_residual == pytest.approx(
+            2.0, abs=1e-9)
+        with pytest.raises(HypothesisViolationError, match=r"f_xu\(x, u\) = 0"):
+            check_corollary2(system, identity(1), grid)
 
     def test_nonlinear_input_response_defect(self):
         system = ControlledSystem(
@@ -566,14 +571,13 @@ class TestCorollary3:
             jac_fxu_x=lambda x, u: np.zeros((1, 1)),
             jac_fxu_u=lambda x, u: np.zeros((1, 1)),
         )
-        reports = check_corollary3_kma(
+        kma_b, kma_l = check_corollary3_kma(
             system, identity(1), [[-1.0]], [[1.0]], default_grid(system)
         )
-        kma_b = reports[2]
         assert kma_b.condition == "COR3-KMA-B"
         assert kma_b.max_residual == pytest.approx(3.0, abs=1e-12)
         assert kma_b.verdict == "inconsistent"
-        assert reports[3].max_residual <= 1e-13
+        assert kma_l.max_residual <= 1e-13
 
     def test_state_inclusive_required(self):
         system = builtin_system("linear")
@@ -583,7 +587,8 @@ class TestCorollary3:
                                  default_grid(system))
 
     def test_cross_term_evaluated_once_per_product_point(self):
-        # the COR1 field settles the pairwise hypothesis; it is not re-evaluated
+        # in one check_model call the COR1 field settles the pairwise hypothesis;
+        # it is not re-evaluated
         calls = []
 
         def f_xu(x, u):
@@ -593,7 +598,9 @@ class TestCorollary3:
         system = ControlledSystem("counted", "continuous", 1, 1,
                                   f_x=lambda x: -x, f_u=lambda u: u, f_xu=f_xu)
         grid = default_grid(system, points_per_axis=3)
-        reports = check_corollary3_kma(system, identity(1), [[-1.0]], [[1.0]], grid)
+        model = AffineModel(identity(1), [[-1.0]], [[1.0]], "continuous")
+        ids = ["COR1-FXU", "COR2-PAIRWISE", "COR3-KMA-B", "COR3-KMA-L"]
+        reports, _ = check_model(system, model, grid, conditions=ids)
         assert [r.condition for r in reports] == [
             "COR1-FXU", "COR2-PAIRWISE", "COR3-KMA-B", "COR3-KMA-L"
         ]
@@ -837,11 +844,11 @@ class TestCorollary6:
         data = generate_dataset(system, 300, seed=3, dt=0.1, kind="discrete-pairs")
         model = fit_affine(data, identity(2))
         dsys = discretize(system, 0.1)
-        reports = check_corollary6(
-            dsys, identity(2), model.K, model.B, default_grid(dsys, points_per_axis=5)
-        )
-        assert [r.condition for r in reports] == ["COR4-FXU", "COR6-B"]
-        for r in reports:
+        grid = default_grid(dsys, points_per_axis=5)
+        reports = check_corollary6(dsys, identity(2), model.K, model.B, grid)
+        assert [r.condition for r in reports] == ["COR6-B"]
+        # the inherited COR4 comes from its own checker
+        for r in [check_corollary4(dsys, identity(2), grid), *reports]:
             assert r.max_residual <= 1e-9
             assert r.verdict == "consistent"
 
@@ -851,11 +858,10 @@ class TestCorollary6:
             lambda x: np.array([[0.9]]), lambda u: np.array([[0.1]]),
         )
         B = np.array([[0.1], [0.0]])
-        reports = check_corollary6(
+        [cor6] = check_corollary6(
             system, monomials(1, 2, include_constant=False), [[0.9, 0.0], [0.0, 0.81]],
             B, default_grid(system),
         )
-        cor6 = reports[1]
         # the x^2 row wants 2*(0.9x + 0.1u)*0.1, maximal at x=2, u=1
         assert cor6.max_residual == pytest.approx(0.38, abs=1e-12)
         assert cor6.verdict == "inconsistent"
@@ -865,11 +871,11 @@ class TestCorollary6:
             lambda x: 0.9 * x, lambda u: u**3,
             lambda x: np.array([[0.9]]), lambda u: np.array([[3.0 * u[0] ** 2]]),
         )
-        reports = check_corollary6(
+        [cor6] = check_corollary6(
             system, identity(1), [[0.9]], [[0.0]], default_grid(system)
         )
-        assert reports[1].max_residual == pytest.approx(3.0, abs=1e-12)
-        assert abs(reports[1].argmax_point["u"][0]) == pytest.approx(1.0)
+        assert cor6.max_residual == pytest.approx(3.0, abs=1e-12)
+        assert abs(cor6.argmax_point["u"][0]) == pytest.approx(1.0)
 
 
 class TestTheorem5:
@@ -1198,7 +1204,7 @@ class TestPerPointReference:
                           + J_next(x, u) @ system.jacobian_fxu_x(x, u)))
             for x, u in self.product()])
 
-        cor6 = check_corollary6(system, dx, K_x, B, grid)[1]
+        [cor6] = check_corollary6(system, dx, K_x, B, grid)
         assert cor6.condition == "COR6-B"
         self.assert_field(cor6, [
             np.max(np.abs(J_next(x, u) @ system.jacobian_fu(u) - B))
@@ -1383,9 +1389,7 @@ class TestCheckModel:
         for system, model in self.cases():
             grid = default_grid(system, points_per_axis=3)
             reports, _ = check_model(system, model, grid, seed=2)
-            # each applicable family's public checker on the plain grid, with fresh
-            # stacks; COR3 and COR6 come after COR1/COR2 and COR4, whose reports they
-            # return as well, so theirs are the ones kept
+            # each applicable family's public checker on the plain grid, with fresh stacks
             alone = {}
             for family in dict.fromkeys(c.family for c in CONDITIONS.values() if c.applies(model)):
                 try:
@@ -1404,6 +1408,23 @@ class TestCheckModel:
                 n_reports += 1
         assert n_reports > 200
 
+    def test_each_family_returns_only_its_own_ids(self):
+        # an id comes from the one family its CONDITIONS row names, whatever the variant
+        from kooplab.consistency import CONDITIONS, InapplicableConditionError, _FAMILY_CHECKS
+
+        produced = set()
+        for system, model in self.cases():
+            grid = default_grid(system, points_per_axis=3)
+            for family in dict.fromkeys(c.family for c in CONDITIONS.values() if c.applies(model)):
+                try:
+                    reports = _FAMILY_CHECKS[family](system, model, grid, 1e-6, 0)
+                except (HypothesisViolationError, InapplicableConditionError):
+                    continue
+                assert {CONDITIONS[r.condition].family for r in reports} == {family}, (
+                    family, model.variant)
+                produced.add(family)
+        assert produced == set(_FAMILY_CHECKS)
+
     def test_shared_stacks_are_read_only(self):
         system = bilinear_discrete(0.9, 0.1)
         model = fit_separable(generate_dataset(system, 100, seed=2), monomials(1, 2),
@@ -1415,8 +1436,7 @@ class TestCheckModel:
                 shared[0] = 0.0
 
     def test_requested_pairwise_id_keeps_its_hypothesis(self):
-        # COR3 returns the COR1/COR2 reports too, but skips COR2 when f_xu != 0;
-        # requested explicitly, COR2's hypothesis violation still raises
+        # f_xu != 0: requested explicitly, COR2's hypothesis violation raises
         system = builtin_system("bilinear-scalar", a=-1.0, b=1.0)
         model = fit_affine(generate_dataset(system, 100, seed=2), monomials(1, 2))
         grid = default_grid(system, points_per_axis=3)

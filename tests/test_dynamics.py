@@ -746,7 +746,8 @@ class TestDatasetSerialization:
     @pytest.mark.parametrize("field, value", [
         ("state_dim", "2"), ("state_dim", 2.0), ("input_dim", True), ("n_samples", None),
         ("kind", 1), ("dt", "0.1"), ("dt", True), ("dt", -0.1), ("n_redraws", "0"),
-        ("system", 3), ("control_kind", None),
+        ("system", 3), ("control_kind", None), ("seed", "abc"), ("seed", -1), ("seed", True),
+        ("seed", 1.5),
     ])
     def test_badly_typed_envelope_field_is_named(self, tmp_path, field, value):
         save_dataset(self._signed_zero_case(), tmp_path / "d")

@@ -1,6 +1,8 @@
-"""check_model runs its families in one fixed order in both modes and returns
-reports in CONDITION_IDS order, so an id that two families return (COR1-FXU
-from COR1 and from COR3) carries the same note whatever was requested."""
+"""Every condition id comes from the one checker family its CONDITIONS row names.
+check_model runs the families of the ids in play in CONDITION_IDS order and
+returns reports in that order, so an id reports, or its family is skipped, the
+same way whatever was requested and for every variant its row lists: an affine
+model's COR1, COR2 and COR4 behave exactly as a separable model's."""
 
 import json
 
@@ -8,24 +10,16 @@ import numpy as np
 import pytest
 
 from kooplab import cli
-from kooplab.consistency import (
-    _FAMILY_CHECKS,
-    _SUBSUMED,
-    CONDITION_IDS,
-    CONDITIONS,
-    check_model,
-)
+from kooplab.consistency import _FAMILY_CHECKS, CONDITION_IDS, CONDITIONS, check_model
 from kooplab.dynamics import builtin_system, default_grid, generate_dataset
-from kooplab.formulations import fit_affine, save_model
-from kooplab.observables import monomials
-
-CROSS_NOTE = "cross term nonzero: pairwise condition skipped (its hypothesis fails)"
+from kooplab.formulations import fit_affine, fit_separable, save_model
+from kooplab.observables import identity, monomials, rbf
 
 
 @pytest.fixture(scope="module")
 def affine_cross_term():
     """The bilinear-scalar system (a = -1, b = 1) and its affine continuous fit;
-    the cross term b*x*u makes COR3 skip its pairwise check and note it."""
+    the cross term b*x*u fails COR1 and the pairwise hypothesis of COR2."""
     system = builtin_system("bilinear-scalar", a=-1.0, b=1.0)
     data = generate_dataset(system, 200, seed=0, kind="continuous-derivative")
     return system, fit_affine(data, monomials(1, 2)), default_grid(system, points_per_axis=5)
@@ -35,21 +29,29 @@ def canonical(ids):
     return [cid for cid in CONDITION_IDS if cid in ids]
 
 
-def test_family_table_covers_the_conditions_in_a_fixed_order():
+def test_family_table_covers_the_conditions_in_a_fixed_order(affine_cross_term, monkeypatch):
     runnable = {c.family for c in CONDITIONS.values() if c.family is not None}
     assert set(_FAMILY_CHECKS) == runnable
-    order = list(_FAMILY_CHECKS)
-    for cover, covered in _SUBSUMED.items():
-        for family in covered:
-            assert order.index(cover) < order.index(family), (cover, family)
+
+    # the families run in CONDITION_IDS order, whatever the order of the request
+    system, model, grid = affine_cross_term
+    ran = []
+    for family, run in list(_FAMILY_CHECKS.items()):
+        monkeypatch.setitem(_FAMILY_CHECKS, family,
+                            lambda *args, _f=family, _run=run: ran.append(_f) or _run(*args))
+    for request_ids in (["COR3-KMA-B", "COR1-FXU", "DEF1-CTRL"],
+                        ["DEF1-CTRL", "COR1-FXU", "COR3-KMA-B"]):
+        ran.clear()
+        check_model(system, model, grid, seed=1, conditions=request_ids)
+        assert ran == ["DEF1", "COR1", "COR3"]
 
 
-def test_explicit_request_keeps_the_covering_note_in_either_order(affine_cross_term):
+def test_explicit_request_matches_the_full_run_in_either_order(affine_cross_term):
     system, model, grid = affine_cross_term
     everything, skipped = check_model(system, model, grid, seed=1)
-    assert skipped == []
+    assert [family for family, _ in skipped] == ["COR2"]
     full = {r.condition: r for r in everything}
-    assert full["COR1-FXU"].note == CROSS_NOTE
+    assert full["COR1-FXU"].note is None
 
     for request_ids in (["COR1-FXU", "COR3-KMA-B"], ["COR3-KMA-B", "COR1-FXU"]):
         reports, none = check_model(system, model, grid, seed=1, conditions=request_ids)
@@ -60,12 +62,39 @@ def test_explicit_request_keeps_the_covering_note_in_either_order(affine_cross_t
             np.testing.assert_array_equal(r.residuals, full[r.condition].residuals)
 
 
+def test_a_failed_hypothesis_skips_the_family_for_every_variant(affine_cross_term):
+    system, affine, grid = affine_cross_term
+    data = generate_dataset(system, 200, seed=0, kind="continuous-derivative")
+    separable = fit_separable(data, monomials(1, 2), identity(1, "u"))
+    runs = {model.variant: check_model(system, model, grid, seed=1)
+            for model in (affine, separable)}
+    for variant, (reports, skipped) in runs.items():
+        assert [family for family, _ in skipped] == ["COR2"], variant
+        assert skipped[0][1].startswith("hypothesis violated: f_xu(x, u) = 0;"), variant
+        cor1 = next(r for r in reports if r.condition == "COR1-FXU")
+        assert cor1.note is None and cor1.verdict == "inconsistent", variant
+    assert runs["affine"][1] == runs["separable"][1]
+
+
+def test_an_affine_model_over_rbf_gets_cor2_as_a_separable_one_does():
+    system = builtin_system("linear")
+    data = generate_dataset(system, 200, seed=5, kind="continuous-derivative")
+    lifted = rbf(dim=2, n_centers=4, region=[(-2.0, 2.0), (-2.0, 2.0)], seed=0)
+    grid = default_grid(system, points_per_axis=3)
+    fields = {}
+    for model in (fit_affine(data, lifted), fit_separable(data, lifted, identity(1, "u"))):
+        reports, skipped = check_model(system, model, grid, seed=1)
+        fields[model.variant] = next(r for r in reports if r.condition == "COR2-PAIRWISE")
+        assert "COR1" in dict(skipped), model.variant  # COR1 needs a state-inclusive dictionary
+    # COR2 reads only the dictionary and the system, so both fits give one field
+    np.testing.assert_array_equal(fields["affine"].residuals, fields["separable"].residuals)
+
+
 def test_reports_come_in_canonical_order_whatever_the_request(affine_cross_term):
     system, model, grid = affine_cross_term
     request_ids = ["COR3-KMA-L", "DEF1-CTRL", "COR1-FXU"]
     reports, _ = check_model(system, model, grid, seed=1, conditions=request_ids)
     assert [r.condition for r in reports] == canonical(request_ids)
-    assert reports[1].note == CROSS_NOTE
 
 
 def test_reports_json_lists_an_explicit_request_canonically(affine_cross_term, tmp_path):
@@ -86,5 +115,4 @@ def test_reports_json_lists_an_explicit_request_canonically(affine_cross_term, t
         cli.EXIT_OK, cli.EXIT_FAILURE)
     doc = json.loads((tmp_path / "out" / "reports.json").read_text())
     assert [d["condition"] for d in doc["reports"]] == canonical(request_ids)
-    notes = {d["condition"]: d["note"] for d in doc["reports"]}
-    assert notes["COR1-FXU"] == CROSS_NOTE
+    assert all(d["note"] is None for d in doc["reports"])

@@ -2,6 +2,7 @@
 and the point-or-stack contract of fitted models."""
 
 import copy
+import json
 import re
 
 import numpy as np
@@ -608,7 +609,12 @@ class TestMalformedPayload:
     @pytest.mark.parametrize("key, value", [("ridge", None), ("ridge", "high"),
                                             ("notes", 5), ("notes", None),
                                             ("fully_identified", "no"), ("notes", "abc"),
-                                            ("ridge", True)])
+                                            ("ridge", True), ("dt", "0.05"), ("dt", True),
+                                            ("training_residual", "0.1"), ("n_samples", 2.5),
+                                            ("system_name", None), ("design_rank", "2"),
+                                            ("design_condition", -1.0),
+                                            ("design_condition", float("nan")),
+                                            ("design_matrix", 3)])
     def test_badly_typed_metadata_is_named(self, key, value):
         payload = model_to_payload(payload_models()[0])
         payload["metadata"][key] = value
@@ -686,6 +692,27 @@ class TestDesignConditioning:
         for model in (fit_eigen(cont, identity(1)),
                       fit_joint(disc, identity(1), xu_cross_dict(), two_stage=True)):
             assert model.design_rank is model.design_condition is model.design_matrix is None
+
+    def test_infinite_condition_and_null_fields_load(self):
+        # a fit writes Infinity when s_min = 0; eigen and two-stage joint fits write null
+        # design_* keys, and a bilinear_to_joint model copies its source's metadata
+        model = fit_affine(scalar_linear_pairs(), identity(1))
+        model.design_condition = float("inf")
+        text = json.dumps(model_to_payload(model))
+        assert '"design_condition": Infinity' in text
+        assert model_from_payload(json.loads(text)).design_condition == float("inf")
+
+        system = linear_system([[-0.3]], [[0.0]])
+        cont = generate_dataset(system, 50, "zero", seed=0, kind="continuous-derivative")
+        X = np.linspace(-1, 1, 12)[:, None]
+        U = np.where(np.arange(12)[:, None] % 2, 0.5, 0.0)
+        disc = SnapshotDataset("discrete-pairs", X, U, 0.9 * X + 0.1 * X * U, dt=0.1)
+        bilinear = fit_bilinear(disc, identity(1), monomials(1, 1, var_prefix="u"))
+        for model in (fit_eigen(cont, identity(1)), bilinear_to_joint(bilinear),
+                      fit_joint(disc, identity(1), build_joint_dictionary(1, 1, 1, 1),
+                                two_stage=True)):
+            payload = json.loads(json.dumps(model_to_payload(model)))
+            assert model_from_payload(payload)._metadata() == model._metadata()
 
     def test_model_file_without_the_keys_still_loads(self):
         payload = model_to_payload(fit_affine(scalar_linear_pairs(), identity(1)))
