@@ -137,23 +137,17 @@ def main(argv=None) -> int:
     try:
         _apply_thread_cap()
         return _dispatch(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except Exception as exc:  # classify library errors lazily
-        from .config import ConfigError
-        from .consistency import HypothesisViolationError
+    except Exception as exc:
+        from .config import ConfigError  # here, so that importing the front end loads no numpy
 
-        if isinstance(exc, ConfigError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        if isinstance(exc, (HypothesisViolationError, ValueError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_FAILURE
-        raise
+        if isinstance(exc, (UsageError, ConfigError)):
+            code = EXIT_USAGE
+        elif isinstance(exc, (PipelineError, ValueError)):
+            code = EXIT_FAILURE
+        else:
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return code
 
 
 def _dispatch(args) -> int:

@@ -9,13 +9,13 @@ and every complaint carries the dotted path of the offending field.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .consistency import CONDITION_IDS, DEFAULT_TOLERANCE
-from .dynamics import ControlledSystem, EvaluationGrid, builtin_system
+from .dynamics import INPUT_BOUND, STATE_BOUND, ControlledSystem, EvaluationGrid, builtin_system
 from .formulations import VARIANTS, _MODEL_CLASSES
+from .numerics import _is_int, _is_real
 from .observables import build_dictionary, joint_dictionary_from_spec
 
 __all__ = [
@@ -67,15 +67,6 @@ def _field(sec: dict, path: str, key: str, ok, message: str, default=_REQUIRED):
     value = sec.get(key, default)
     _require(ok(value), where, message.format(value))
     return value
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    """A finite real number: booleans, infinities, NaN and overflowing ints fail."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 @dataclass
@@ -140,10 +131,10 @@ class ExperimentConfig:
                           else build_dictionary(spec))
 
     def sampling_regions(self):
-        """State and input boxes of the grid and the dataset: [-2, 2]^n x [-1, 1]^m unless given."""
+        """State and input boxes of the grid and the dataset: dynamics' default box unless given."""
         system = self.build_system()
-        return (self.state_box or [(-2.0, 2.0)] * system.state_dim,
-                self.input_box or [(-1.0, 1.0)] * system.input_dim)
+        return (self.state_box or [(-STATE_BOUND, STATE_BOUND)] * system.state_dim,
+                self.input_box or [(-INPUT_BOUND, INPUT_BOUND)] * system.input_dim)
 
 
 def _validate_box(raw, path: str, expected_len: int, what: str) -> list:

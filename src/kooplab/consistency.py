@@ -971,8 +971,7 @@ def summarize(reports) -> ConsistencySummary:
     if not reports:
         raise ValueError("cannot summarize an empty report list")
     order = {cid: i for i, cid in enumerate(CONDITION_IDS)}
-    indexed = sorted(enumerate(reports), key=lambda t: (order[t[1].condition], t[0]))
-    ordered = [r for _, r in indexed]
+    ordered = sorted(reports, key=lambda r: order[r.condition])  # stable: ties keep their order
     overall = "consistent" if all(r.verdict == "consistent" for r in ordered) else "inconsistent"
     return ConsistencySummary(ordered, overall)
 

@@ -56,6 +56,8 @@ __all__ = [
 
 DATASET_SCHEMA_VERSION = 1
 DIVERGENCE_BOUND = 1e6
+# the default sampling box [-2, 2]^n x [-1, 1]^m of evaluation grids and datasets
+STATE_BOUND, INPUT_BOUND = 2.0, 1.0
 
 _CATALOG = (
     "linear", "bilinear-scalar", "duffing-forced", "slow-manifold",
@@ -327,8 +329,8 @@ class EvaluationGrid:
         state_dim: int,
         input_dim: int,
         points_per_axis: int = 9,
-        state_bound: float = 2.0,
-        input_bound: float = 1.0,
+        state_bound: float = STATE_BOUND,
+        input_bound: float = INPUT_BOUND,
     ):
         return cls.from_boxes(
             [(-state_bound, state_bound)] * state_dim,
@@ -343,7 +345,8 @@ class EvaluationGrid:
 
 
 def default_grid(system: ControlledSystem, points_per_axis: int = 9,
-                 state_bound: float = 2.0, input_bound: float = 1.0) -> EvaluationGrid:
+                 state_bound: float = STATE_BOUND,
+                 input_bound: float = INPUT_BOUND) -> EvaluationGrid:
     """Default box grid [-2,2]^n x [-1,1]^m with 9 points per axis."""
     return EvaluationGrid.default(
         system.state_dim, system.input_dim, points_per_axis, state_bound, input_bound
@@ -815,10 +818,10 @@ def generate_dataset(
     if kind == "continuous-derivative" and system.time_kind == "discrete":
         raise ValueError("continuous-derivative data requires a continuous system")
 
-    region = region if region is not None else [(-2.0, 2.0)] * system.state_dim
-    input_region = (
-        input_region if input_region is not None else [(-1.0, 1.0)] * system.input_dim
-    )
+    if region is None:
+        region = [(-STATE_BOUND, STATE_BOUND)] * system.state_dim
+    if input_region is None:
+        input_region = [(-INPUT_BOUND, INPUT_BOUND)] * system.input_dim
     if len(region) != system.state_dim or len(input_region) != system.input_dim:
         raise ValueError("region/input_region dimensions do not match the system")
 
@@ -934,7 +937,7 @@ def load_dataset(stem) -> SnapshotDataset:
         return _typed_field(env, key, kind, *default, what="dataset envelope field")
 
     try:
-        n, m, n_rows = (field(key, int) for key in ("state_dim", "input_dim", "n_samples"))
+        n, m, n_rows = (field(key, _check_seed) for key in ("state_dim", "input_dim", "n_samples"))
         kind, dt = field("kind", str), field("dt", float)
     except KeyError as exc:
         raise ValueError(f"dataset envelope field {exc} is missing") from None
@@ -960,5 +963,5 @@ def load_dataset(stem) -> SnapshotDataset:
         seed=field("seed", _check_seed, None),
         system_name=field("system", str, ""),
         control_kind=field("control_kind", str, ""),
-        n_redraws=field("n_redraws", int, 0),
+        n_redraws=field("n_redraws", _check_seed, 0),
     )

@@ -29,9 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import SnapshotDataset
-from .numerics import (RankDeficiencyError, _block_least_squares, _magnitude, _mv,
-                       _row_slices, _typed_field, solve_least_squares)
+from .dynamics import DIVERGENCE_BOUND, SnapshotDataset
+from .numerics import (RankDeficiencyError, _block_least_squares, _check_seed, _magnitude, _mv,
+                       _row_slices, _typed_field)
 from .observables import (
     Dictionary,
     JointDictionary,
@@ -77,13 +77,13 @@ MODEL_SCHEMA_VERSION = 1
 # ("ridge-augmented" when ridge > 0; design_condition Infinity when s_min = 0)
 _METADATA = {
     "training_residual": (None, float),
-    "n_samples": (None, int),
+    "n_samples": (None, _check_seed),  # the kind of a count: an integer >= 0
     "ridge": (0.0, float),
     "fully_identified": (True, bool),
     "notes": ([], list),
     "dt": (None, float),
     "system_name": ("", str),
-    "design_rank": (None, int),
+    "design_rank": (None, _check_seed),
     "design_condition": (None, _magnitude),
     "design_matrix": (None, str),
 }
@@ -583,9 +583,8 @@ def fit_joint(data: SnapshotDataset, dict_x: Dictionary, dict_xu: JointDictionar
             f"but data has dimensions {data.state_dim} x {data.input_dim}"
         )
     _check_cross_vanishes(dict_xu, data.X)
-    N = data.n_samples
     if not two_stage:
-        _require_samples(N, dict_x.size + dict_xu.size, "the joint fit")
+        _require_samples(data.n_samples, dict_x.size + dict_xu.size, "the joint fit")
         return _fit_blocks(
             data, dict_x,
             lambda rows: [dict_x.evaluate(data.X[rows]),
@@ -593,38 +592,34 @@ def fit_joint(data: SnapshotDataset, dict_x: Dictionary, dict_xu: JointDictionar
             [dict_x.size, dict_xu.size], ridge,
             lambda ops, tk: JointModel(dict_x, dict_xu, *ops, tk))
 
-    # the two-stage fit selects rows by their input, so it holds its stacks
-    Psi_x = dict_x.evaluate(data.X)
-    Psi_xu = dict_xu.evaluate(data.X, data.U)
-    T = _lift_targets(data, dict_x)
-    zero_rows = np.all(data.U == 0.0, axis=1)
-    n0 = int(np.count_nonzero(zero_rows))
-    _require_samples(n0, dict_x.size, "the zero-input stage of the two-stage fit")
-    K_x = solve_least_squares(Psi_x[zero_rows], T[zero_rows], ridge=ridge).T
-
-    model_notes = []
-    rest = ~zero_rows
-    if not np.any(rest):
-        K_xu = np.zeros((dict_x.size, dict_xu.size))
-        fully = False
-        model_notes.append(
-            "no actuated samples: cross operator K_xu left at zero (unidentified)"
-        )
-    else:
-        _require_samples(
-            int(np.count_nonzero(rest)), dict_xu.size,
-            "the actuated stage of the two-stage fit",
-        )
-        T2 = T[rest] - Psi_x[rest] @ K_x.T
-        K_xu = solve_least_squares(Psi_xu[rest], T2, ridge=ridge).T
-        fully = True
-
-    model = JointModel(dict_x, dict_xu, K_x, K_xu, _time_kind(data))
-    R = Psi_x @ K_x.T + Psi_xu @ K_xu.T - T
-    _finish(model, data, _rms(R, N), ridge)
-    model.fully_identified = fully
-    model.notes.extend(model_notes)
+    # each stage streams the index rows of its samples; their squared residuals add up
+    zero_input = np.all(data.U == 0.0, axis=1)
+    zero_rows, actuated = np.flatnonzero(zero_input), np.flatnonzero(~zero_input)
+    _require_samples(len(zero_rows), dict_x.size, "the zero-input stage of the two-stage fit")
+    K_x, squares = _stage(zero_rows, lambda idx: (dict_x.evaluate(data.X[idx]),
+                                                  _lift_targets(data, dict_x, idx)), ridge)
+    K_xu = np.zeros((dict_x.size, dict_xu.size))
+    if len(actuated):
+        _require_samples(len(actuated), dict_xu.size, "the actuated stage of the two-stage fit")
+        K_xu, more = _stage(actuated, lambda idx: (
+            dict_xu.evaluate(data.X[idx], data.U[idx]),
+            _lift_targets(data, dict_x, idx) - dict_x.evaluate(data.X[idx]) @ K_x.T), ridge)
+        squares += more
+    model = _finish(JointModel(dict_x, dict_xu, K_x, K_xu, _time_kind(data)), data,
+                    float(np.sqrt(squares / data.n_samples)), ridge)
+    if not len(actuated):
+        model.fully_identified = False
+        model.notes.append("no actuated samples: cross operator K_xu left at zero (unidentified)")
     return model
+
+
+def _stage(index: np.ndarray, rows, ridge: float):
+    """(operator, squared residual) of one stage of the two-stage joint fit: the
+    regression rows(idx) hands out for the samples index, streamed in row blocks."""
+    X, rank, _, rms = _block_least_squares(len(index), lambda sl: rows(index[sl]), ridge)
+    if ridge == 0.0 and rank < len(X):
+        raise RankDeficiencyError(rank, len(X))
+    return X.T, rms**2 * len(index)
 
 
 def fit_bilinear(data: SnapshotDataset, dict_x: Dictionary, dict_u: Dictionary,
@@ -778,7 +773,7 @@ class RolloutResult:
 
 
 def rollout(model: KoopmanModel, x0, controls, relift: str = "every-step",
-            divergence_bound: float = 1e6) -> RolloutResult | list[RolloutResult]:
+            divergence_bound: float = DIVERGENCE_BOUND) -> RolloutResult | list[RolloutResult]:
     """Multi-step prediction under a known input sequence.
 
     x0 (n,) with controls (H, m) rolls out one trajectory and returns one

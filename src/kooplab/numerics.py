@@ -14,6 +14,7 @@ per-point user callable reaches them through the one row adapter here,
 
 from __future__ import annotations
 
+import sys
 from numbers import Integral, Real
 from typing import Callable
 
@@ -126,12 +127,18 @@ def _is_int(v) -> bool:
     return isinstance(v, Integral) and not isinstance(v, bool)
 
 
-def _check_seed(seed):
+def _is_real(v) -> bool:
+    """A finite real number, compared as a Python float: booleans, infinities, NaN
+    and integers too large for a float fail."""
+    return isinstance(v, Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _check_seed(seed) -> int:
     """seed, when it is an integer >= 0 (a bool is not); else ValueError naming it.
-    Also the `_typed_field` kind of a seed."""
+    Also the `_typed_field` kind of a seed or a count."""
     if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    return seed
+    return int(seed)
 
 
 def _magnitude(v) -> float:
@@ -143,13 +150,12 @@ def _magnitude(v) -> float:
 _FIELD_TYPES = {
     int: (_is_int, "an integer"),
     _check_seed: (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    float: (lambda v: isinstance(v, Real) and not isinstance(v, bool)
-            and 0 <= v <= np.finfo(float).max, "a finite number >= 0"),
+    float: (lambda v: _is_real(v) and v >= 0, "a finite number >= 0"),
     bool: (lambda v: isinstance(v, bool), "a boolean"),
     str: (lambda v: isinstance(v, str), "a string"),
     list: (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
            "a list of strings"),
-    _magnitude: (lambda v: isinstance(v, Real) and not isinstance(v, bool) and v >= 0,
+    _magnitude: (lambda v: _is_real(v) and v >= 0 or v == float("inf"),
                  "a number >= 0 or Infinity"),
 }
 

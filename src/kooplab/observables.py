@@ -124,7 +124,7 @@ def _monomial_jacobian(Z: np.ndarray, E: np.ndarray) -> np.ndarray:
 
 class Dictionary:
     """Base class; subclasses fill in the stack kernels _values/_jacobians and
-    the metadata flags.
+    the metadata flags that differ from their defaults here.
 
     Attributes
     ----------
@@ -145,8 +145,8 @@ class Dictionary:
 
     kind = "abstract"
 
-    def __init__(self, input_dim, names, state_inclusive, state_index_map,
-                 zero_at_zero, constant_index, spec):
+    def __init__(self, input_dim, names, state_inclusive=False, state_index_map=None,
+                 zero_at_zero=False, constant_index=None, spec=None):
         self.input_dim = int(input_dim)
         self.names = list(names)
         self.state_inclusive = bool(state_inclusive)
@@ -195,24 +195,16 @@ class MonomialDictionary(Dictionary):
             raise ValueError("dim must be >= 1")
         if max_degree < 1:
             raise ValueError("max_degree must be >= 1")
-        E = _graded_lex_exponents(dim, 0 if include_constant else 1, max_degree)
-        self.exponents = E
-        names = [_monomial_name(a, var_prefix) for a in E]
-        unit_rows = []
-        for j in range(dim):
-            target = np.zeros(dim, dtype=int)
-            target[j] = 1
-            hits = np.nonzero((E == target).all(axis=1))[0]
-            unit_rows.append(hits[0] if hits.size else None)
-        state_inclusive = all(r is not None for r in unit_rows)
-        const_rows = np.nonzero(~E.any(axis=1))[0]
+        self.exponents = _graded_lex_exponents(dim, 0 if include_constant else 1, max_degree)
+        # graded-lex order puts the constant first, then z_1..z_d (max_degree >= 1)
+        first = 1 if include_constant else 0
         super().__init__(
             input_dim=dim,
-            names=names,
-            state_inclusive=state_inclusive,
-            state_index_map=[r for r in unit_rows] if state_inclusive else None,
+            names=[_monomial_name(a, var_prefix) for a in self.exponents],
+            state_inclusive=True,
+            state_index_map=range(first, first + dim),
             zero_at_zero=not include_constant,
-            constant_index=int(const_rows[0]) if const_rows.size else None,
+            constant_index=0 if include_constant else None,
             spec={
                 "kind": _kind or "monomials",
                 "dim": dim,
@@ -275,10 +267,6 @@ class RbfDictionary(Dictionary):
         super().__init__(
             input_dim=centers.shape[1],
             names=names,
-            state_inclusive=False,
-            state_index_map=None,
-            zero_at_zero=False,
-            constant_index=None,
             spec={"kind": "rbf", "centers": centers.tolist(), "width": float(width)},
         )
 
@@ -393,7 +381,6 @@ class CombinationDictionary(Dictionary):
             state_inclusive=state_inclusive,
             state_index_map=state_map if state_inclusive else None,
             zero_at_zero=zero_at_zero,
-            constant_index=None,
             spec=(
                 {
                     "kind": "combination",
@@ -438,7 +425,6 @@ class CustomDictionary(Dictionary):
             state_index_map=state_index_map,
             zero_at_zero=bool(np.all(np.abs(vals0) <= 1e-12)),
             constant_index=constant_index,
-            spec=None,
         )
 
 
@@ -457,7 +443,6 @@ class ShiftedDictionary(Dictionary):
             state_inclusive=base.state_inclusive,
             state_index_map=base.state_index_map,
             zero_at_zero=True,
-            constant_index=None,
             spec={"kind": "shifted", "base": base.spec} if base.spec is not None else None,
         )
 
