@@ -414,7 +414,7 @@ def _compare_pipeline(cfg) -> list[dict]:
 
     from .config import ConfigError
     from .consistency import summarize
-    from .dynamics import _draw_box, save_dataset
+    from .dynamics import DIVERGENCE_BOUND, _draw_box, _march, save_dataset
     from .formulations import rollout
 
     out = _out_dir(cfg)
@@ -429,26 +429,25 @@ def _compare_pipeline(cfg) -> list[dict]:
             )
     _require_dataset_section(cfg, "compare")
 
-    # stage: simulate (training data is one-step pairs so every fit rolls out);
-    # the pairs come from the same discretized system that is checked below
+    # stage: simulate: one-step training pairs (so every fit rolls out) and held-out
+    # truths from a separate stream, all of the discretized system checked below
     try:
         dsystem = _checked_system(cfg, "discrete")
         data = _generate(cfg, kind="discrete-pairs", system=dsystem)
         save_dataset(data, out / "dataset")
+        state_box, input_box = cfg.sampling_regions()
+        rng = np.random.default_rng(cfg.dataset.seed + 1)
+        x0s = _draw_box(rng, state_box, _N_HELDOUT)
+        controls = _draw_box(rng, input_box, _N_HELDOUT * _HORIZON).reshape(
+            _N_HELDOUT, _HORIZON, dsystem.input_dim)
+        true_paths, lengths = _march(lambda k, live, X, u: dsystem.evaluate(X, u),
+                                     x0s, controls, DIVERGENCE_BOUND)
     except ValueError as exc:
         raise PipelineError("simulate", str(exc)) from None
-
-    # held-out evaluation trajectories, drawn apart from the training stream
-    state_box, input_box = cfg.sampling_regions()
-    rng = np.random.default_rng(cfg.dataset.seed + 1)
-    x0s = _draw_box(rng, state_box, _N_HELDOUT)
-    controls = _draw_box(rng, input_box, _N_HELDOUT * _HORIZON).reshape(
-        _N_HELDOUT, _HORIZON, dsystem.input_dim)
-    # every trajectory advances together: one stacked step per time step
-    path = [x0s]
-    for k in range(_HORIZON):
-        path.append(dsystem.evaluate(path[-1], controls[:, k]))
-    true_paths = np.stack(path, axis=1)
+    if (lengths <= _HORIZON).any():
+        i = int(np.argmax(lengths <= _HORIZON))
+        raise PipelineError("simulate", f"held-out trajectory {i} left the divergence bound "
+                                        f"{DIVERGENCE_BOUND:g} at step {lengths[i]}")
 
     grid = cfg.build_grid()
     rows = []
@@ -686,9 +685,9 @@ def _demo_kaiser(out: Path, seed: int) -> str:
 
 def _demo_williams(out: Path, seed: int) -> str:
     """An input-parameterized operator family equals a joint-dictionary lift."""
-    import numpy as np
-
+    from .dynamics import _draw_box
     from .formulations import bilinear_to_joint, predict_step, save_model
+    from .numerics import _rng
 
     cfg, system, _ = _demo_config(out, seed, {
         "system": {"name": "bilinear-discrete", "params": {"alpha": 0.9, "beta": 0.1}},
@@ -703,9 +702,10 @@ def _demo_williams(out: Path, seed: int) -> str:
     joint = bilinear_to_joint(bil)
     save_model(joint, out / "model-joint.json")
 
-    R = np.random.default_rng(seed).random((100, 2))
-    x, u = -2.0 + 4.0 * R[:, :1], -1.0 + 2.0 * R[:, 1:]
-    max_dev = float(np.max(np.abs(predict_step(bil, x, u)[0] - predict_step(joint, x, u)[0])))
+    state_box, input_box = cfg.sampling_regions()
+    P = _draw_box(_rng(seed), [*state_box, *input_box], 100)
+    x, u = P[:, :1], P[:, 1:]
+    max_dev = float(abs(predict_step(bil, x, u)[0] - predict_step(joint, x, u)[0]).max())
 
     reports, _, summary = _check_and_write(cfg, system, joint, seed)
     worst = max(r.max_residual for r in reports)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .dynamics import ControlledSystem, EvaluationGrid
 from .formulations import VARIANTS, bilinear_to_joint
-from .numerics import _check_seed, _mv, _read_only, _rng, _stacked
+from .numerics import _check_seed, _mv, _read_json_object, _read_only, _rng, _stacked
 from .observables import Dictionary, JointDictionary
 
 __all__ = [
@@ -1044,7 +1044,7 @@ def write_reports_json(reports, path, skipped=(), provenance=None) -> Path:
 def read_reports_json(path) -> list[ConsistencyReport]:
     """Reports from a v2 document and its sidecar, or from a v1 document with inline fields."""
     path = Path(path)
-    doc = json.loads(path.read_text())
+    doc = _read_json_object(path, "reports document")
     version = doc.get("schema_version")
     if version == 1:
         return [ConsistencyReport.from_dict(d) for d in doc["reports"]]

@@ -25,6 +25,7 @@ from .numerics import (
     _as_rows,
     _Broadcast,
     _check_seed,
+    _read_json_object,
     _read_only,
     _rng,
     _stacked,
@@ -324,19 +325,9 @@ class EvaluationGrid:
         )
 
     @classmethod
-    def default(
-        cls,
-        state_dim: int,
-        input_dim: int,
-        points_per_axis: int = 9,
-        state_bound: float = STATE_BOUND,
-        input_bound: float = INPUT_BOUND,
-    ):
-        return cls.from_boxes(
-            [(-state_bound, state_bound)] * state_dim,
-            [(-input_bound, input_bound)] * input_dim,
-            points_per_axis,
-        )
+    def default(cls, state_dim: int, input_dim: int, points_per_axis: int = 9):
+        return cls.from_boxes([(-STATE_BOUND, STATE_BOUND)] * state_dim,
+                              [(-INPUT_BOUND, INPUT_BOUND)] * input_dim, points_per_axis)
 
     def autonomous(self) -> "EvaluationGrid":
         """Same state points, inputs collapsed to the single point u = 0."""
@@ -344,13 +335,9 @@ class EvaluationGrid:
         return EvaluationGrid(self.states, np.zeros((1, m)))
 
 
-def default_grid(system: ControlledSystem, points_per_axis: int = 9,
-                 state_bound: float = STATE_BOUND,
-                 input_bound: float = INPUT_BOUND) -> EvaluationGrid:
+def default_grid(system: ControlledSystem, points_per_axis: int = 9) -> EvaluationGrid:
     """Default box grid [-2,2]^n x [-1,1]^m with 9 points per axis."""
-    return EvaluationGrid.default(
-        system.state_dim, system.input_dim, points_per_axis, state_bound, input_bound
-    )
+    return EvaluationGrid.default(system.state_dim, system.input_dim, points_per_axis)
 
 
 # -- catalog --------------------------------------------------------------------
@@ -552,6 +539,35 @@ def validate_jacobians(system: ControlledSystem, grid: EvaluationGrid, tol: floa
 # -- simulation and discretization -------------------------------------------------
 
 
+def _within(X, bound: float) -> np.ndarray:
+    """The divergence rule per row of X: finite, with 2-norm (inf past float range) <= bound."""
+    with np.errstate(over="ignore"):
+        return np.isfinite(X).all(axis=-1) & (np.linalg.norm(X, axis=-1) <= bound)
+
+
+def _march(step, X0, U, bound: float):
+    """(paths (B, H + 1, n), lengths (B,)) of B states X0 (B, n) advanced through
+    inputs U (B, H, m) by one call step(k, live, X, U_k) per time step, which maps
+    the states X of the paths `live` (indices into the B) to their next states. A
+    path stops before its first state that is not finite or whose 2-norm exceeds
+    bound and keeps path[:length] (length <= H: diverged). The start states are
+    not tested, and nothing is caught."""
+    B, H = U.shape[:2]
+    paths = np.repeat(X0[:, None], H + 1, axis=1)
+    lengths = np.full(B, H + 1)
+    live, X = np.arange(B), X0
+    for k in range(H):
+        if not len(live):
+            break
+        X = step(k, live, X, U[live, k])
+        kept = _within(X, bound)
+        if not kept.all():
+            lengths[live[~kept]] = k + 1
+            live, X = live[kept], X[kept]
+        paths[live, k + 1] = X
+    return paths, lengths
+
+
 def simulate(
     system: ControlledSystem,
     x0,
@@ -562,9 +578,11 @@ def simulate(
 ) -> Trajectory:
     """Integrate a continuous system with RK4 under zero-order-hold control.
 
-    `control(t)` is sampled at each step start and held. If the state norm
-    exceeds `divergence_bound` (or the field blows up), the trajectory is
-    truncated at the last good sample and flagged `diverged`.
+    `control(t)` is sampled once at each sample time k dt, k = 0..steps, and
+    held over the step from there; `inputs` records those samples. The path
+    stops before its first state that is not finite or whose 2-norm exceeds
+    `divergence_bound` (a field that blows up inside a step counts too) and
+    is then flagged `diverged`; the start state is not tested.
     """
     if system.time_kind != "continuous":
         raise ValueError("simulate integrates continuous systems; use the map directly")
@@ -576,27 +594,17 @@ def simulate(
     if x.shape != (system.state_dim,):
         raise ValueError(f"x0 must have shape ({system.state_dim},)")
 
-    times = [0.0]
-    states = [x.copy()]
-    inputs = [np.atleast_1d(np.asarray(control(0.0), dtype=float))]
-    diverged = False
-    for k in range(steps):
-        t = k * dt
-        u = np.atleast_1d(np.asarray(control(t), dtype=float))
+    times = np.arange(steps + 1) * dt
+    inputs = np.array([np.atleast_1d(np.asarray(control(t), dtype=float)) for t in times])
+
+    def advance(k, live, X, U):
         try:
-            x_next = rk4_step(system.field, x, u, t, dt)
-        except ValueError:
-            diverged = True
-            break
-        with np.errstate(over="ignore"):  # a norm past float range reads inf: diverged
-            diverged = bool(np.linalg.norm(x_next) > divergence_bound)
-        if diverged:
-            break
-        x = x_next
-        times.append((k + 1) * dt)
-        states.append(x.copy())
-        inputs.append(np.atleast_1d(np.asarray(control((k + 1) * dt), dtype=float)))
-    return Trajectory(np.array(times), np.array(states), np.array(inputs), diverged)
+            return rk4_step(system.field, X, U, times[k], dt)
+        except ValueError:  # the field blew up inside the step
+            return np.full_like(X, np.nan)
+
+    paths, (T,) = _march(advance, x[None], inputs[None, :steps], divergence_bound)
+    return Trajectory(times[:T], paths[0, :T], inputs[:T], bool(T <= steps))
 
 
 def _rk4_stage_jacobians(system: ControlledSystem, stages, U, dt: float):
@@ -803,9 +811,10 @@ def generate_dataset(
     state derivatives, either analytic or central-differenced from short
     integrated arcs (derivative_mode="finite-difference").
 
-    Samples whose successor crosses the divergence bound are redrawn from the
-    same seeded stream, so a given seed (an integer >= 0) always yields the
-    same dataset.
+    A sample whose target is not finite or has a 2-norm above
+    `divergence_bound` (the rule `simulate` and `rollout` stop a path by) is
+    redrawn from the same seeded stream, so a given seed (an integer >= 0)
+    always yields the same dataset.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -830,29 +839,23 @@ def generate_dataset(
     U = _input_sequence(rng, control_kind, n_samples, input_region, dt)
 
     def target(X, U):
-        if kind == "discrete-pairs" or derivative_mode == "analytic":
-            return system.evaluate(X, U)
-        fwd = rk4_step(system.field, X, U, 0.0, dt)
-        bwd = rk4_step(system.field, X, U, 0.0, -dt)
-        return (fwd - bwd) / (2.0 * dt)
-
-    def kept(Y):
-        return np.isfinite(Y).all(axis=-1) & (np.linalg.norm(Y, axis=-1) <= divergence_bound)
+        try:
+            if kind == "discrete-pairs" or derivative_mode == "analytic":
+                return system.evaluate(X, U)
+            fwd = rk4_step(system.field, X, U, 0.0, dt)
+            bwd = rk4_step(system.field, X, U, 0.0, -dt)
+            return (fwd - bwd) / (2.0 * dt)
+        except ValueError:  # a non-finite row fails the whole stack: retry every row
+            return np.full_like(X, np.nan)
 
     # One stacked pass; only the rows it rejects run the per-row retry loop, in
     # row order, so redraws take the same values from the seeded stream.
-    try:
-        Y = target(X, U)
-    except ValueError:  # a non-finite row fails the whole stack: retry every row
-        Y = np.full_like(X, np.nan)
+    Y = target(X, U)
     n_redraws = 0
-    for i in np.flatnonzero(~kept(Y)):
+    for i in np.flatnonzero(~_within(Y, divergence_bound)):
         for _ in range(max_retries):
-            try:
-                y = target(X[i], U[i])
-            except ValueError:
-                y = None
-            if y is not None and kept(y):
+            y = target(X[i], U[i])
+            if _within(y, divergence_bound):
                 Y[i] = y
                 break
             X[i] = _draw_box(rng, region, 1)[0]
@@ -923,11 +926,7 @@ def load_dataset(stem) -> SnapshotDataset:
     stem = Path(stem)
     json_path = stem.with_suffix(".json")
     csv_path = stem.with_suffix(".csv")
-    with open(json_path) as fh:
-        env = json.load(fh)
-    if not isinstance(env, dict):
-        raise ValueError(f"{json_path.name}: dataset envelope must be a JSON object, "
-                         f"got {type(env).__name__}")
+    env = _read_json_object(json_path, "dataset envelope")
     if env.get("schema_version") != DATASET_SCHEMA_VERSION:
         raise ValueError(
             f"unsupported dataset schema_version {env.get('schema_version')!r}"

@@ -29,9 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import DIVERGENCE_BOUND, SnapshotDataset
+from .dynamics import DIVERGENCE_BOUND, SnapshotDataset, _march
 from .numerics import (RankDeficiencyError, _block_least_squares, _check_seed, _magnitude, _mv,
-                       _row_slices, _typed_field)
+                       _read_json_object, _row_slices, _typed_field)
 from .observables import (
     Dictionary,
     JointDictionary,
@@ -562,7 +562,7 @@ def _check_cross_vanishes(dict_xu: JointDictionary, states: np.ndarray):
     worst = np.max([
         np.max(np.abs(dict_xu.evaluate(X, np.zeros((len(X), dict_xu.input_dim)))))
         for X in (states[rows] for rows in _row_slices(len(states)))
-    ])
+    ], initial=0.0)
     if not worst <= 1e-10:
         raise ValueError(f"cross dictionary must vanish at u = 0; got |psi_xu| = {worst:.3g} there")
 
@@ -780,8 +780,9 @@ def rollout(model: KoopmanModel, x0, controls, relift: str = "every-step",
     RolloutResult. A stack x0 (B, n) with controls (B, H, m) steps all B
     trajectories together, one model call per step, and returns a list of B
     RolloutResults, each equal to rolling that trajectory out alone. A
-    trajectory whose state leaves the divergence bound or turns non-finite
-    stops at the step before and is flagged diverged.
+    trajectory stops before its first state that is not finite or whose
+    2-norm exceeds `divergence_bound`, and is then flagged diverged; the
+    start state is not tested.
 
     relift = "every-step" re-evaluates the dictionary at each predicted
     state (the default); "none" propagates the lifted vector linearly and
@@ -805,30 +806,16 @@ def rollout(model: KoopmanModel, x0, controls, relift: str = "every-step",
             f"(B, H, {m}); got shapes {np.shape(x0)} and {np.shape(controls)}"
         )
     idx = model.dict_x.state_index_map
-    B, H = U.shape[:2]
+    Z = model.lift(X0) if relift == "none" else None  # every trajectory's lifted state
 
-    paths = np.empty((B, H + 1, n))
-    paths[:, 0] = X0
-    lengths = np.full(B, H + 1)
-    active = np.arange(B)  # trajectories still inside the divergence bound
-    x = X0
-    z = model.lift(X0) if relift == "none" else None
-    for k in range(H):
-        if not len(active):
-            break
-        u = U[active, k]
-        if relift == "every-step":
-            x = model.lift_next(x, u)[:, idx]
-        else:
-            z = model._advance(z, z[:, idx], u)
-            x = z[:, idx]
-        diverged = ~np.all(np.isfinite(x), axis=1) | (np.max(np.abs(x), axis=1) > divergence_bound)
-        if diverged.any():
-            lengths[active[diverged]] = k + 1
-            active, x = active[~diverged], x[~diverged]
-            z = z[~diverged] if z is not None else None
-        paths[active, k + 1] = x
-    results = [RolloutResult(path[:length], length <= H) for path, length in zip(paths, lengths)]
+    def step(k, live, X, u):
+        if Z is None:
+            return model.lift_next(X, u)[:, idx]
+        z = Z[live]
+        z = Z[live] = model._advance(z, z[:, idx], u)  # the live rows advance
+        return z[:, idx]
+    paths, lengths = _march(step, X0, U, divergence_bound)
+    results = [RolloutResult(path[:T], T <= U.shape[1]) for path, T in zip(paths, lengths)]
     return results[0] if single else results
 
 
@@ -904,4 +891,4 @@ def save_model(model: KoopmanModel, path) -> None:
 
 
 def load_model(path):
-    return model_from_payload(json.loads(Path(path).read_text()))
+    return model_from_payload(_read_json_object(path, "model payload"))

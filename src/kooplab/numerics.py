@@ -14,8 +14,10 @@ per-point user callable reaches them through the one row adapter here,
 
 from __future__ import annotations
 
+import json
 import sys
 from numbers import Integral, Real
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -171,6 +173,18 @@ def _typed_field(fields: dict, key: str, kind: Callable, *default, what="diction
     if not test(value):
         raise ValueError(f"{what} {key!r} must be {noun}, got {value!r}")
     return kind(value)
+
+
+def _read_json_object(path, what: str) -> dict:
+    """The JSON object `what` in the file at path; a ValueError naming the file if it is not."""
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:  # not JSON, or not text
+        raise ValueError(f"{path.name}: not a JSON document ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path.name}: {what} must be a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _rng(seed) -> np.random.Generator:

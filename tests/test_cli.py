@@ -228,6 +228,34 @@ class TestFit:
         assert rc == cli.EXIT_FAILURE
         assert err.startswith("error: ") and named in err
 
+    def test_truncated_envelope_is_an_error_naming_it(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(linear_raw(tmp_path)))
+        assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
+        envelope = tmp_path / "dataset.json"
+        envelope.write_text(envelope.read_text()[:30])
+        capsys.readouterr()
+        rc = cli.main(["fit", "--config", str(path), "--dataset", str(tmp_path / "dataset.csv")])
+        assert rc == cli.EXIT_FAILURE
+        assert capsys.readouterr().err.startswith("error: dataset.json: not a JSON document")
+
+    def test_joint_fit_on_an_empty_dataset_reports_insufficient_samples(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(linear_raw(tmp_path, formulations=["joint"])))
+        assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
+        envelope, rows = tmp_path / "dataset.json", tmp_path / "dataset.csv"
+        envelope.write_text(json.dumps({**json.loads(envelope.read_text()), "n_samples": 0}))
+        rows.write_text(rows.read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        rc = cli.main(["fit", "--config", str(path), "--dataset", str(rows)])
+        assert rc == cli.EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: fit[joint]: insufficient samples") and "got 0" in err
+
     def test_fit_error_is_tagged_with_the_formulation(self, tmp_path):
         raw = linear_raw(tmp_path, formulations=["separable"])
         raw["dataset"]["control_kind"] = "zero"
@@ -615,6 +643,21 @@ class TestCompare:
         assert self.compare_main(tmp_path, raw) == cli.EXIT_FAILURE
         assert capsys.readouterr().err.startswith("error: simulate: ")
 
+    def test_diverging_heldout_truth_is_tagged(self, tmp_path, capsys):
+        # at dt = 1.5 the training pairs are redrawn at the guard, but a held-out
+        # truth of the RK4 map leaves the divergence bound
+        raw = duffing_raw(tmp_path)
+        raw["dataset"].update(n_samples=200, seed=0, dt=1.5)
+        raw["dictionaries"] = {"state": {"kind": "identity", "dim": 2},
+                               "input": {"kind": "identity", "dim": 1, "var_prefix": "u"}}
+        raw["formulations"] = ["affine", "separable"]
+        assert self.compare_main(tmp_path, raw) == cli.EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(
+            "error: simulate: held-out trajectory 0 left the divergence bound")
+        assert not (tmp_path / "comparison.csv").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         for sub in ("a", "b"):
             cfg = parse_config(bilinear_raw(tmp_path / sub))
@@ -841,6 +884,14 @@ class TestMalformedModelFile:
         assert cli.main(["fit", "--config", str(path), "--dataset",
                          str(tmp_path / "dataset.csv")]) == cli.EXIT_OK
         return path, tmp_path / "model-joint.json"
+
+    def test_truncated_model_file_is_named(self, joint_model, capsys):
+        config, model = joint_model
+        model.write_text(model.read_text()[:22])
+        capsys.readouterr()
+        rc = cli.main(["check", "--config", str(config), "--model", str(model)])
+        assert rc == cli.EXIT_FAILURE
+        assert capsys.readouterr().err.startswith("error: model-joint.json: not a JSON document")
 
     @pytest.mark.parametrize("edit, field", [
         (lambda p: p.pop("time_kind"), "time_kind"),

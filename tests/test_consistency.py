@@ -1009,6 +1009,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match="schema_version"):
             read_reports_json(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "reports document must be a JSON object, got list"),
+        ('{"schema_version": 2, "rep', "not a JSON document"),
+    ])
+    def test_document_that_is_not_an_object_is_named(self, tmp_path, text, message):
+        path = tmp_path / "reports.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"reports.json: {message}"):
+            read_reports_json(path)
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         reports = self._reports()
         system = bilinear_discrete(0.9, 0.1)

@@ -314,6 +314,24 @@ class TestSimulate:
         np.testing.assert_allclose(traj.times, [0.0, 0.5, 1.0, 1.5, 2.0])
         np.testing.assert_allclose(traj.inputs[:, 0], [0.0, 0.5, 1.0, 1.5, 2.0])
 
+    def test_control_sampled_once_per_time_and_replayable(self):
+        sys = builtin_system("duffing-forced", delta=0.3)
+        rng = np.random.default_rng(4)
+        times = []
+
+        def control(t):  # stateful: a fresh draw at every call
+            times.append(t)
+            return rng.uniform(-1.0, 1.0, size=1)
+
+        dt, steps = 0.1, 4
+        traj = simulate(sys, np.array([0.5, -0.5]), control, dt, steps)
+        assert not traj.diverged
+        np.testing.assert_array_equal(times, traj.times)  # steps + 1 calls, one per time
+        x = traj.states[0]
+        for k in range(steps):  # the recorded inputs reproduce the recorded states
+            x = rk4_step(sys.field, x, traj.inputs[k], traj.times[k], dt)
+            np.testing.assert_array_equal(x, traj.states[k + 1])
+
     def test_divergence_guard_truncates(self):
         blowup = ControlledSystem(
             "blowup", "continuous", 1, 0,

@@ -217,6 +217,12 @@ class TestFitJoint:
         with pytest.raises(ValueError, match="vanish at u = 0"):
             fit_joint(data, identity(1), bad)
 
+    @pytest.mark.parametrize("two_stage", [False, True])
+    def test_joint_fit_on_no_samples_reports_insufficient_samples(self, two_stage):
+        data = scalar_linear_pairs(n=0)
+        with pytest.raises(ValueError, match="insufficient samples .* got 0"):
+            fit_joint(data, identity(1), xu_cross_dict(), two_stage=two_stage)
+
 
 class TestFitBilinear:
     def test_exact_scalar_recovery(self):
@@ -446,7 +452,8 @@ class TestRollout:
 class TestStackedRollout:
     """A stack of trajectories rolls out as one model call per step."""
 
-    X0 = np.array([[0.3, -0.2], [30.0, 30.0], [-1.0, 0.5], [6.0, 6.0], [0.0, 0.0]])
+    # [30, 30] leaves the bound at the first step, [-6, -2] later (2-norm 6.3 < 8)
+    X0 = np.array([[0.3, -0.2], [30.0, 30.0], [-1.0, 0.5], [-6.0, -2.0], [0.0, 0.0]])
 
     @staticmethod
     def discrete_models():
@@ -467,6 +474,15 @@ class TestStackedRollout:
                 alone = rollout(model, x0, us, relift=relift, divergence_bound=8.0)
                 np.testing.assert_array_equal(got.states, alone.states, err_msg=label)
                 assert (len(got), got.diverged) == (len(alone), alone.diverged), label
+
+    @pytest.mark.parametrize("relift", ["every-step", "none"])
+    def test_two_norm_past_the_bound_diverges(self, relift):
+        # the first state [6, 6] is within 8 in max-abs, but its 2-norm is 8.49
+        model = AffineModel(identity(2), 2.0 * np.eye(2), None, "discrete", input_dim=0)
+        res = rollout(model, np.array([3.0, 3.0]), np.zeros((5, 0)), relift=relift,
+                      divergence_bound=8.0)
+        assert res.diverged and len(res) == 1
+        np.testing.assert_array_equal(res.states, [[3.0, 3.0]])
 
     def test_mismatched_shapes_rejected(self):
         model = STACK_MODELS["affine"]
