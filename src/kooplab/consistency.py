@@ -10,10 +10,10 @@ The conditions share their ingredients: f, its pieces f_x, f_u, f_xu, their
 Jacobians, and psi and J_psi at the states, the inputs and the next states
 f(x, u), f(x, 0), f(0, u). One ingredient object per (system, grid) evaluates
 each once, as one read-only stack, and check_model hands one to every family.
-A residual field is an array expression over those stacks on the (x, u)
-product in state-major order. A point's residual is the max-abs entry of its
-block (`_norms`), the || . || of every checker docstring. A non-finite
-residual raises ValueError: such a field has no verdict.
+Each residual is `_norms` of the terms of its identity, grouped as in the
+checker docstring: stacks on the (x, u) product in state-major order, added
+left to right, and a point's residual is the max-abs entry of its block (the
+|| . ||). A non-finite residual raises ValueError: such a field has no verdict.
 
 Condition identifiers form a closed set (CONDITION_IDS). The DEF1-*/DEF2-*
 conditions test a fitted model's represented dynamics directly; the T*/COR*
@@ -278,8 +278,9 @@ class ConsistencyReport:
 # -- shared ingredients ------------------------------------------------------------
 
 
-def _norms(R) -> np.ndarray:
-    """Max-abs of each point's block of a stacked field; NaN propagates."""
+def _norms(*terms) -> np.ndarray:
+    """Max-abs of each point's block of the terms' left-to-right sum; NaN propagates."""
+    R = sum(terms[1:], terms[0])
     return np.abs(R).max(axis=tuple(range(1, R.ndim)), initial=0.0)
 
 
@@ -364,8 +365,8 @@ def _ingredients(system, grid, checker: str, kind: str) -> _Ingredients:
 
 def _drift(ing, dict_x, L) -> np.ndarray:
     """|| J_psi_x(x) f_x(x) - L psi_x(x) || over the states."""
-    return _norms(_mv(ing.at(dict_x.jacobian, "x"), ing.at(ing.system.f_x, "x"))
-                  - _mv(L, ing.at(dict_x.evaluate, "x")))
+    return _norms(_mv(ing.at(dict_x.jacobian, "x"), ing.at(ing.system.f_x, "x")),
+                  -_mv(L, ing.at(dict_x.evaluate, "x")))
 
 
 def _require_state_inclusive(dict_x: Dictionary, checker: str):
@@ -428,7 +429,7 @@ def check_def1(system: ControlledSystem, model, grid: EvaluationGrid,
         rate = model.rate(X, U)
     cid = "DEF1-AUTON" if auton else "DEF1-JOINT" if joint else "DEF1-CTRL"
     points = {"x": X} if auton else ing.xu
-    return ConsistencyReport(cid, tolerance, points, _norms(rate - truth))
+    return ConsistencyReport(cid, tolerance, points, _norms(rate, -truth))
 
 
 def check_def2(system: ControlledSystem, model, grid: EvaluationGrid,
@@ -448,13 +449,13 @@ def check_def2(system: ControlledSystem, model, grid: EvaluationGrid,
     X, U = ing.product
     points = {"x": X} if auton else ing.xu
     J = ing.at(model.dict_x.jacobian, "f(x,u)")
-    res_x = model.lift_next_jac_x(X, U) - J @ ing.at(system.jacobian_x, "(x,u)")
+    res_x = _norms(model.lift_next_jac_x(X, U), -(J @ ing.at(system.jacobian_x, "(x,u)")))
     if auton:
-        return [ConsistencyReport("DEF2-AUTON", tolerance, points, _norms(res_x))]
-    res_u = model.lift_next_jac_u(X, U) - J @ ing.at(system.jacobian_u, "(x,u)")
+        return [ConsistencyReport("DEF2-AUTON", tolerance, points, res_x)]
+    res_u = _norms(model.lift_next_jac_u(X, U), -(J @ ing.at(system.jacobian_u, "(x,u)")))
     return [
-        ConsistencyReport("DEF2-CTRL-X", tolerance, points, _norms(res_x)),
-        ConsistencyReport("DEF2-CTRL-U", tolerance, points, _norms(res_u)),
+        ConsistencyReport("DEF2-CTRL-X", tolerance, points, res_x),
+        ConsistencyReport("DEF2-CTRL-U", tolerance, points, res_u),
     ]
 
 
@@ -492,8 +493,8 @@ def check_def2_joint(system: ControlledSystem, joint_dict: JointDictionary, K,
     if input_evolution is not None:
         rhs_u = rhs_u + joint_dict.jacobian_u(X_next, U_next) @ ing.per_input(
             _stacked(u_jac, (m, m))(inputs))
-    res_x = _norms(K @ ing.at(joint_dict.jacobian_x, "(x,u)") - rhs_x)
-    res_u = _norms(K @ ing.at(joint_dict.jacobian_u, "(x,u)") - rhs_u)
+    res_x = _norms(K @ ing.at(joint_dict.jacobian_x, "(x,u)"), -rhs_x)
+    res_u = _norms(K @ ing.at(joint_dict.jacobian_u, "(x,u)"), -rhs_u)
 
     note_x = note_u = None
     if input_evolution is None:
@@ -531,9 +532,9 @@ def check_theorem2(system: ControlledSystem, dict_x: Dictionary, dict_u: Diction
     J0 = ing.at(dict_x.jacobian, "x=0")
     Fu = ing.at(system.f_u, "u")
 
-    res2 = _norms(_mv(J0, Fu) - _mv(L_u, ing.at(dict_u.evaluate, "u")))
+    res2 = _norms(_mv(J0, Fu), -_mv(L_u, ing.at(dict_u.evaluate, "u")))
     Jp = ing.per_state(ing.at(dict_x.jacobian, "x"))
-    res3 = _norms(_mv(Jp - J0, ing.per_input(Fu)) + _mv(Jp, ing.at(system.f_xu, "(x,u)")))
+    res3 = _norms(_mv(Jp - J0, ing.per_input(Fu)), _mv(Jp, ing.at(system.f_xu, "(x,u)")))
     return [
         ConsistencyReport("T2-C1", tolerance, {"x": ing.grid.states}, _drift(ing, dict_x, L_x)),
         ConsistencyReport("T2-C2", tolerance, {"u": ing.grid.inputs}, res2),
@@ -585,7 +586,7 @@ def check_corollary3_kma(system: ControlledSystem, dict_x: Dictionary, L, B,
     _require_state_inclusive(dict_x, "check_corollary3_kma")
     L = np.asarray(L, dtype=float)
     B = np.asarray(B, dtype=float)
-    res_b = _norms(ing.at(dict_x.jacobian, "x=0") @ ing.at(system.jacobian_fu, "u") - B)
+    res_b = _norms(ing.at(dict_x.jacobian, "x=0") @ ing.at(system.jacobian_fu, "u"), -B)
     return [
         ConsistencyReport("COR3-KMA-B", tolerance, {"u": ing.grid.inputs}, res_b),
         ConsistencyReport("COR3-KMA-L", tolerance, {"x": ing.grid.states},
@@ -613,8 +614,8 @@ def check_theorem3(system: ControlledSystem, dict_x: Dictionary,
     ing.require_vanishing("psi_xu(x, 0) = 0", dict_xu.evaluate, "(x,0)", ing.grid.states)
 
     cross = ing.per_input(ing.at(system.f_u, "u")) + ing.at(system.f_xu, "(x,u)")
-    res2 = _norms(_mv(ing.per_state(ing.at(dict_x.jacobian, "x")), cross)
-                  - _mv(L_xu, ing.at(dict_xu.evaluate, "(x,u)")))
+    res2 = _norms(_mv(ing.per_state(ing.at(dict_x.jacobian, "x")), cross),
+                  -_mv(L_xu, ing.at(dict_xu.evaluate, "(x,u)")))
     return [
         ConsistencyReport("T3-C1", tolerance, {"x": ing.grid.states}, _drift(ing, dict_x, L_x)),
         ConsistencyReport("T3-C2", tolerance, ing.xu, res2),
@@ -650,7 +651,7 @@ def check_kaiser(system: ControlledSystem, eigendict, Lam, grid: EvaluationGrid,
         psi, J = ing.at(eigendict.evaluate, "(x,u)"), ing.at(eigendict.jacobian_x, "(x,u)")
     else:
         psi, J = (ing.per_state(ing.at(f, "x")) for f in (eigendict.evaluate, eigendict.jacobian))
-    res = _norms(_mv(J, ing.at(system.evaluate, "(x,u)")) - lam * psi)
+    res = _norms(_mv(J, ing.at(system.evaluate, "(x,u)")), -(lam * psi))
     return ConsistencyReport("KAISER", tolerance, ing.xu, res)
 
 
@@ -684,12 +685,12 @@ def check_theorem4(system: ControlledSystem, dict_x: Dictionary, dict_u: Diction
     J_0u = ing.at(dict_x.jacobian, "f(0,u)")
     J = ing.at(dict_x.jacobian, "f(x,u)")
 
-    res1 = _norms(J_x0 @ Dfx - K_x @ ing.at(dict_x.jacobian, "x"))
-    res2 = _norms(J_0u @ Dfu - K_u @ ing.at(dict_u.jacobian, "u"))
-    res3 = _norms((J - ing.per_input(J_0u)) @ ing.per_input(Dfu)
-                  + J @ ing.at(system.jacobian_fxu_u, "(x,u)"))
-    res4 = _norms((J - ing.per_state(J_x0)) @ ing.per_state(Dfx)
-                  + J @ ing.at(system.jacobian_fxu_x, "(x,u)"))
+    res1 = _norms(J_x0 @ Dfx, -(K_x @ ing.at(dict_x.jacobian, "x")))
+    res2 = _norms(J_0u @ Dfu, -(K_u @ ing.at(dict_u.jacobian, "u")))
+    res3 = _norms((J - ing.per_input(J_0u)) @ ing.per_input(Dfu),
+                  J @ ing.at(system.jacobian_fxu_u, "(x,u)"))
+    res4 = _norms((J - ing.per_state(J_x0)) @ ing.per_state(Dfx),
+                  J @ ing.at(system.jacobian_fxu_x, "(x,u)"))
     return [
         ConsistencyReport("T4-C1", tolerance, {"x": ing.grid.states}, res1),
         ConsistencyReport("T4-C2", tolerance, {"u": ing.grid.inputs}, res2),
@@ -756,8 +757,8 @@ def check_corollary6(system: ControlledSystem, dict_x: Dictionary, K, B,
     ing = _ingredients(system, grid, "check_corollary6", "discrete")
     _require_state_inclusive(dict_x, "check_corollary6")
     B = np.asarray(B, dtype=float)
-    res = _norms(ing.at(dict_x.jacobian, "f(x,u)") @ ing.per_input(ing.at(system.jacobian_fu, "u"))
-                 - B)
+    res = _norms(ing.at(dict_x.jacobian, "f(x,u)") @ ing.per_input(ing.at(system.jacobian_fu, "u")),
+                 -B)
     return [ConsistencyReport("COR6-B", tolerance, ing.xu, res)]
 
 
@@ -796,13 +797,13 @@ def check_theorem5(system: ControlledSystem, dict_x: Dictionary,
     J_x0 = ing.at(dict_x.jacobian, "f(x,0)")
     lhs_full = J_x0 @ ing.at(system.jacobian_x, "(x,0)")
     base = K_x @ ing.at(dict_x.jacobian, "x")
-    res_t5c1 = _norms(lhs_full - base - K_xu @ ing.at(dict_xu.jacobian_x, "(x,0)"))
-    res_c7c1 = _norms(lhs_full - base)
-    res_c8c1 = _norms(J_x0 @ ing.at(system.jacobian_fx, "x") - base)
+    res_t5c1 = _norms(lhs_full, -base, -(K_xu @ ing.at(dict_xu.jacobian_x, "(x,0)")))
+    res_c7c1 = _norms(lhs_full, -base)
+    res_c8c1 = _norms(J_x0 @ ing.at(system.jacobian_fx, "x"), -base)
 
     # dcross/du = df_u/du + df_xu/du is df/du, so COR8-C2 shares T5-C2's field
-    res_t5c2 = _norms(ing.at(dict_x.jacobian, "f(x,u)") @ ing.at(system.jacobian_u, "(x,u)")
-                      - K_xu @ ing.at(dict_xu.jacobian_u, "(x,u)"))
+    res_t5c2 = _norms(ing.at(dict_x.jacobian, "f(x,u)") @ ing.at(system.jacobian_u, "(x,u)"),
+                      -(K_xu @ ing.at(dict_xu.jacobian_u, "(x,u)")))
 
     reports = [
         ConsistencyReport("T5-C1", tolerance, {"x": states}, res_t5c1, note=note),

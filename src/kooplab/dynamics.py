@@ -25,6 +25,7 @@ from .numerics import (
     _as_rows,
     _Broadcast,
     _check_seed,
+    _NonFiniteFieldError,
     _read_json_object,
     _read_only,
     _rng,
@@ -149,7 +150,7 @@ class ControlledSystem:
             ok &= np.isfinite(v).all(axis=1)
         if not ok.all():
             i = int(np.argmin(ok))
-            raise ValueError(
+            raise _NonFiniteFieldError(
                 f"{self.name}: non-finite field value at x={X[i].tolist()}, u={U[i].tolist()}"
             )
 
@@ -579,10 +580,10 @@ def simulate(
     """Integrate a continuous system with RK4 under zero-order-hold control.
 
     `control(t)` is sampled once at each sample time k dt, k = 0..steps, and
-    held over the step from there; `inputs` records those samples. The path
-    stops before its first state that is not finite or whose 2-norm exceeds
-    `divergence_bound` (a field that blows up inside a step counts too) and
-    is then flagged `diverged`; the start state is not tested.
+    held over the step; `inputs` records those samples. The path stops before
+    its first state that is not finite or whose 2-norm exceeds the divergence
+    bound, or at a non-finite field value inside a step, and is then flagged
+    `diverged`; the start state is not tested. Any other error raises.
     """
     if system.time_kind != "continuous":
         raise ValueError("simulate integrates continuous systems; use the map directly")
@@ -596,11 +597,13 @@ def simulate(
 
     times = np.arange(steps + 1) * dt
     inputs = np.array([np.atleast_1d(np.asarray(control(t), dtype=float)) for t in times])
+    if inputs.shape != (steps + 1, system.input_dim):
+        raise ValueError(f"control(t) must return shape ({system.input_dim},), got {inputs.shape[1:]}")
 
     def advance(k, live, X, U):
         try:
             return rk4_step(system.field, X, U, times[k], dt)
-        except ValueError:  # the field blew up inside the step
+        except _NonFiniteFieldError:  # the field blew up inside the step
             return np.full_like(X, np.nan)
 
     paths, (T,) = _march(advance, x[None], inputs[None, :steps], divergence_bound)
@@ -845,7 +848,7 @@ def generate_dataset(
             fwd = rk4_step(system.field, X, U, 0.0, dt)
             bwd = rk4_step(system.field, X, U, 0.0, -dt)
             return (fwd - bwd) / (2.0 * dt)
-        except ValueError:  # a non-finite row fails the whole stack: retry every row
+        except _NonFiniteFieldError:  # a non-finite row fails the whole stack: retry every row
             return np.full_like(X, np.nan)
 
     # One stacked pass; only the rows it rejects run the per-row retry loop, in

@@ -97,6 +97,10 @@ def _mv(A, v) -> np.ndarray:
     return (A @ v[..., None])[..., 0]
 
 
+class _NonFiniteFieldError(ValueError):
+    """A field value that is not finite: the one error that counts as divergence."""
+
+
 class RankDeficiencyError(np.linalg.LinAlgError):
     """Raised when an unregularized least-squares design matrix is rank deficient."""
 
@@ -371,7 +375,7 @@ def rk4_step(
                 f"field returned shape {k.shape}, expected {x.shape}"
             )
         if not np.all(np.isfinite(k)):
-            raise ValueError(f"field returned non-finite derivative at t = {ts}")
+            raise _NonFiniteFieldError(f"field returned non-finite derivative at t = {ts}")
         return k
 
     k1 = _eval(x, t)

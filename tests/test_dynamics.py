@@ -827,3 +827,62 @@ class TestDivergenceGuardWarnings:
         assert traj.diverged
         assert len(traj) == 4
         assert np.all(np.isfinite(traj.states))
+
+
+def capped_growth(cap):
+    """xdot = x + u while x <= cap; past cap the field value is +inf (no numpy warning)."""
+    return ControlledSystem(
+        "capped-growth", "continuous", 1, 1,
+        f_x=lambda x: np.where(x > cap, np.inf, x),
+        f_u=lambda u: u,
+        f_xu=lambda x, u: np.zeros(1),
+    )
+
+
+class TestErrorsThatAreNotDivergence:
+    """Only a field value that is not finite counts as divergence; other errors raise."""
+
+    def test_control_of_the_wrong_dimension_raises(self):
+        with pytest.raises(ValueError, match=r"control\(t\) must return shape \(1,\), got \(2,\)"):
+            simulate(builtin_system("linear"), np.zeros(2), lambda t: np.zeros(2), 0.1, 5)
+
+    def test_non_finite_control_raises(self):
+        with pytest.raises(ValueError, match="u contains non-finite entries"):
+            simulate(builtin_system("linear"), np.zeros(2), lambda t: np.array([np.nan]), 0.1, 5)
+
+    def test_field_of_the_wrong_shape_raises_instead_of_redrawing(self):
+        bad = ControlledSystem(
+            "bad", "discrete", 2, 1,
+            f_x=lambda x: x[:1],
+            f_u=lambda u: np.zeros(2),
+            f_xu=lambda x, u: np.zeros(2),
+        )
+        with pytest.raises(ValueError, match="reshape") as info:
+            generate_dataset(bad, 20)
+        assert "retries" not in str(info.value)
+
+    def test_non_finite_field_inside_a_step_ends_simulate_as_diverged(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = simulate(capped_growth(2.5), np.array([2.0]), lambda t: np.zeros(1), 0.1, 10)
+        # step 3 starts at 2.44; its second stage, 2.44 * 1.05, is past the cap
+        assert traj.diverged
+        assert len(traj) == 3
+        assert np.all(traj.states <= 2.5)
+        with pytest.raises(ValueError, match="non-finite"):
+            rk4_step(capped_growth(2.5).field, traj.states[-1], np.zeros(1), 0.2, 0.1)
+
+    def test_non_finite_field_inside_a_step_makes_generate_dataset_redraw(self):
+        import warnings
+
+        system = capped_growth(2.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = generate_dataset(system, 200, seed=0, dt=0.1, region=[(-3.0, 3.0)],
+                                    kind="discrete-pairs")
+        # a step from a state past about 2.26 has a stage past the cap, and is redrawn
+        assert data.n_redraws > 0
+        assert np.all(np.isfinite(data.Y))
+        np.testing.assert_array_equal(data.Y, rk4_step(system.field, data.X, data.U, 0.0, 0.1))

@@ -224,7 +224,8 @@ class TestRk4Step:
 
     def test_non_finite_derivative_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            rk4_step(lambda x, u, t: x / 0.0, np.array([1.0]), np.zeros(0), 0.0, 0.1)
+            rk4_step(lambda x, u, t: np.full_like(x, np.inf), np.array([1.0]), np.zeros(0),
+                     0.0, 0.1)
 
     def test_zero_dt_rejected(self):
         with pytest.raises(ValueError, match="dt"):
