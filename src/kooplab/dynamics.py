@@ -144,15 +144,15 @@ class ControlledSystem:
     def _rows(self, x, u):
         return _aligned_rows(x, u, self.state_dim, self.input_dim)
 
-    def _require_finite(self, X, U, *values):
-        ok = np.isfinite(X).all(axis=1) & np.isfinite(U).all(axis=1)
-        for v in values:
-            ok &= np.isfinite(v).all(axis=1)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise _NonFiniteFieldError(
-                f"{self.name}: non-finite field value at x={X[i].tolist()}, u={U[i].tolist()}"
-            )
+    def _require_finite(self, X, U, *arrays):
+        """Raise naming the first (x, u) row at which one of the (P, .) arrays is
+        not finite; the row scan runs only when a whole-array test fails."""
+        if all(np.isfinite(a).all() for a in arrays):
+            return
+        i = int(np.argmin(np.logical_and.reduce([np.isfinite(a).all(axis=1) for a in arrays])))
+        raise _NonFiniteFieldError(
+            f"{self.name}: non-finite field value at x={X[i].tolist()}, u={U[i].tolist()}"
+        )
 
     def evaluate(self, x, u) -> np.ndarray:
         """Total right-hand side f(x, u).
@@ -161,14 +161,16 @@ class ControlledSystem:
         (x, u) row.
         """
         X, U, single = self._rows(x, u)
-        self._require_finite(X, U)
+        self._require_finite(X, U, X, U)
         out = self._map(X, U)
         self._require_finite(X, U, out)
         return _unstack(out, single)
 
     def field(self, x, u, t):
-        """(state, input, time) signature for the RK4 kernel; time-invariant."""
-        return self.evaluate(x, u)
+        """(state, input, time) signature for the RK4 kernel; time-invariant.
+        The bare kernel: it tests nothing, as `rk4_step` tests every stage."""
+        X, U, single = self._rows(x, u)
+        return _unstack(self._map(X, U), single)
 
     # -- pieces ---------------------------------------------------------------
 
@@ -352,8 +354,8 @@ def _catalog(name, time_kind, n, m, **pieces) -> ControlledSystem:
 
 def _constant(M):
     """A Jacobian that is M at every row of its first argument."""
-    M = np.asarray(M, dtype=float)
-    return lambda Z, *_: np.tile(M, (len(Z), 1, 1))
+    M = np.asarray(M, dtype=float)[None]
+    return lambda Z, *_: np.repeat(M, len(Z), axis=0)
 
 
 def _zeros(*shape):
@@ -413,18 +415,25 @@ def _require_params(name, params, required=(), defaults=None):
     return {**defaults, **{k: float(v) for k, v in params.items()}}
 
 
-def _planar(name, f_x, jac_fx_base, jac_fx_21) -> ControlledSystem:
-    """Continuous xdot = f_x(x) + (0, u); d f_x/dx is the constant jac_fx_base
-    except for its (2, 1) entry jac_fx_21(x1)."""
+def _planar(name, x1dot, x2dot, jac_fx_base, jac_fx_21) -> ControlledSystem:
+    """Continuous xdot = (x1dot(x1, x2), x2dot(x1, x2) + u); d f_x/dx is the
+    constant jac_fx_base except for its (2, 1) entry jac_fx_21(x1)."""
+    base = _constant(jac_fx_base)
+
+    def f_x(X):
+        out, (x1, x2) = np.empty((len(X), 2)), X.T
+        out[:, 0], out[:, 1] = x1dot(x1, x2), x2dot(x1, x2)
+        return out
+
     def jac_fx(X):
-        J = np.tile(jac_fx_base, (len(X), 1, 1))
+        J = base(X)
         J[:, 1, 0] = jac_fx_21(X[:, 0])
         return J
 
     return _catalog(
         name, "continuous", 2, 1,
         f_x=f_x,
-        f_u=lambda U: np.stack([np.zeros(len(U)), U[:, 0]], axis=1),
+        f_u=lambda U: np.concatenate([np.zeros((len(U), 1)), U], axis=1),
         f_xu=_zeros(2),
         jac_fx=jac_fx,
         jac_fu=_constant([[0.0], [1.0]]),
@@ -463,7 +472,7 @@ def builtin_system(name: str, **params) -> ControlledSystem:
     if name == "duffing-forced":
         d = _require_params(name, params, ("delta",))["delta"]
         return _planar(
-            name, lambda X: np.stack([X[:, 1], X[:, 0] - X[:, 0] ** 3 - d * X[:, 1]], axis=1),
+            name, lambda x1, x2: x2, lambda x1, x2: x1 - x1 ** 3 - d * x2,
             [[0.0, 1.0], [0.0, -d]], lambda x1: 1.0 - 3.0 * x1 ** 2,
         )
 
@@ -475,7 +484,7 @@ def builtin_system(name: str, **params) -> ControlledSystem:
         p = _require_params(name, params, ("mu", "lam"))
         mu, lam = p["mu"], p["lam"]
         return _planar(
-            name, lambda X: np.stack([mu * X[:, 0], lam * (X[:, 1] - X[:, 0] ** 2)], axis=1),
+            name, lambda x1, x2: mu * x1, lambda x1, x2: lam * (x2 - x1 ** 2),
             [[mu, 0.0], [0.0, lam]], lambda x1: -2.0 * lam * x1,
         )
 
@@ -582,8 +591,9 @@ def simulate(
     `control(t)` is sampled once at each sample time k dt, k = 0..steps, and
     held over the step; `inputs` records those samples. The path stops before
     its first state that is not finite or whose 2-norm exceeds the divergence
-    bound, or at a non-finite field value inside a step, and is then flagged
-    `diverged`; the start state is not tested. Any other error raises.
+    bound, or at a non-finite stage state or field value inside a step, and is
+    then flagged `diverged`; the start state is not tested. Any other error
+    raises, a non-finite control sample too.
     """
     if system.time_kind != "continuous":
         raise ValueError("simulate integrates continuous systems; use the map directly")
@@ -599,6 +609,9 @@ def simulate(
     inputs = np.array([np.atleast_1d(np.asarray(control(t), dtype=float)) for t in times])
     if inputs.shape != (steps + 1, system.input_dim):
         raise ValueError(f"control(t) must return shape ({system.input_dim},), got {inputs.shape[1:]}")
+    if not np.isfinite(inputs).all():
+        t = times[np.argmin(np.isfinite(inputs).all(axis=1))]
+        raise ValueError(f"control(t) at t = {t}: u contains non-finite entries")
 
     def advance(k, live, X, U):
         try:
@@ -672,7 +685,10 @@ class _RK4Map(ControlledSystem):
         entry = self._memo.pop(key, None)
         if entry is None:
             stages = []
-            phi = rk4_step(self._flow.field, X, U, 0.0, self.dt, _stages=stages)
+            try:
+                phi = rk4_step(self._flow.field, X, U, 0.0, self.dt, _stages=stages)
+            except _NonFiniteFieldError as exc:  # name the map, not the flow
+                raise _NonFiniteFieldError(f"{self.name}: {exc}") from None
             entry = {"phi": _read_only(phi), "stages": stages[0]}
         self._memo[key] = entry
         if len(self._memo) > self.MEMO_SIZE:

@@ -65,7 +65,7 @@ def _as_rows(a, dim: int, what: str):
     a = np.asarray(a, dtype=float)
     if a.ndim not in (1, 2) or a.shape[-1] != dim:
         raise ValueError(f"{what} must have shape ({dim},) or (P, {dim}), got {a.shape}")
-    return np.atleast_2d(a), a.ndim == 1
+    return (a[None] if a.ndim == 1 else a), a.ndim == 1
 
 
 def _aligned_rows(x, u, n: int, m: int):
@@ -119,7 +119,7 @@ def _as_float_array(a, name: str, ndim: int | None = None) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -354,6 +354,11 @@ def rk4_step(
 
     Notes
     -----
+    The step owns its finiteness rule, so the field need test nothing: x and u
+    at entry, each stage state before the field sees it and each value after.
+    A non-finite stage state or value raises the divergence error naming the
+    stage time and the first such row's start point x[i], u[i].
+
     A caller that passes a list as the private `_stages` receives the four
     stage states at which the field was evaluated, stacked into one
     (4 P, n) array (x first), so a tangent pass can reuse them.
@@ -368,23 +373,26 @@ def rk4_step(
     if not np.isscalar(dt) or dt == 0 or not np.isfinite(dt):
         raise ValueError(f"dt must be a nonzero finite scalar, got {dt!r}")
 
+    def _finite(a, ts, what):
+        if np.isfinite(a).all():
+            return a
+        i = int(np.argmin(np.isfinite(np.atleast_2d(a)).all(axis=1)))
+        raise _NonFiniteFieldError(f"non-finite {what} at t = {ts} in the step from "
+                                   f"x={np.atleast_2d(x)[i].tolist()}, u={np.atleast_2d(u)[i].tolist()}")
+
     def _eval(xs, ts):
         k = np.asarray(field(xs, u, ts), dtype=float)
         if k.shape != x.shape:
-            raise ValueError(
-                f"field returned shape {k.shape}, expected {x.shape}"
-            )
-        if not np.all(np.isfinite(k)):
-            raise _NonFiniteFieldError(f"field returned non-finite derivative at t = {ts}")
-        return k
+            raise ValueError(f"field returned shape {k.shape}, expected {x.shape}")
+        return _finite(k, ts, "field value")
 
     k1 = _eval(x, t)
-    x2 = x + 0.5 * dt * k1
+    x2 = _finite(x + 0.5 * dt * k1, t + 0.5 * dt, "stage state")
     k2 = _eval(x2, t + 0.5 * dt)
-    x3 = x + 0.5 * dt * k2
+    x3 = _finite(x + 0.5 * dt * k2, t + 0.5 * dt, "stage state")
     k3 = _eval(x3, t + 0.5 * dt)
-    x4 = x + dt * k3
+    x4 = _finite(x + dt * k3, t + dt, "stage state")
     k4 = _eval(x4, t + dt)
     if _stages is not None:
-        _stages.append(np.concatenate([np.atleast_2d(s) for s in (x, x2, x3, x4)]))
+        _stages.append((np.concatenate if x.ndim == 2 else np.stack)([x, x2, x3, x4]))
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -1357,8 +1357,8 @@ class TestOneRK4PassPerPointSet:
         for variant, model in models.items():
             flow = builtin_system("duffing-forced", delta=0.3)
             calls = Counter()
-            evaluate, tangents = flow.evaluate, flow._tangents
-            flow.evaluate = lambda x, u: calls.update(["field"]) or evaluate(x, u)
+            field, tangents = flow.field, flow._tangents
+            flow.field = lambda x, u, t: calls.update(["field"]) or field(x, u, t)
             flow._tangents = lambda X, U: calls.update(["tangents"]) or tangents(X, U)
             for kind in asked:
                 asked[kind].clear()

@@ -508,8 +508,8 @@ class TestDiscretizedMemo:
         flow = builtin_system("duffing-forced", delta=0.3)
         ds = discretize(flow, 0.05)
         field_calls = []
-        evaluate = flow.evaluate
-        flow.evaluate = lambda x, u: field_calls.append(len(x)) or evaluate(x, u)
+        field = flow.field
+        flow.field = lambda x, u, t: field_calls.append(len(x)) or field(x, u, t)
         rng = np.random.default_rng(8)
         for x, u in zip(rng.uniform(-2.0, 2.0, (1000, 2)), rng.uniform(-1.0, 1.0, (1000, 1))):
             ds.evaluate(x, u)
@@ -520,8 +520,8 @@ class TestDiscretizedMemo:
         flow = builtin_system("duffing-forced", delta=0.3)
         ds = discretize(flow, 0.05)
         calls = Counter()
-        evaluate, tangents = flow.evaluate, flow._tangents
-        flow.evaluate = lambda x, u: calls.update(["field"]) or evaluate(x, u)
+        field, tangents = flow.field, flow._tangents
+        flow.field = lambda x, u, t: calls.update(["field"]) or field(x, u, t)
         flow._tangents = lambda X, U: calls.update(["tangents"]) or tangents(X, U)
         X, U = np.full((4, 2), 0.5), np.full((4, 1), -0.25)
         for _ in range(3):
@@ -886,3 +886,126 @@ class TestErrorsThatAreNotDivergence:
         assert data.n_redraws > 0
         assert np.all(np.isfinite(data.Y))
         np.testing.assert_array_equal(data.Y, rk4_step(system.field, data.X, data.U, 0.0, 0.1))
+
+
+class TestLeanStepPath:
+    """The discretized map's step path tests each point and value once per stage
+    with whole-array checks; its values and its error rows equal the references."""
+
+    @staticmethod
+    def stacks(P):
+        """P states and inputs whose first rows hold -0.0 entries."""
+        rng = np.random.default_rng(P)
+        X, U = rng.uniform(-2.0, 2.0, (P, 2)), rng.uniform(-1.0, 1.0, (P, 1))
+        X[:2, 0], X[:1, 1], U[:1] = -0.0, -0.0, -0.0
+        return X, U
+
+    @pytest.mark.parametrize("P", [0, 1, 7])
+    def test_catalog_kernels_equal_the_stack_and_tile_expressions(self, P):
+        X, U = self.stacks(P)
+        d, mu, lam = 0.3, -0.05, -1.0
+        x1, x2, zeros = X[:, 0], X[:, 1], np.zeros(P)
+        old_fu = np.stack([zeros, U[:, 0]], axis=1)
+        old_jfu = np.tile([[0.0], [1.0]], (P, 1, 1))
+        for system, f_x, base, entry in [
+            (builtin_system("duffing-forced", delta=d),
+             np.stack([x2, x1 - x1 ** 3 - d * x2], axis=1), [[0.0, 1.0], [0.0, -d]],
+             1.0 - 3.0 * x1 ** 2),
+            (builtin_system("slow-manifold", mu=mu, lam=lam),
+             np.stack([mu * x1, lam * (x2 - x1 ** 2)], axis=1), [[mu, 0.0], [0.0, lam]],
+             -2.0 * lam * x1),
+        ]:
+            old_jfx = np.tile(base, (P, 1, 1))
+            old_jfx[:, 1, 0] = entry
+            assert_same_bits(system.f_x(X), f_x, f"{system.name} f_x")
+            assert_same_bits(system.f_u(U), old_fu, f"{system.name} f_u")
+            assert_same_bits(system.jacobian_fx(X), old_jfx, f"{system.name} jacobian_fx")
+            assert_same_bits(system.jacobian_fu(U), old_jfu, f"{system.name} jacobian_fu")
+        linear = builtin_system("linear")
+        assert_same_bits(linear.jacobian_fx(X), np.tile(A_DEFAULT, (P, 1, 1)), "linear jacobian_fx")
+        assert_same_bits(linear.jacobian_fu(U), np.tile(B_DEFAULT, (P, 1, 1)), "linear jacobian_fu")
+        scalar = builtin_system("bilinear-scalar", a=-1.0, b=1.0)
+        assert_same_bits(scalar.jacobian_fx(X[:, :1]), np.tile([[-1.0]], (P, 1, 1)), "scalar jac")
+
+    @pytest.mark.parametrize("name, params", [("duffing-forced", {"delta": 0.3}),
+                                              ("slow-manifold", {"mu": -0.05, "lam": -1.0})])
+    def test_map_step_and_tangents_equal_the_references(self, name, params):
+        flow, dt = builtin_system(name, **params), 0.05
+        X, U = self.stacks(9)
+
+        def by_hand(x, u):  # the RK4 formula on the validated public evaluate
+            k1 = flow.evaluate(x, u)
+            k2 = flow.evaluate(x + 0.5 * dt * k1, u)
+            k3 = flow.evaluate(x + 0.5 * dt * k2, u)
+            k4 = flow.evaluate(x + dt * k3, u)
+            return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        ds = discretize(flow, dt)
+        phi = ds.evaluate(X, U)
+        assert_same_bits(phi, [rk4_step(flow.field, x, u, 0.0, dt) for x, u in zip(X, U)], "rows")
+        assert_same_bits(phi, [by_hand(x, u) for x, u in zip(X, U)], "by hand")
+        J_x, J_u = _rk4_map_jacobians(flow, X, U, dt)
+        assert_same_bits(ds.jacobian_x(X, U), J_x, "jacobian_x")
+        assert_same_bits(ds.jacobian_u(X, U), J_u, "jacobian_u")
+
+    @pytest.mark.parametrize("where", ["x", "u", "value"])
+    @pytest.mark.parametrize("discrete", [False, True])
+    def test_evaluate_names_the_first_bad_row(self, where, discrete):
+        flow = ControlledSystem(  # its field value is NaN where x1 > 2.5
+            "nan-past-2.5", "continuous", 2, 1,
+            f_x=lambda x: np.where(x[0] > 2.5, np.nan, -x),
+            f_u=lambda u: np.array([0.0, u[0]]),
+            f_xu=lambda x, u: np.zeros(2),
+        )
+        system = discretize(flow, 0.05) if discrete else flow
+        X, U = np.zeros((6, 2)), np.zeros((6, 1))
+        if where == "x":
+            X[3, 1], X[5, 0] = np.nan, np.nan
+        elif where == "u":
+            U[2, 0], X[4, 0] = np.nan, np.nan
+        else:
+            X[3, 0], X[5, 0] = 3.0, 4.0
+        first = {"x": 3, "u": 2, "value": 3}[where]
+        with pytest.raises(ValueError) as err:
+            system.evaluate(X, U)
+        assert f"x={X[first].tolist()}, u={U[first].tolist()}" in str(err.value)
+        assert str(err.value).startswith(f"{system.name}: non-finite field value at ")
+
+    def test_a_map_error_names_the_map_the_row_and_the_stage_time(self):
+        ds = discretize(builtin_system("duffing-forced", delta=0.3), 0.05)
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
+            ds.evaluate([[0.0, 0.0], [1e100, 1.0]], [[0.0], [0.0]])
+        assert str(err.value) == ("duffing-forced-discrete: non-finite field value at "
+                                  "t = 0.025 in the step from x=[1e+100, 1.0], u=[0.0]")
+
+    def test_row_adapter_callables_never_see_a_non_finite_point(self):
+        def finite_only(fn):
+            def checked(*args):
+                assert all(np.isfinite(a).all() for a in args), args
+                return fn(*args)
+            return checked
+
+        flow = ControlledSystem(  # xdot = x + u up to |x| = 2.5, NaN past it
+            "guarded-growth", "continuous", 1, 1,
+            f_x=finite_only(lambda x: np.where(np.abs(x) > 2.5, np.nan, x)),
+            f_u=finite_only(lambda u: u),
+            f_xu=finite_only(lambda x, u: np.zeros(1)),
+        )
+        X, U = np.array([[0.5], [np.nan], [3.0], [1.0]]), np.zeros((4, 1))
+        for system in (flow, discretize(flow, 0.1)):
+            with pytest.raises(ValueError, match=r"x=\[nan\], u=\[0.0\]"):
+                system.evaluate(X, U)
+            with pytest.raises(ValueError, match=r"x=\[3.0\], u=\[0.0\]"):
+                system.evaluate(X[2:], U[2:])
+        traj = simulate(flow, np.array([2.0]), lambda t: np.ones(1), 0.1, 20)
+        assert traj.diverged and np.all(np.abs(traj.states) <= 2.5)
+        for kwargs in ({}, {"kind": "discrete-pairs"}, {"derivative_mode": "finite-difference"}):
+            data = generate_dataset(flow, 100, seed=2, region=[(-3.0, 3.0)], **kwargs)
+            assert data.n_redraws > 0 and np.all(np.isfinite(data.Y)), kwargs
+
+
+class TestNonFiniteControl:
+    def test_simulate_names_the_control_and_its_first_bad_time(self):
+        control = lambda t: np.array([np.nan if t > 0.25 else 0.0])  # noqa: E731
+        with pytest.raises(ValueError, match=r"control\(t\) at t = 0\.3"):
+            simulate(builtin_system("linear"), np.zeros(2), control, 0.1, 5)

@@ -230,3 +230,31 @@ class TestRk4Step:
     def test_zero_dt_rejected(self):
         with pytest.raises(ValueError, match="dt"):
             rk4_step(lambda x, u, t: -x, np.array([1.0]), np.zeros(0), 0.0, 0.0)
+
+
+class TestRk4StageChecks:
+    """rk4_step tests each stage state before the field sees it and each value
+    after, and names the first bad row's start point and the stage time."""
+
+    @staticmethod
+    def finite_only(value):
+        def field(x, u, t):
+            assert np.isfinite(x).all(), x
+            return value(x)
+        return field
+
+    def test_a_non_finite_value_names_its_row_and_stage_time(self):
+        field = self.finite_only(lambda x: np.where(x < 1.0, 1.0, np.nan))
+        X, U = np.array([[0.0], [0.99], [0.5], [0.98]]), np.array([[0.1], [0.2], [0.3], [0.4]])
+        with pytest.raises(ValueError) as err:
+            rk4_step(field, X, U, 1.0, 0.1)  # the second stage of rows 1 and 3 is past 1
+        assert str(err.value) == ("non-finite field value at t = 1.05 in the step from "
+                                  "x=[0.99], u=[0.2]")
+
+    def test_a_non_finite_stage_state_is_named_before_the_field_sees_it(self):
+        field = self.finite_only(lambda x: np.where(x < 1.0, 1.0, 1e308))
+        X, U = np.array([[0.0], [2.0]]), np.zeros((2, 1))
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
+            rk4_step(field, X, U, 0.0, 10.0)  # 2 + 5 * 1e308 overflows
+        assert str(err.value) == ("non-finite stage state at t = 5.0 in the step from "
+                                  "x=[2.0], u=[0.0]")
