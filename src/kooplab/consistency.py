@@ -38,7 +38,8 @@ import numpy as np
 
 from .dynamics import ControlledSystem, EvaluationGrid
 from .formulations import VARIANTS, bilinear_to_joint
-from .numerics import _check_seed, _mv, _read_json_object, _read_only, _rng, _stacked
+from .numerics import (_check_seed, _mv, _read_json_object, _read_only, _rng, _stacked,
+                       _violation)
 from .observables import Dictionary, JointDictionary
 
 __all__ = [
@@ -340,8 +341,7 @@ class _Ingredients:
         """Raise HypothesisViolationError, naming the worst point's rows of cols, unless
         at(fn, where) vanishes; a non-finite norm counts as inf, so NaN cannot pass.
         A single point ("x=0", "u=0") takes no cols and names no location."""
-        v = self.norms(fn, where)
-        v = np.where(np.isfinite(v), v, np.inf)
+        v = _violation(self.norms(fn, where))
         i = int(np.argmax(v))
         if v[i] > _HYPOTHESIS_TOL:
             at = tuple(c[i] for c in cols)

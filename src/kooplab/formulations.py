@@ -31,7 +31,7 @@ import numpy as np
 
 from .dynamics import DIVERGENCE_BOUND, SnapshotDataset, _march
 from .numerics import (RankDeficiencyError, _block_least_squares, _check_seed, _magnitude, _mv,
-                       _read_json_object, _row_slices, _typed_field)
+                       _read_json_object, _row_slices, _typed_field, _violation)
 from .observables import (
     Dictionary,
     JointDictionary,
@@ -560,10 +560,10 @@ def fit_separable(data: SnapshotDataset, dict_x: Dictionary, dict_u: Dictionary,
 def _check_cross_vanishes(dict_xu: JointDictionary, states: np.ndarray):
     """psi_xu(x, 0) = 0 at every data state, by row slices; a non-finite value fails too."""
     worst = np.max([
-        np.max(np.abs(dict_xu.evaluate(X, np.zeros((len(X), dict_xu.input_dim)))))
+        _violation(dict_xu.evaluate(X, np.zeros((len(X), dict_xu.input_dim)))).max(initial=0.0)
         for X in (states[rows] for rows in _row_slices(len(states)))
     ], initial=0.0)
-    if not worst <= 1e-10:
+    if worst > 1e-10:
         raise ValueError(f"cross dictionary must vanish at u = 0; got |psi_xu| = {worst:.3g} there")
 
 

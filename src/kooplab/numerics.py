@@ -84,6 +84,14 @@ def _unstack(values, single: bool):
     return values[0] if single else values
 
 
+def _require_finite_rows(error, *arrays):
+    """Raise error(i) for the first row i at which one of the aligned stacks (P, k),
+    or points (k,), is not finite; the row scan runs only when a whole-array test fails."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise error(int(np.argmin(np.logical_and.reduce(
+            [np.isfinite(np.atleast_2d(a)).all(axis=1) for a in arrays]))))
+
+
 def _read_only(a) -> np.ndarray:
     """A read-only view of a, so that no holder of a shared array can change it."""
     a = a.view()
@@ -275,6 +283,35 @@ def solve_least_squares(A, B, ridge: float = 0.0) -> np.ndarray:
     return X[:, 0] if B.ndim == 1 else X
 
 
+def _violation(a) -> np.ndarray:
+    """|a| per entry, a non-finite entry counted as inf: every check's one violation rule."""
+    return np.where(np.isfinite(a), np.abs(a), np.inf)
+
+
+def _fd_jacobians(f, Z, h=None) -> np.ndarray:
+    """Central-difference Jacobians (P, k, d) of a stacked map f: (P, d) -> (P, k)
+    at the rows of Z: per coordinate j, one call of f on the whole stack with only
+    column j of a copy moved by +-h, by default _FD_STEP_SCALE * (1 + |Z[i, j]|)
+    per row, so that each row equals its one-point differences bit for bit."""
+    Z = _as_float_array(Z, "x")
+    F = f(Z)
+    if F.ndim != 2:
+        raise ValueError(f"f must return a 1-D array, got shape {F.shape[1:]}")
+    _require_finite_rows(
+        lambda i: ValueError(f"f returned non-finite values at x = {Z[i].tolist()}"), F)
+    J = np.empty(F.shape + Z.shape[1:])
+    for j in range(Z.shape[1]):
+        hj = np.full(len(Z), float(h)) if h else _FD_STEP_SCALE * (1.0 + np.abs(Z[:, j]))
+        Zp, Zm = Z.copy(), Z.copy()
+        Zp[:, j], Zm[:, j] = Z[:, j] + hj, Z[:, j] - hj
+        Fp, Fm = f(Zp), f(Zm)
+        _require_finite_rows(lambda i: ValueError(
+            f"f returned non-finite values near x = {Z[i].tolist()} "
+            f"(coordinate {j}, step {hj[i]})"), Fp, Fm)
+        J[..., j] = (Fp - Fm) / (2.0 * hj[:, None])
+    return J
+
+
 def finite_difference_jacobian(
     f: Callable[[np.ndarray], np.ndarray],
     x,
@@ -299,27 +336,7 @@ def finite_difference_jacobian(
     x = _as_float_array(x, "x", ndim=1)
     if h is not None and (not np.isscalar(h) or h <= 0):
         raise ValueError(f"h must be a positive scalar, got {h!r}")
-    f0 = np.asarray(f(x), dtype=float)
-    if f0.ndim != 1:
-        raise ValueError(f"f must return a 1-D array, got shape {f0.shape}")
-    if f0.size and not np.all(np.isfinite(f0)):
-        raise ValueError(f"f returned non-finite values at x = {x.tolist()}")
-    J = np.empty((f0.shape[0], x.shape[0]))
-    for j in range(x.shape[0]):
-        hj = h if h is not None else _FD_STEP_SCALE * (1.0 + abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += hj
-        xm[j] -= hj
-        fp = np.asarray(f(xp), dtype=float)
-        fm = np.asarray(f(xm), dtype=float)
-        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
-            raise ValueError(
-                f"f returned non-finite values near x = {x.tolist()} "
-                f"(coordinate {j}, step {hj})"
-            )
-        J[:, j] = (fp - fm) / (2.0 * hj)
-    return J
+    return _fd_jacobians(lambda Z: np.asarray(f(Z[0]), dtype=float)[None], x[None], h)[0]
 
 
 def rk4_step(
@@ -374,11 +391,10 @@ def rk4_step(
         raise ValueError(f"dt must be a nonzero finite scalar, got {dt!r}")
 
     def _finite(a, ts, what):
-        if np.isfinite(a).all():
-            return a
-        i = int(np.argmin(np.isfinite(np.atleast_2d(a)).all(axis=1)))
-        raise _NonFiniteFieldError(f"non-finite {what} at t = {ts} in the step from "
-                                   f"x={np.atleast_2d(x)[i].tolist()}, u={np.atleast_2d(u)[i].tolist()}")
+        _require_finite_rows(lambda i: _NonFiniteFieldError(
+            f"non-finite {what} at t = {ts} in the step from "
+            f"x={np.atleast_2d(x)[i].tolist()}, u={np.atleast_2d(u)[i].tolist()}"), a)
+        return a
 
     def _eval(xs, ts):
         k = np.asarray(field(xs, u, ts), dtype=float)

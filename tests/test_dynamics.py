@@ -32,7 +32,7 @@ from kooplab.dynamics import (
     validate_jacobians,
 )
 from kooplab.dynamics import _rk4_map_jacobians
-from kooplab.numerics import rk4_step
+from kooplab.numerics import _FD_STEP_SCALE, _Broadcast, finite_difference_jacobian, rk4_step
 
 A_DEFAULT = np.array([[-1.0, 0.0], [0.0, -2.0]])
 B_DEFAULT = np.array([[1.0], [1.0]])
@@ -120,6 +120,21 @@ class TestControlledSystem:
         )
         np.testing.assert_allclose(sys.jacobian_fx(np.array([2.0])), [[12.0]], atol=1e-6)
 
+    def test_broadcast_pieces_without_jacobians_get_finite_differences(self):
+        sys = ControlledSystem(
+            "broadcast-cubic", "continuous", 1, 1,
+            f_x=_Broadcast(lambda X: X * X * X),
+            f_u=_Broadcast(lambda U: 2.0 * U),
+            f_xu=_Broadcast(lambda X, U: X * U),
+        )
+        X, U = np.array([[1.0], [2.0], [-0.5]]), np.array([[0.5], [-1.0], [0.0]])
+        np.testing.assert_allclose(sys.jacobian_fx(X), 3.0 * X[:, :, None] ** 2, atol=1e-6)
+        np.testing.assert_allclose(sys.jacobian_fu(U), np.full((3, 1, 1), 2.0), atol=1e-8)
+        np.testing.assert_allclose(sys.jacobian_fxu_x(X, U), U[:, :, None], atol=1e-8)
+        np.testing.assert_allclose(sys.jacobian_fxu_u(X, U), X[:, :, None], atol=1e-8)
+        np.testing.assert_allclose(sys.jacobian_x(X[0], U[0]), [[3.5]], atol=1e-6)
+        np.testing.assert_allclose(sys.jacobian_u(X[0], U[0]), [[3.0]], atol=1e-8)
+
     def test_catalog_contents(self):
         duff = builtin_system("duffing-forced", delta=0.5)
         got = duff.evaluate(np.array([1.0, 1.0]), np.array([0.0]))
@@ -186,6 +201,19 @@ class TestControlledSystem:
         assert decomposition_residuals(nan_cross, grid)["f_xu_at_u_zero"] == np.inf
         with pytest.raises(ValueError, match="f_xu_at_u_zero = inf"):
             validate_decomposition(nan_cross, grid)
+
+    def test_validate_jacobians_rejects_nan(self):
+        grid = EvaluationGrid(np.array([[-1.0], [0.0], [1.0]]), np.array([[-1.0], [0.0], [1.0]]))
+        # the analytic d f_x/dx is NaN at x = 0 alone, after finite values in grid order
+        nan_jac = ControlledSystem(
+            "nan-jacobian", "continuous", 1, 1,
+            f_x=lambda x: x * x,
+            f_u=lambda u: u,
+            f_xu=lambda x, u: np.zeros(1),
+            jac_fx=lambda x: np.array([[np.nan if x[0] == 0.0 else 2.0 * x[0]]]),
+        )
+        with pytest.raises(ValueError, match=r"max deviation inf > 1\.0e-05"):
+            validate_jacobians(nan_jac, grid)
 
     def test_validate_jacobians_catches_wrong_analytic(self):
         bad = ControlledSystem(
@@ -280,6 +308,85 @@ class TestStackContract:
             sys.evaluate(np.zeros((3, 2)), np.zeros(1))
         with pytest.raises(ValueError, match="single points or stacks"):
             sys.evaluate(np.zeros((3, 2)), np.zeros((2, 1)))
+
+
+def per_point_fd(f, x, h=None):
+    """The per-point central-difference loop that the stacked kernel replaced."""
+    x = np.asarray(x, dtype=float)
+    J = np.empty((len(f(x)), len(x)))
+    for j in range(len(x)):
+        hj = h if h is not None else _FD_STEP_SCALE * (1.0 + abs(x[j]))
+        xp, xm = x.copy(), x.copy()
+        xp[j] += hj
+        xm[j] -= hj
+        J[:, j] = (np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (2.0 * hj)
+    return J
+
+
+# per-point pieces without Jacobians; atan2(z, -1) is -pi at z = -0.0 and +pi at +0.0
+SIGNED_PIECES = {
+    "f_x": lambda x: np.array([np.arctan2(x[0], -1.0) * x[1], x[0] * x[0] * x[0] - x[1]]),
+    "f_u": lambda u: np.array([np.arctan2(u[0], -1.0) * u[1], u[0] * u[0]]),
+    "f_xu": lambda x, u: np.array([np.arctan2(x[1], -1.0) * x[0] * u[0], x[0] * u[1] * u[1]]),
+}
+
+
+class TestStackedFiniteDifferences:
+    """Omitted Jacobians and `finite_difference_jacobian` run one stacked kernel,
+    whose values equal the per-point loop bit for bit."""
+
+    @staticmethod
+    def rows():
+        """The grid product of a 3-per-axis grid, then rows that hold -0.0."""
+        grid = EvaluationGrid.default(2, 2, points_per_axis=3)
+        X = np.repeat(grid.states, len(grid.inputs), axis=0)
+        U = np.tile(grid.inputs, (len(grid.states), 1))
+        X = np.vstack([X, [[-0.0, 1.5], [0.5, -0.0], [-0.0, -0.0], [-1.25, 0.75]]])
+        U = np.vstack([U, [[-0.0, 0.7], [0.3, -0.0], [-0.0, -0.0], [-0.0, -0.5]]])
+        return X, U
+
+    def test_fallback_jacobians_equal_the_per_point_loop(self):
+        system = ControlledSystem("signed-zero", "continuous", 2, 2, **SIGNED_PIECES)
+        f_x, f_u, f_xu = SIGNED_PIECES.values()
+        X, U = self.rows()
+        for method, got, reference in [
+            ("jacobian_fx", system.jacobian_fx(X), [per_point_fd(f_x, x) for x in X]),
+            ("jacobian_fu", system.jacobian_fu(U), [per_point_fd(f_u, u) for u in U]),
+            ("jacobian_fxu_x", system.jacobian_fxu_x(X, U),
+             [per_point_fd(lambda z: f_xu(z, u), x) for x, u in zip(X, U)]),
+            ("jacobian_fxu_u", system.jacobian_fxu_u(X, U),
+             [per_point_fd(lambda w: f_xu(x, w), u) for x, u in zip(X, U)]),
+        ]:
+            assert_same_bits(got, reference, method)
+        # moving the whole row by e_j h would turn the -0.0 entries into +0.0 and flip pi
+        neg = X[-4:-1]  # the rows that hold -0.0
+        shifted = [(f_x(x + 1e-5 * e) - f_x(x - 1e-5 * e)) / 2e-5 for x in neg for e in np.eye(2)]
+        exact = [per_point_fd(f_x, x, 1e-5)[:, j] for x in neg for j in range(2)]
+        assert any(a.tobytes() != b.tobytes() for a, b in zip(shifted, exact))
+
+    @pytest.mark.parametrize("h", [None, 1e-4])
+    def test_public_jacobian_equals_the_per_point_loop(self, h):
+        f_x, _, f_xu = SIGNED_PIECES.values()
+        g = lambda z: f_xu(z[:2], z[2:])  # noqa: E731
+        for x, u in zip(*self.rows()):
+            assert_same_bits(finite_difference_jacobian(f_x, x, h), per_point_fd(f_x, x, h), "f_x")
+            z = np.concatenate([x, u])
+            assert_same_bits(finite_difference_jacobian(g, z, h), per_point_fd(g, z, h), "f_xu")
+
+    def test_a_non_finite_value_names_the_first_row(self):
+        system = ControlledSystem(  # f_x is NaN at x > 1 and finite at x = 1
+            "nan-past-one", "continuous", 1, 0,
+            f_x=lambda x: np.where(x > 1.0, np.nan, x),
+            f_u=lambda u: np.zeros(1),
+            f_xu=lambda x, u: np.zeros(1),
+        )
+        with pytest.raises(ValueError, match=r"non-finite values at x = \[1\.5\]$"):
+            system.jacobian_fx(np.array([[0.5], [1.5], [2.0]]))
+        with pytest.raises(ValueError, match=r"non-finite values near x = \[1\.0\] "
+                                             r"\(coordinate 0, step "):
+            system.jacobian_fx(np.array([[0.5], [1.0], [-1.0]]))
+        with pytest.raises(ValueError, match=r"non-finite values at x = \[3\.0\]$"):
+            finite_difference_jacobian(system.f_x, np.array([3.0]))
 
 
 class TestSimulate:
@@ -404,6 +511,19 @@ class TestDiscretize:
     def test_rejects_discrete_input(self):
         with pytest.raises(ValueError, match="continuous"):
             discretize(scalar_linear_discrete(), 0.1)
+
+    def test_flow_needs_to_be_finite_only_where_it_is_stepped(self):
+        # f_x is +inf past |x| = 2.1, so a step from the states +-2 is not finite;
+        # every step from [-1, 1] x [-1, 1] is
+        flow = ControlledSystem(
+            "capped-both-ways", "continuous", 1, 1,
+            f_x=lambda x: np.where(np.abs(x) > 2.1, np.inf, x),
+            f_u=lambda u: u,
+            f_xu=lambda x, u: np.zeros(1),
+        )
+        data = generate_dataset(flow, 200, kind="discrete-pairs", region=[(-1.0, 1.0)])
+        assert data.n_samples == 200 and data.n_redraws == 0
+        np.testing.assert_array_equal(data.Y, rk4_step(flow.field, data.X, data.U, 0.0, 0.1))
 
 
 def memo_free_methods(flow, dt):

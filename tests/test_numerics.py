@@ -165,6 +165,12 @@ class TestFiniteDifferenceJacobian:
         with pytest.raises(ValueError, match="positive"):
             finite_difference_jacobian(lambda z: z, np.array([1.0]), h=0.0)
 
+    @pytest.mark.parametrize("value, shape", [(lambda z: z.sum(), "()"),
+                                              (lambda z: np.outer(z, z), r"\(2, 2\)")])
+    def test_value_that_is_not_one_dimensional_rejected(self, value, shape):
+        with pytest.raises(ValueError, match=f"f must return a 1-D array, got shape {shape}"):
+            finite_difference_jacobian(value, np.array([1.0, 2.0]))
+
 
 class TestRk4Step:
     def test_linear_decay_matches_stability_polynomial(self):
