@@ -311,7 +311,8 @@ class _Ingredients:
         """Per-input rows broadcast onto the product points."""
         return np.tile(A, (len(self.grid.states),) + (1,) * (A.ndim - 1))
 
-    def _points(self, where) -> tuple:
+    def points(self, where) -> tuple:
+        """The stacks of the point set `where`, as `at` passes them to a method."""
         if where.startswith("f("):
             return (self.at(self.system.evaluate, where[1:]),)
         states, inputs = self.grid.states, self.grid.inputs
@@ -331,7 +332,7 @@ class _Ingredients:
 
     def at(self, fn, where) -> np.ndarray:
         """fn evaluated on the point set `where`."""
-        return self._memo((fn, where), lambda: fn(*self._points(where)))
+        return self._memo((fn, where), lambda: fn(*self.points(where)))
 
     def norms(self, fn, where) -> np.ndarray:
         """Point norms of at(fn, where)."""
@@ -347,13 +348,6 @@ class _Ingredients:
             at = tuple(c[i] for c in cols)
             raise HypothesisViolationError(hypothesis, v[i],
                                            where=at[0] if len(at) == 1 else at or None)
-
-    def autonomous(self) -> "_Ingredients":
-        """The ingredients on the zero-input slice of the grid: self when the
-        grid is that slice already (as for a system without inputs)."""
-        inputs = self.grid.inputs
-        single_zero = len(inputs) == 1 and not inputs.any()
-        return self if single_zero else _Ingredients(self.system, self.grid.autonomous())
 
 
 def _ingredients(system, grid, checker: str, kind: str) -> _Ingredients:
@@ -415,9 +409,9 @@ def check_def1(system: ControlledSystem, model, grid: EvaluationGrid,
         )
 
     auton = _autonomous(model)
-    ing = ing.autonomous() if auton else ing
-    X, U = ing.product
-    F = ing.at(system.evaluate, "(x,u)")
+    where = "(x,0)" if auton else "(x,u)"  # an autonomous model lives on the u = 0 slice
+    X, U = ing.points(where)
+    F = ing.at(system.evaluate, where)
     if joint:
         Udot = (_stacked(u_dot, (system.input_dim,))(X, U) if callable(u_dot)
                 else np.broadcast_to(np.asarray(u_dot, dtype=float), U.shape))
@@ -425,7 +419,8 @@ def check_def1(system: ControlledSystem, model, grid: EvaluationGrid,
         rate = model.rate(X, U, u_dot=Udot)
     else:
         jac = model.eigendict.jacobian if model.variant == "eigen" else model.dict_x.jacobian
-        truth = _mv(ing.per_state(ing.at(jac, "x")), F)
+        J = ing.at(jac, "x")
+        truth = _mv(J if auton else ing.per_state(J), F)
         rate = model.rate(X, U)
     cid = "DEF1-AUTON" if auton else "DEF1-JOINT" if joint else "DEF1-CTRL"
     points = {"x": X} if auton else ing.xu
@@ -445,11 +440,11 @@ def check_def2(system: ControlledSystem, model, grid: EvaluationGrid,
         raise ValueError("check_def2 needs a discrete-time model")
 
     auton = _autonomous(model)
-    ing = ing.autonomous() if auton else ing
-    X, U = ing.product
+    where = "(x,0)" if auton else "(x,u)"  # an autonomous model lives on the u = 0 slice
+    X, U = ing.points(where)
     points = {"x": X} if auton else ing.xu
-    J = ing.at(model.dict_x.jacobian, "f(x,u)")
-    res_x = _norms(model.lift_next_jac_x(X, U), -(J @ ing.at(system.jacobian_x, "(x,u)")))
+    J = ing.at(model.dict_x.jacobian, f"f{where}")
+    res_x = _norms(model.lift_next_jac_x(X, U), -(J @ ing.at(system.jacobian_x, where)))
     if auton:
         return [ConsistencyReport("DEF2-AUTON", tolerance, points, res_x)]
     res_u = _norms(model.lift_next_jac_u(X, U), -(J @ ing.at(system.jacobian_u, "(x,u)")))

@@ -21,19 +21,17 @@ from typing import Callable
 import numpy as np
 
 from .numerics import (
-    _aligned_rows,
-    _as_rows,
     _Broadcast,
     _check_seed,
     _fd_jacobians,
     _NonFiniteFieldError,
+    _point_or_stack,
     _read_json_object,
     _read_only,
     _require_finite_rows,
     _rng,
     _stacked,
     _typed_field,
-    _unstack,
     _violation,
     rk4_step,
 )
@@ -62,11 +60,6 @@ DATASET_SCHEMA_VERSION = 1
 DIVERGENCE_BOUND = 1e6
 # the default sampling box [-2, 2]^n x [-1, 1]^m of evaluation grids and datasets
 STATE_BOUND, INPUT_BOUND = 2.0, 1.0
-
-_CATALOG = (
-    "linear", "bilinear-scalar", "duffing-forced", "slow-manifold",
-    "bilinear-discrete",
-)
 
 
 class ControlledSystem:
@@ -130,6 +123,7 @@ class ControlledSystem:
         self.time_kind = time_kind
         self.state_dim = int(state_dim)
         self.input_dim = int(input_dim)
+        self._dims = (self.state_dim, self.input_dim)
         self.dt = dt
 
     # -- stacked kernels: f and its two total Jacobians at aligned rows -------
@@ -140,16 +134,18 @@ class ControlledSystem:
     def _tangents(self, X, U):
         return self._jfx(X) + self._jfxu_x(X, U), self._jfu(U) + self._jfxu_u(X, U)
 
-    # -- evaluation ---------------------------------------------------------
+    # -- evaluation: each method is its kernel on one point or aligned stacks ---
 
-    def _rows(self, x, u):
-        return _aligned_rows(x, u, self.state_dim, self.input_dim)
-
-    def _require_finite(self, X, U, *arrays):
-        """Raise naming the first (x, u) row at which one of the arrays is not finite."""
-        _require_finite_rows(lambda i: _NonFiniteFieldError(
-            f"{self.name}: non-finite field value at x={X[i].tolist()}, u={U[i].tolist()}"),
-            *arrays)
+    def _checked_map(self, X, U) -> np.ndarray:
+        """f at aligned rows; raises naming the first (x, u) row whose point or value
+        is not finite."""
+        def error(i):
+            return _NonFiniteFieldError(
+                f"{self.name}: non-finite field value at x={X[i].tolist()}, u={U[i].tolist()}")
+        _require_finite_rows(error, X, U)
+        out = self._map(X, U)
+        _require_finite_rows(error, out)
+        return out
 
     def evaluate(self, x, u) -> np.ndarray:
         """Total right-hand side f(x, u).
@@ -157,61 +153,47 @@ class ControlledSystem:
         A non-finite point or value raises ValueError naming the first such
         (x, u) row.
         """
-        X, U, single = self._rows(x, u)
-        self._require_finite(X, U, X, U)
-        out = self._map(X, U)
-        self._require_finite(X, U, out)
-        return _unstack(out, single)
+        return _point_or_stack(self._checked_map, (x, u), self._dims)
 
     def field(self, x, u, t):
         """(state, input, time) signature for the RK4 kernel; time-invariant.
         The bare kernel: it tests nothing, as `rk4_step` tests every stage."""
-        X, U, single = self._rows(x, u)
-        return _unstack(self._map(X, U), single)
+        return _point_or_stack(self._map, (x, u), self._dims)
 
     # -- pieces ---------------------------------------------------------------
 
     def f_x(self, x) -> np.ndarray:
-        X, single = _as_rows(x, self.state_dim, "state")
-        return _unstack(self._fx(X), single)
+        return _point_or_stack(self._fx, (x,), self._dims)
 
     def f_u(self, u) -> np.ndarray:
-        U, single = _as_rows(u, self.input_dim, "input")
-        return _unstack(self._fu(U), single)
+        return _point_or_stack(self._fu, (u,), self._dims[1:], "input")
 
     def f_xu(self, x, u) -> np.ndarray:
-        X, U, single = self._rows(x, u)
-        return _unstack(self._fxu(X, U), single)
+        return _point_or_stack(self._fxu, (x, u), self._dims)
 
     # -- piecewise Jacobians --------------------------------------------------
 
     def jacobian_fx(self, x) -> np.ndarray:
-        X, single = _as_rows(x, self.state_dim, "state")
-        return _unstack(self._jfx(X), single)
+        return _point_or_stack(self._jfx, (x,), self._dims)
 
     def jacobian_fu(self, u) -> np.ndarray:
-        U, single = _as_rows(u, self.input_dim, "input")
-        return _unstack(self._jfu(U), single)
+        return _point_or_stack(self._jfu, (u,), self._dims[1:], "input")
 
     def jacobian_fxu_x(self, x, u) -> np.ndarray:
-        X, U, single = self._rows(x, u)
-        return _unstack(self._jfxu_x(X, U), single)
+        return _point_or_stack(self._jfxu_x, (x, u), self._dims)
 
     def jacobian_fxu_u(self, x, u) -> np.ndarray:
-        X, U, single = self._rows(x, u)
-        return _unstack(self._jfxu_u(X, U), single)
+        return _point_or_stack(self._jfxu_u, (x, u), self._dims)
 
     # -- total Jacobians ------------------------------------------------------
 
     def jacobian_x(self, x, u) -> np.ndarray:
         """d f / d x at (x, u)."""
-        X, U, single = self._rows(x, u)
-        return _unstack(self._tangents(X, U)[0], single)
+        return _point_or_stack(lambda X, U: self._tangents(X, U)[0], (x, u), self._dims)
 
     def jacobian_u(self, x, u) -> np.ndarray:
         """d f / d u at (x, u)."""
-        X, U, single = self._rows(x, u)
-        return _unstack(self._tangents(X, U)[1], single)
+        return _point_or_stack(lambda X, U: self._tangents(X, U)[1], (x, u), self._dims)
 
     def __repr__(self):
         return (
@@ -400,9 +382,8 @@ def bilinear_discrete(alpha: float, beta: float, name: str = "bilinear-discrete"
     return _scalar_bilinear(name, "discrete", float(alpha), float(beta))
 
 
-def _require_params(name, params, required=(), defaults=None):
+def _require_params(name, params, required, defaults):
     """Float parameters: every required one given, the defaulted ones optional."""
-    defaults = defaults or {}
     unknown = sorted(set(params) - set(required) - set(defaults))
     if unknown:
         raise ValueError(f"{name}: unknown parameter(s) {', '.join(unknown)}")
@@ -439,6 +420,23 @@ def _planar(name, x1dot, x2dot, jac_fx_base, jac_fx_21) -> ControlledSystem:
     )
 
 
+# name -> (required params, defaulted params, builder called with the float params)
+_CATALOG = {
+    "linear": ((), {"a11": -1.0, "a12": 0.0, "a21": 0.0, "a22": -2.0, "b1": 1.0, "b2": 1.0},
+               lambda a11, a12, a21, a22, b1, b2: linear_system([[a11, a12], [a21, a22]],
+                                                                [[b1], [b2]])),
+    "bilinear-scalar": (("a", "b"), {},
+                        lambda a, b: _scalar_bilinear("bilinear-scalar", "continuous", a, b)),
+    "duffing-forced": (("delta",), {}, lambda delta: _planar(
+        "duffing-forced", lambda x1, x2: x2, lambda x1, x2: x1 - x1 ** 3 - delta * x2,
+        [[0.0, 1.0], [0.0, -delta]], lambda x1: 1.0 - 3.0 * x1 ** 2)),
+    "slow-manifold": (("mu", "lam"), {}, lambda mu, lam: _planar(
+        "slow-manifold", lambda x1, x2: mu * x1, lambda x1, x2: lam * (x2 - x1 ** 2),
+        [[mu, 0.0], [0.0, lam]], lambda x1: -2.0 * lam * x1)),
+    "bilinear-discrete": (("alpha", "beta"), {}, bilinear_discrete),
+}
+
+
 def builtin_system(name: str, **params) -> ControlledSystem:
     """Construct a catalog system by name.
 
@@ -455,37 +453,10 @@ def builtin_system(name: str, **params) -> ControlledSystem:
 
     Catalog systems evaluate stacks of points in one broadcast pass.
     """
-    if name == "linear":
-        p = _require_params(name, params, defaults={"a11": -1.0, "a12": 0.0, "a21": 0.0,
-                                                    "a22": -2.0, "b1": 1.0, "b2": 1.0})
-        A = np.array([[p["a11"], p["a12"]], [p["a21"], p["a22"]]])
-        B = np.array([[p["b1"]], [p["b2"]]])
-        return linear_system(A, B, name="linear")
-
-    if name == "bilinear-scalar":
-        p = _require_params(name, params, ("a", "b"))
-        return _scalar_bilinear(name, "continuous", p["a"], p["b"])
-
-    if name == "duffing-forced":
-        d = _require_params(name, params, ("delta",))["delta"]
-        return _planar(
-            name, lambda x1, x2: x2, lambda x1, x2: x1 - x1 ** 3 - d * x2,
-            [[0.0, 1.0], [0.0, -d]], lambda x1: 1.0 - 3.0 * x1 ** 2,
-        )
-
-    if name == "bilinear-discrete":
-        p = _require_params(name, params, ("alpha", "beta"))
-        return bilinear_discrete(p["alpha"], p["beta"])
-
-    if name == "slow-manifold":
-        p = _require_params(name, params, ("mu", "lam"))
-        mu, lam = p["mu"], p["lam"]
-        return _planar(
-            name, lambda x1, x2: mu * x1, lambda x1, x2: lam * (x2 - x1 ** 2),
-            [[mu, 0.0], [0.0, lam]], lambda x1: -2.0 * lam * x1,
-        )
-
-    raise ValueError(f"unknown system {name!r}; catalog: {', '.join(_CATALOG)}")
+    if name not in _CATALOG:
+        raise ValueError(f"unknown system {name!r}; catalog: {', '.join(_CATALOG)}")
+    required, defaults, build = _CATALOG[name]
+    return build(**_require_params(name, params, required, defaults))
 
 
 # -- decomposition validation -----------------------------------------------------
@@ -657,8 +628,6 @@ class _RK4Map(ControlledSystem):
                        system.state_dim, system.input_dim, dt)
         self._flow = system
         self._memo = OrderedDict()
-        n, m = self.state_dim, self.input_dim
-        self._base = self._step(np.zeros((1, n)), np.zeros((1, m)))[0]  # Phi(0, 0)
 
     # -- passes: one step, and one tangent pass, per point set -----------------
 
@@ -708,8 +677,8 @@ class _RK4Map(ControlledSystem):
     def _fx(self, X):
         return self._step(*self._at_u0(X)).copy()
 
-    def _fu(self, U):
-        return self._step(*self._at_x0(U)) - self._base
+    def _fu(self, U):  # Phi(0, u) - Phi(0, 0)
+        return self._step(*self._at_x0(U)) - self._step(*self._at_x0(np.zeros((1, self.input_dim))))
 
     def _fxu(self, X, U):
         return self._step(X, U) - self._step(*self._at_u0(X)) - self._fu(U)
@@ -740,10 +709,11 @@ def discretize(system: ControlledSystem, dt: float) -> ControlledSystem:
     RK4 stages (no finite differences); jacobian_x and jacobian_u are one
     tangent pass at (x, u), which reuses that point set's step stages.
 
-    The map keeps the steps and tangents of its last 16 point sets, keyed by
-    their exact shapes and bytes, and shares them between evaluate, the
-    pieces and all Jacobians; every method still returns an array the caller
-    owns.
+    The map steps nothing until a method asks, Phi(0, 0) included, so the
+    flow needs to be finite only where it is stepped. It keeps the steps and
+    tangents of its last 16 point sets, keyed by their exact shapes and
+    bytes, and shares them between evaluate, the pieces and all Jacobians;
+    every method still returns an array the caller owns.
     """
     if system.time_kind != "continuous":
         raise ValueError("discretize expects a continuous system")

@@ -7,9 +7,10 @@ non-finite value is rejected at the boundary instead of propagating NaNs
 into fitted operators.
 
 Systems, dictionaries and models take one point (d,) or an aligned stack
-(P, d) and return (P, ...) for a stack. Their kernels work on stacks; a
-per-point user callable reaches them through the one row adapter here,
-`_stacked`, unless it is marked `_Broadcast`.
+(P, d) and return (P, ...) for a stack. Their kernels work on stacks and
+their methods reach them through the one point-or-stack adapter here,
+`_point_or_stack`; a per-point user callable reaches a kernel through the
+one row adapter, `_stacked`, unless it is marked `_Broadcast`.
 """
 
 from __future__ import annotations
@@ -80,8 +81,14 @@ def _aligned_rows(x, u, n: int, m: int):
     return X, U, single
 
 
-def _unstack(values, single: bool):
-    return values[0] if single else values
+def _point_or_stack(kernel, args, dims, what: str = "state"):
+    """kernel on the stacks of one point or aligned stacks: args is (a,), checked by
+    `_as_rows` as `what` in R^dims[0], or a pair (x, u), checked by `_aligned_rows`
+    in R^n x R^m. Row 0 of the kernel's values for a single point, else all of them."""
+    *stacks, single = (_aligned_rows(*args, *dims) if len(args) == 2
+                       else _as_rows(args[0], dims[0], what))
+    out = kernel(*stacks)
+    return out[0] if single else out
 
 
 def _require_finite_rows(error, *arrays):

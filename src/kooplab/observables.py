@@ -24,8 +24,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .numerics import (_aligned_rows, _as_rows, _Broadcast, _mv, _rng, _stacked, _typed_field,
-                       _unstack)
+from .numerics import _Broadcast, _mv, _point_or_stack, _rng, _stacked, _typed_field
 
 __all__ = [
     "Dictionary",
@@ -162,8 +161,8 @@ class Dictionary:
         return len(self.names)
 
     def _call(self, kernel, z) -> np.ndarray:
-        Z, single = _as_rows(z, self.input_dim, f"argument of a dictionary over R^{self.input_dim}")
-        return _unstack(kernel(Z), single)
+        return _point_or_stack(kernel, (z,), (self.input_dim,),
+                               f"argument of a dictionary over R^{self.input_dim}")
 
     def evaluate(self, z) -> np.ndarray:
         """psi(z): (N,) at one point (d,), (P, N) on a stack (P, d)."""
@@ -513,8 +512,7 @@ class JointDictionary:
         return len(self.names)
 
     def _call(self, kernel, x, u) -> np.ndarray:
-        X, U, single = _aligned_rows(x, u, self.state_dim, self.input_dim)
-        return _unstack(kernel(X, U), single)
+        return _point_or_stack(kernel, (x, u), (self.state_dim, self.input_dim))
 
     def evaluate(self, x, u) -> np.ndarray:
         """psi(x, u): (N,) at one point, (P, N) on aligned stacks."""

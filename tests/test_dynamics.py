@@ -32,7 +32,9 @@ from kooplab.dynamics import (
     validate_jacobians,
 )
 from kooplab.dynamics import _rk4_map_jacobians
-from kooplab.numerics import _FD_STEP_SCALE, _Broadcast, finite_difference_jacobian, rk4_step
+from kooplab.numerics import (_FD_STEP_SCALE, _Broadcast, _NonFiniteFieldError,
+                              finite_difference_jacobian, rk4_step)
+from kooplab.observables import build_joint_dictionary
 
 A_DEFAULT = np.array([[-1.0, 0.0], [0.0, -2.0]])
 B_DEFAULT = np.array([[1.0], [1.0]])
@@ -524,6 +526,49 @@ class TestDiscretize:
         data = generate_dataset(flow, 200, kind="discrete-pairs", region=[(-1.0, 1.0)])
         assert data.n_samples == 200 and data.n_redraws == 0
         np.testing.assert_array_equal(data.Y, rk4_step(flow.field, data.X, data.U, 0.0, 0.1))
+
+    def test_map_steps_nothing_until_asked(self):
+        # f_x is +inf for |x| < 0.5, so no step from the origin is finite: the map
+        # is built and steps from [1, 2] all the same, and only f_u steps from x = 0
+        flow = ControlledSystem(
+            "hollow", "continuous", 1, 1,
+            f_x=lambda x: np.where(np.abs(x) < 0.5, np.inf, x),
+            f_u=lambda u: u,
+            f_xu=lambda x, u: np.zeros(1),
+        )
+        flow_map = discretize(flow, 0.1)
+        data = generate_dataset(flow, 50, kind="discrete-pairs", region=[(1.0, 2.0)])
+        assert data.n_samples == 50 and data.n_redraws == 0
+        np.testing.assert_array_equal(data.Y, rk4_step(flow.field, data.X, data.U, 0.0, 0.1))
+        with pytest.raises(_NonFiniteFieldError,
+                           match=r"^hollow-discrete: non-finite field value .* x=\[0\.0\]"):
+            flow_map.f_u(np.array([0.5]))
+
+
+def pair_methods():
+    """(id, method) for each (x, u) method of a catalog system, a per-point user
+    system, an RK4 map and a joint dictionary; `field` at t = 0."""
+    flow = builtin_system("duffing-forced", delta=0.5)
+    per_point = ControlledSystem("per-point", "continuous", 2, 1, f_x=lambda x: -x,
+                                 f_u=lambda u: np.array([0.0, u[0]]),
+                                 f_xu=lambda x, u: x * u[0])
+    for system in (flow, per_point, discretize(flow, 0.1)):
+        for name in ("evaluate", "f_xu", "jacobian_fxu_x", "jacobian_fxu_u",
+                     "jacobian_x", "jacobian_u"):
+            yield f"{system.name}.{name}", getattr(system, name)
+        yield f"{system.name}.field", lambda x, u, system=system: system.field(x, u, 0.0)
+    joint = build_joint_dictionary(2, 1, 1, 1)
+    for name in ("evaluate", "jacobian_x", "jacobian_u"):
+        yield f"joint.{name}", getattr(joint, name)
+
+
+@pytest.mark.parametrize("method", [pytest.param(m, id=i) for i, m in pair_methods()])
+def test_pair_methods_refuse_unaligned_rows(method):
+    x, u, X, U = np.zeros(2), np.zeros(1), np.zeros((3, 2)), np.zeros((2, 1))
+    for args in ((x, U[:1]), (X, u), (X, U)):  # point and stack, stack and point, 3 and 2 rows
+        with pytest.raises(ValueError, match="must both be single points or stacks with "
+                                             "equal row counts"):
+            method(*args)
 
 
 def memo_free_methods(flow, dt):

@@ -104,7 +104,7 @@ class TestDefinitionLevel:
         L, B = operators(1, (5, 5), (5, 1))
         for model in (AffineModel(DENSE_X, L, B, "continuous"),
                       AffineModel(DENSE_X, L, None, "continuous", input_dim=1)):
-            sub = ing.autonomous() if model.B is None else ing
+            sub = _Ingredients(DUFFING, grid.autonomous()) if model.B is None else ing
             X, U = sub.product
             truth = _mv(sub.per_state(sub.at(model.dict_x.jacobian, "x")),
                         sub.at(DUFFING.evaluate, "(x,u)"))
@@ -134,7 +134,7 @@ class TestDefinitionLevel:
                       {"DEF2-CTRL-X": inline_norms(res_x), "DEF2-CTRL-U": inline_norms(res_u)})
 
         auton = AffineModel(DENSE_X, K, None, "discrete", input_dim=1)
-        sub = ing.autonomous()
+        sub = _Ingredients(DUFFING_MAP, grid.autonomous())
         X, U = sub.product
         J = sub.at(auton.dict_x.jacobian, "f(x,u)")
         res_x = auton.lift_next_jac_x(X, U) - J @ sub.at(DUFFING_MAP.jacobian_x, "(x,u)")
