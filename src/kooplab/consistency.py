@@ -10,10 +10,22 @@ The conditions share their ingredients: f, its pieces f_x, f_u, f_xu, their
 Jacobians, and psi and J_psi at the states, the inputs and the next states
 f(x, u), f(x, 0), f(0, u). One ingredient object per (system, grid) evaluates
 each once, as one read-only stack, and check_model hands one to every family.
-Each residual is `_norms` of the terms of its identity, grouped as in the
-checker docstring: stacks on the (x, u) product in state-major order, added
-left to right, and a point's residual is the max-abs entry of its block (the
-|| . ||). A non-finite residual raises ValueError: such a field has no verdict.
+The grid holds read-only copies of its points and lays out the (x, u)
+product state-major. On the product an ingredient comes from its owner's
+grid hook `_on_grid`, which evaluates each factor of x alone on the grid's
+S states and each factor of u alone on its M inputs, then broadcasts them
+onto the S M rows with the stack kernel's arithmetic, so every field is the
+same bit for bit. Such factors are K_x J_psi(x) in the lift derivatives of
+affine, separable and joint models and K_u J_psi_u(u) in separable ones;
+K(u), J_psi(x), K_i psi_x(x) and J_psi_u(u) in those of bilinear models; the
+per-axis monomials of monomial-joint dictionaries; K(u) - K(0), psi_x and
+J_psi_x in the bilinear cross dictionary; and Phi(x, 0), Phi(0, u) with
+their tangents in a discretized map's f_xu and its Jacobians. All other
+ingredients run on the product stacks. Each residual is `_norms` of the
+terms of its identity, grouped as in the checker docstring: stacks on the
+product, added left to right, and a point's residual is the max-abs entry
+of its block (the || . ||), one reduction over the blocks laid out (k, P).
+A non-finite residual raises ValueError: such a field has no verdict.
 
 Condition identifiers form a closed set (CONDITION_IDS). The DEF1-*/DEF2-*
 conditions test a fitted model's represented dynamics directly; the T*/COR*
@@ -30,6 +42,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -280,36 +293,28 @@ class ConsistencyReport:
 
 
 def _norms(*terms) -> np.ndarray:
-    """Max-abs of each point's block of the terms' left-to-right sum; NaN propagates."""
+    """Max-abs of each point's block of the terms' left-to-right sum; NaN propagates.
+    The blocks' entries are laid out (k, P), so that one reduction runs along P."""
     R = sum(terms[1:], terms[0])
-    return np.abs(R).max(axis=tuple(range(1, R.ndim)), initial=0.0)
+    A = np.abs(R).reshape(len(R), math.prod(R.shape[1:])).T
+    return np.ascontiguousarray(A).max(axis=0, initial=0.0)
 
 
 class _Ingredients:
     """The stacks that the conditions of one check share, for one (system, grid).
 
-    Every ingredient is a system or dictionary method evaluated at a named
-    point set: the grid states "x" and inputs "u", the single points "x=0"
-    and "u=0", the (x, u) product "(x,u)" in state-major order, the axis rows
-    "(x,0)" and "(0,u)", and the next states "f(x,u)", "f(x,0)", "f(0,u)".
-    `at` evaluates each (method, point set) pair once and keeps the result as
-    a read-only array; `norms` does the same for its point norms.
+    Every ingredient is a system, dictionary or model method evaluated at a
+    named point set: the grid states "x" and inputs "u", the single points
+    "x=0" and "u=0", the grid's (x, u) product "(x,u)", the axis rows "(x,0)"
+    and "(0,u)", and the next states "f(x,u)", "f(x,0)", "f(0,u)". `at`
+    evaluates each (method, point set) pair once and keeps the result as a
+    read-only array; `norms` does the same for its point norms.
     """
 
     def __init__(self, system: ControlledSystem, grid: EvaluationGrid):
         self.system, self.grid = system, grid
         self._stacks = {}
-        self.product = (_read_only(self.per_state(grid.states)),
-                        _read_only(self.per_input(grid.inputs)))
-        self.xu = dict(zip("xu", self.product))  # report points; each report copies the dict
-
-    def per_state(self, A) -> np.ndarray:
-        """Per-state rows broadcast onto the product points."""
-        return np.repeat(A, len(self.grid.inputs), axis=0)
-
-    def per_input(self, A) -> np.ndarray:
-        """Per-input rows broadcast onto the product points."""
-        return np.tile(A, (len(self.grid.states),) + (1,) * (A.ndim - 1))
+        self.xu = dict(zip("xu", grid.product))  # report points; each report copies the dict
 
     def points(self, where) -> tuple:
         """The stacks of the point set `where`, as `at` passes them to a method."""
@@ -320,7 +325,7 @@ class _Ingredients:
         return {
             "x": (states,), "u": (inputs,),
             "x=0": (np.zeros(n),), "u=0": (np.zeros(m),),
-            "(x,u)": self.product,
+            "(x,u)": self.grid.product,
             "(x,0)": (states, np.zeros((len(states), m))),
             "(0,u)": (np.zeros((len(inputs), n)), inputs),
         }[where]
@@ -331,7 +336,10 @@ class _Ingredients:
         return self._stacks[key]
 
     def at(self, fn, where) -> np.ndarray:
-        """fn evaluated on the point set `where`."""
+        """fn evaluated on the point set `where`; on the product through the grid hook
+        `_on_grid` of the system, dictionary or model that fn is a method of."""
+        if where == "(x,u)":
+            return self._memo((fn, where), lambda: fn.__self__._on_grid(fn, self.grid))
         return self._memo((fn, where), lambda: fn(*self.points(where)))
 
     def norms(self, fn, where) -> np.ndarray:
@@ -420,8 +428,8 @@ def check_def1(system: ControlledSystem, model, grid: EvaluationGrid,
     else:
         jac = model.eigendict.jacobian if model.variant == "eigen" else model.dict_x.jacobian
         J = ing.at(jac, "x")
-        truth = _mv(J if auton else ing.per_state(J), F)
-        rate = model.rate(X, U)
+        truth = _mv(J if auton else ing.grid.per_state(J), F)
+        rate = ing.at(model.rate, where)
     cid = "DEF1-AUTON" if auton else "DEF1-JOINT" if joint else "DEF1-CTRL"
     points = {"x": X} if auton else ing.xu
     return ConsistencyReport(cid, tolerance, points, _norms(rate, -truth))
@@ -441,13 +449,13 @@ def check_def2(system: ControlledSystem, model, grid: EvaluationGrid,
 
     auton = _autonomous(model)
     where = "(x,0)" if auton else "(x,u)"  # an autonomous model lives on the u = 0 slice
-    X, U = ing.points(where)
-    points = {"x": X} if auton else ing.xu
+    points = {"x": ing.grid.states} if auton else ing.xu
     J = ing.at(model.dict_x.jacobian, f"f{where}")
-    res_x = _norms(model.lift_next_jac_x(X, U), -(J @ ing.at(system.jacobian_x, where)))
+    res_x = _norms(ing.at(model.lift_next_jac_x, where), -(J @ ing.at(system.jacobian_x, where)))
     if auton:
         return [ConsistencyReport("DEF2-AUTON", tolerance, points, res_x)]
-    res_u = _norms(model.lift_next_jac_u(X, U), -(J @ ing.at(system.jacobian_u, "(x,u)")))
+    res_u = _norms(ing.at(model.lift_next_jac_u, "(x,u)"),
+                   -(J @ ing.at(system.jacobian_u, "(x,u)")))
     return [
         ConsistencyReport("DEF2-CTRL-X", tolerance, points, res_x),
         ConsistencyReport("DEF2-CTRL-U", tolerance, points, res_u),
@@ -476,18 +484,18 @@ def check_def2_joint(system: ControlledSystem, joint_dict: JointDictionary, K,
             f"dictionary, got {K.shape}"
         )
 
-    inputs, m = ing.grid.inputs, system.input_dim
-    U_next = ing.product[1]
+    grid, m = ing.grid, system.input_dim
+    U_next = grid.product[1]
     if input_evolution is not None:
         u_map, u_jac = input_evolution
-        U_next = ing.per_input(_stacked(u_map, (m,))(inputs))
+        U_next = grid.per_input(_stacked(u_map, (m,))(grid.inputs))
     X_next = ing.at(system.evaluate, "(x,u)")
     J_next = joint_dict.jacobian_x(X_next, U_next)
     rhs_x = J_next @ ing.at(system.jacobian_x, "(x,u)")
     rhs_u = J_next @ ing.at(system.jacobian_u, "(x,u)")
     if input_evolution is not None:
-        rhs_u = rhs_u + joint_dict.jacobian_u(X_next, U_next) @ ing.per_input(
-            _stacked(u_jac, (m, m))(inputs))
+        rhs_u = rhs_u + joint_dict.jacobian_u(X_next, U_next) @ grid.per_input(
+            _stacked(u_jac, (m, m))(grid.inputs))
     res_x = _norms(K @ ing.at(joint_dict.jacobian_x, "(x,u)"), -rhs_x)
     res_u = _norms(K @ ing.at(joint_dict.jacobian_u, "(x,u)"), -rhs_u)
 
@@ -528,8 +536,8 @@ def check_theorem2(system: ControlledSystem, dict_x: Dictionary, dict_u: Diction
     Fu = ing.at(system.f_u, "u")
 
     res2 = _norms(_mv(J0, Fu), -_mv(L_u, ing.at(dict_u.evaluate, "u")))
-    Jp = ing.per_state(ing.at(dict_x.jacobian, "x"))
-    res3 = _norms(_mv(Jp - J0, ing.per_input(Fu)), _mv(Jp, ing.at(system.f_xu, "(x,u)")))
+    Jp = ing.grid.per_state(ing.at(dict_x.jacobian, "x"))
+    res3 = _norms(_mv(Jp - J0, ing.grid.per_input(Fu)), _mv(Jp, ing.at(system.f_xu, "(x,u)")))
     return [
         ConsistencyReport("T2-C1", tolerance, {"x": ing.grid.states}, _drift(ing, dict_x, L_x)),
         ConsistencyReport("T2-C2", tolerance, {"u": ing.grid.inputs}, res2),
@@ -558,7 +566,7 @@ def check_corollary2(system: ControlledSystem, dict_x: Dictionary, grid: Evaluat
     (x1, x2, u) triples drawn from the grid. Hypothesis: f_xu = 0.
     """
     ing = _ingredients(system, grid, "check_corollary2", "continuous")
-    ing.require_vanishing("f_xu(x, u) = 0", system.f_xu, "(x,u)", *ing.product)
+    ing.require_vanishing("f_xu(x, u) = 0", system.f_xu, "(x,u)", *ing.grid.product)
     i1, i2, iu = _sample_pair_indices(ing.grid, n_pairs, seed, ("x", "x", "u"))
     J, states = ing.at(dict_x.jacobian, "x"), ing.grid.states
     res = _norms(_mv(J[i1] - J[i2], ing.at(system.f_u, "u")[iu]))
@@ -608,8 +616,8 @@ def check_theorem3(system: ControlledSystem, dict_x: Dictionary,
     L_xu = np.asarray(L_xu, dtype=float)
     ing.require_vanishing("psi_xu(x, 0) = 0", dict_xu.evaluate, "(x,0)", ing.grid.states)
 
-    cross = ing.per_input(ing.at(system.f_u, "u")) + ing.at(system.f_xu, "(x,u)")
-    res2 = _norms(_mv(ing.per_state(ing.at(dict_x.jacobian, "x")), cross),
+    cross = ing.grid.per_input(ing.at(system.f_u, "u")) + ing.at(system.f_xu, "(x,u)")
+    res2 = _norms(_mv(ing.grid.per_state(ing.at(dict_x.jacobian, "x")), cross),
                   -_mv(L_xu, ing.at(dict_xu.evaluate, "(x,u)")))
     return [
         ConsistencyReport("T3-C1", tolerance, {"x": ing.grid.states}, _drift(ing, dict_x, L_x)),
@@ -645,7 +653,8 @@ def check_kaiser(system: ControlledSystem, eigendict, Lam, grid: EvaluationGrid,
     if isinstance(eigendict, JointDictionary):
         psi, J = ing.at(eigendict.evaluate, "(x,u)"), ing.at(eigendict.jacobian_x, "(x,u)")
     else:
-        psi, J = (ing.per_state(ing.at(f, "x")) for f in (eigendict.evaluate, eigendict.jacobian))
+        psi, J = (ing.grid.per_state(ing.at(f, "x"))
+                  for f in (eigendict.evaluate, eigendict.jacobian))
     res = _norms(_mv(J, ing.at(system.evaluate, "(x,u)")), -(lam * psi))
     return ConsistencyReport("KAISER", tolerance, ing.xu, res)
 
@@ -682,9 +691,10 @@ def check_theorem4(system: ControlledSystem, dict_x: Dictionary, dict_u: Diction
 
     res1 = _norms(J_x0 @ Dfx, -(K_x @ ing.at(dict_x.jacobian, "x")))
     res2 = _norms(J_0u @ Dfu, -(K_u @ ing.at(dict_u.jacobian, "u")))
-    res3 = _norms((J - ing.per_input(J_0u)) @ ing.per_input(Dfu),
+    per_state, per_input = ing.grid.per_state, ing.grid.per_input
+    res3 = _norms((J - per_input(J_0u)) @ per_input(Dfu),
                   J @ ing.at(system.jacobian_fxu_u, "(x,u)"))
-    res4 = _norms((J - ing.per_state(J_x0)) @ ing.per_state(Dfx),
+    res4 = _norms((J - per_state(J_x0)) @ per_state(Dfx),
                   J @ ing.at(system.jacobian_fxu_x, "(x,u)"))
     return [
         ConsistencyReport("T4-C1", tolerance, {"x": ing.grid.states}, res1),
@@ -722,7 +732,7 @@ def check_corollary5(system: ControlledSystem, dict_x: Dictionary, grid: Evaluat
     Hypothesis: f_xu = 0.
     """
     ing = _ingredients(system, grid, "check_corollary5", "discrete")
-    ing.require_vanishing("f_xu(x, u) = 0", system.f_xu, "(x,u)", *ing.product)
+    ing.require_vanishing("f_xu(x, u) = 0", system.f_xu, "(x,u)", *ing.grid.product)
     states, inputs = ing.grid.states, ing.grid.inputs
     i1, i2, j1, j2 = _sample_pair_indices(ing.grid, n_pairs, seed, ("x", "x", "u", "u"))
     X1, X2 = states[i1], states[i2]
@@ -752,8 +762,8 @@ def check_corollary6(system: ControlledSystem, dict_x: Dictionary, K, B,
     ing = _ingredients(system, grid, "check_corollary6", "discrete")
     _require_state_inclusive(dict_x, "check_corollary6")
     B = np.asarray(B, dtype=float)
-    res = _norms(ing.at(dict_x.jacobian, "f(x,u)") @ ing.per_input(ing.at(system.jacobian_fu, "u")),
-                 -B)
+    res = _norms(ing.at(dict_x.jacobian, "f(x,u)")
+                 @ ing.grid.per_input(ing.at(system.jacobian_fu, "u")), -B)
     return [ConsistencyReport("COR6-B", tolerance, ing.xu, res)]
 
 

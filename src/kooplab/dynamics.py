@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -195,6 +196,11 @@ class ControlledSystem:
         """d f / d u at (x, u)."""
         return _point_or_stack(lambda X, U: self._tangents(X, U)[1], (x, u), self._dims)
 
+    def _on_grid(self, method, grid: "EvaluationGrid") -> np.ndarray:
+        """method, one of this system's evaluation methods, on grid.product: the
+        consistency checks' one route to the product, which a discretized map overrides."""
+        return method(*grid.product)
+
     def __repr__(self):
         return (
             f"ControlledSystem({self.name!r}, {self.time_kind}, "
@@ -284,10 +290,31 @@ class SnapshotDataset:
 
 @dataclass(frozen=True)
 class EvaluationGrid:
-    """Tensor grid of states and inputs on which residual fields are evaluated."""
+    """Tensor grid of states (S, n) and inputs (M, m) on which residual fields are
+    evaluated. The grid owns read-only float copies of its points, so reports may
+    hold them, and lays its product out state-major."""
 
     states: np.ndarray
     inputs: np.ndarray
+
+    def __post_init__(self):
+        for name in ("states", "inputs"):
+            points = _read_only(np.array(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, points)
+
+    @cached_property
+    def product(self) -> tuple:
+        """The (x, u) product as aligned read-only stacks (S M, n), (S M, m): row
+        i M + j is (states[i], inputs[j])."""
+        return _read_only(self.per_state(self.states)), _read_only(self.per_input(self.inputs))
+
+    def per_state(self, A) -> np.ndarray:
+        """Rows per state (S, ...) broadcast onto the product rows."""
+        return np.repeat(A, len(self.inputs), axis=0)
+
+    def per_input(self, A) -> np.ndarray:
+        """Rows per input (M, ...) broadcast onto the product rows."""
+        return np.tile(A, (len(self.states),) + (1,) * (np.ndim(A) - 1))
 
     @staticmethod
     def _axis_product(box, points_per_axis):
@@ -490,8 +517,7 @@ def validate_jacobians(system: ControlledSystem, grid: EvaluationGrid, tol: floa
     """Compare analytic Jacobians against central differences of `evaluate` on the grid
     product, in 2 (n + m) + 1 stacked calls; a non-finite entry is an infinite deviation."""
     n = system.state_dim
-    X = np.repeat(grid.states, len(grid.inputs), axis=0)
-    U = np.tile(grid.inputs, (len(grid.states), 1))
+    X, U = grid.product
     fd = _fd_jacobians(lambda Z: system.evaluate(Z[:, :n], Z[:, n:]), np.hstack([X, U]))
     analytic = np.concatenate([system.jacobian_x(X, U), system.jacobian_u(X, U)], axis=2)
     worst = float(_violation(analytic - fd).max(initial=0.0))
@@ -694,6 +720,21 @@ class _RK4Map(ControlledSystem):
 
     def _jfxu_u(self, X, U):
         return self._jac(X, U)[1] - self._jac(*self._at_x0(U))[1]
+
+    def _on_grid(self, method, grid):
+        # on the product, Phi(x, 0) and Phi(0, u) with their tangents come from the
+        # passes on the S states and the M inputs, not from passes on S M rows
+        if method == self.f_xu:
+            return (self._step(*grid.product)
+                    - grid.per_state(self._step(*self._at_u0(grid.states)))
+                    - grid.per_input(self._fu(grid.inputs)))
+        if method == self.jacobian_fxu_x:
+            return (self._jac(*grid.product)[0]
+                    - grid.per_state(self._jac(*self._at_u0(grid.states))[0]))
+        if method == self.jacobian_fxu_u:
+            return (self._jac(*grid.product)[1]
+                    - grid.per_input(self._jac(*self._at_x0(grid.inputs))[1]))
+        return super()._on_grid(method, grid)
 
 
 def discretize(system: ControlledSystem, dt: float) -> ControlledSystem:

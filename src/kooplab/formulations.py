@@ -157,6 +157,23 @@ class KoopmanModel:
         self._require("discrete")
         return self._jac_u(x, u)
 
+    def _on_grid(self, method, grid) -> np.ndarray:
+        """method (this model's rate or a lift_next Jacobian) on grid.product, equal
+        to it there bit for bit. The Jacobians go through _jac_x_on and _jac_u_on,
+        which a model overrides to evaluate each factor of x or of u alone on
+        grid.states or grid.inputs and broadcast it by the grid."""
+        hooks = {self.lift_next_jac_x: self._jac_x_on, self.lift_next_jac_u: self._jac_u_on}
+        if method not in hooks:
+            return method(*grid.product)
+        self._require("discrete")
+        return hooks[method](grid)
+
+    def _jac_x_on(self, grid) -> np.ndarray:
+        return self._jac_x(*grid.product)
+
+    def _jac_u_on(self, grid) -> np.ndarray:
+        return self._jac_u(*grid.product)
+
     @property
     def state_inclusive(self) -> bool:
         return self.dict_x.state_inclusive
@@ -261,6 +278,9 @@ class AffineModel(KoopmanModel):
             raise ValueError("autonomous affine model has no input channel")
         return np.broadcast_to(self.B, np.shape(x)[:-1] + self.B.shape).copy()
 
+    def _jac_x_on(self, grid):
+        return grid.per_state(self._jac_x(grid.states, None))
+
 
 class SeparableModel(KoopmanModel):
     """psi_x(x_{k+1}) = K_x psi_x(x_k) + K_u psi_u(u_k)."""
@@ -286,6 +306,12 @@ class SeparableModel(KoopmanModel):
 
     def _jac_u(self, x, u):
         return self.K_u @ self.dict_u.jacobian(u)
+
+    def _jac_x_on(self, grid):
+        return grid.per_state(self._jac_x(grid.states, None))
+
+    def _jac_u_on(self, grid):
+        return grid.per_input(self._jac_u(None, grid.inputs))
 
 
 class JointModel(KoopmanModel):
@@ -314,6 +340,13 @@ class JointModel(KoopmanModel):
 
     def _jac_u(self, x, u):
         return self.K_xu @ self.dict_xu.jacobian_u(x, u)
+
+    def _jac_x_on(self, grid):
+        return (grid.per_state(self.K_x @ self.dict_x.jacobian(grid.states))
+                + self.K_xu @ self.dict_xu._on_grid(self.dict_xu.jacobian_x, grid))
+
+    def _jac_u_on(self, grid):
+        return self.K_xu @ self.dict_xu._on_grid(self.dict_xu.jacobian_u, grid)
 
 
 class BilinearModel(KoopmanModel):
@@ -348,6 +381,14 @@ class BilinearModel(KoopmanModel):
 
     def _jac_u(self, x, u):
         return _bilinear_jacobian_u(self.dict_x, self.dict_u, self.K_terms, x, u)
+
+    def _jac_x_on(self, grid):
+        return (grid.per_input(self.K_of(grid.inputs))
+                @ grid.per_state(self.dict_x.jacobian(grid.states)))
+
+    def _jac_u_on(self, grid):
+        return _bilinear_jacobian_u(self.dict_x, self.dict_u, self.K_terms, grid.states,
+                                    grid.inputs, grid.per_state, grid.per_input)
 
 
 class EigenModel(KoopmanModel):

@@ -15,7 +15,9 @@ classes check the argument and call one stack kernel: monomial, rbf,
 composite, combination, shifted and monomial-joint dictionaries and the
 bilinear cross dictionary broadcast over the stack, while the per-point
 callables of custom and callable-joint dictionaries go through the row
-adapter of `numerics`.
+adapter of `numerics`. On an evaluation grid's product, the kernels of the
+monomial-joint and bilinear cross dictionaries evaluate each factor of x or
+of u alone on the grid's states or inputs (JointDictionary._on_grid).
 """
 
 from __future__ import annotations
@@ -495,11 +497,18 @@ def build_dictionary(spec: dict) -> Dictionary:
 # -- joint dictionaries over (x, u) -------------------------------------------
 
 
+def _itself(a):
+    return a
+
+
 class JointDictionary:
     """Basis over state-input pairs with separate x- and u-Jacobians; subclasses
     fill in the stack kernels _values/_jacobians_x/_jacobians_u."""
 
     kind = "abstract-joint"
+    # kernels that take (X, U, ex, eu) and pass each factor of X alone through ex
+    # and each factor of U alone through eu; see _on_grid
+    _axis_kernels = False
 
     def __init__(self, state_dim, input_dim, names, spec):
         self.state_dim = int(state_dim)
@@ -526,6 +535,18 @@ class JointDictionary:
         """d psi / d u: (N, m) at one point, (P, N, m) on aligned stacks."""
         return self._call(self._jacobians_u, x, u)
 
+    def _on_grid(self, method, grid) -> np.ndarray:
+        """method (this dictionary's evaluate, jacobian_x or jacobian_u) on
+        grid.product, equal to it there bit for bit. Axis kernels run on grid.states
+        and grid.inputs, with the grid's per_state and per_input as ex and eu, so a
+        factor of one argument is evaluated once per distinct value; other kernels
+        run on the product."""
+        if not self._axis_kernels:
+            return method(*grid.product)
+        kernel = {self.evaluate: self._values, self.jacobian_x: self._jacobians_x,
+                  self.jacobian_u: self._jacobians_u}[method]
+        return kernel(grid.states, grid.inputs, grid.per_state, grid.per_input)
+
     def __repr__(self):
         return (
             f"{type(self).__name__}(n={self.state_dim}, m={self.input_dim}, "
@@ -540,6 +561,7 @@ class MonomialJointDictionary(JointDictionary):
     """
 
     kind = "monomial-joint"
+    _axis_kernels = True
 
     def __init__(self, state_dim, input_dim, state_degree, input_degree):
         if input_degree < 1:
@@ -575,16 +597,17 @@ class MonomialJointDictionary(JointDictionary):
             },
         )
 
-    def _values(self, X, U):
-        return _monomial_values(X, self.exponents_x) * _monomial_values(U, self.exponents_u)
+    def _values(self, X, U, ex=_itself, eu=_itself):
+        return (ex(_monomial_values(X, self.exponents_x))
+                * eu(_monomial_values(U, self.exponents_u)))
 
-    def _jacobians_x(self, X, U):
-        return (_monomial_jacobian(X, self.exponents_x)
-                * _monomial_values(U, self.exponents_u)[:, :, None])
+    def _jacobians_x(self, X, U, ex=_itself, eu=_itself):
+        return (ex(_monomial_jacobian(X, self.exponents_x))
+                * eu(_monomial_values(U, self.exponents_u))[:, :, None])
 
-    def _jacobians_u(self, X, U):
-        return (_monomial_jacobian(U, self.exponents_u)
-                * _monomial_values(X, self.exponents_x)[:, :, None])
+    def _jacobians_u(self, X, U, ex=_itself, eu=_itself):
+        return (eu(_monomial_jacobian(U, self.exponents_u))
+                * ex(_monomial_values(X, self.exponents_x))[:, :, None])
 
 
 class CallableJointDictionary(JointDictionary):
@@ -615,12 +638,19 @@ def _bilinear_operator(dict_u: Dictionary, K_terms, u) -> np.ndarray:
     return sum(W[..., i, None, None] * K for i, K in enumerate(K_terms))
 
 
-def _bilinear_jacobian_u(dict_x: Dictionary, dict_u: Dictionary, K_terms, x, u) -> np.ndarray:
+def _bilinear_jacobian_u(dict_x: Dictionary, dict_u: Dictionary, K_terms, x, u,
+                         ex=_itself, eu=_itself) -> np.ndarray:
     """d/du of K(u) psi_x(x) with K(u) = sum_i psi_u_i(u) K_i: (N_x, m) at one
-    point, (P, N_x, m) on aligned stacks."""
+    point, (P, N_x, m) on aligned stacks; an axis kernel (JointDictionary._on_grid)."""
     px = dict_x.evaluate(x)
-    Ju = dict_u.jacobian(u)  # (..., N_u, m)
-    return sum(_mv(K, px)[..., :, None] * Ju[..., i, None, :] for i, K in enumerate(K_terms))
+    Ju = eu(dict_u.jacobian(u))  # (..., N_u, m)
+    return sum(ex(_mv(K, px))[..., :, None] * Ju[..., i, None, :] for i, K in enumerate(K_terms))
+
+
+class _AxisCallableJointDictionary(CallableJointDictionary):
+    """A callable joint dictionary whose broadcast callables are axis kernels."""
+
+    _axis_kernels = True
 
 
 def bilinear_cross_dictionary(dict_x: Dictionary, dict_u: Dictionary, K_terms) -> CallableJointDictionary:
@@ -629,14 +659,14 @@ def bilinear_cross_dictionary(dict_x: Dictionary, dict_u: Dictionary, K_terms) -
     K_terms = [np.asarray(K, dtype=float) for K in K_terms]
     K0 = _bilinear_operator(dict_u, K_terms, np.zeros(dict_u.input_dim))
 
-    def eval_fn(X, U):
-        return _mv(_bilinear_operator(dict_u, K_terms, U) - K0, dict_x.evaluate(X))
+    def eval_fn(X, U, ex=_itself, eu=_itself):
+        return _mv(eu(_bilinear_operator(dict_u, K_terms, U) - K0), ex(dict_x.evaluate(X)))
 
-    def jac_x_fn(X, U):
-        return (_bilinear_operator(dict_u, K_terms, U) - K0) @ dict_x.jacobian(X)
+    def jac_x_fn(X, U, ex=_itself, eu=_itself):
+        return eu(_bilinear_operator(dict_u, K_terms, U) - K0) @ ex(dict_x.jacobian(X))
 
-    def jac_u_fn(X, U):
-        return _bilinear_jacobian_u(dict_x, dict_u, K_terms, X, U)
+    def jac_u_fn(X, U, ex=_itself, eu=_itself):
+        return _bilinear_jacobian_u(dict_x, dict_u, K_terms, X, U, ex, eu)
 
     spec = None
     if dict_x.spec is not None and dict_u.spec is not None:
@@ -647,7 +677,7 @@ def bilinear_cross_dictionary(dict_x: Dictionary, dict_u: Dictionary, K_terms) -
             "k_terms": [K.tolist() for K in K_terms],
         }
     names = [f"cross{i + 1}" for i in range(dict_x.size)]
-    return CallableJointDictionary(
+    return _AxisCallableJointDictionary(
         dict_x.input_dim, dict_u.input_dim, names,
         _Broadcast(eval_fn), _Broadcast(jac_x_fn), _Broadcast(jac_u_fn), spec,
     )

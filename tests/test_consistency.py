@@ -1370,6 +1370,22 @@ class TestOneRK4PassPerPointSet:
             assert calls == {"field": 4 * len(point_sets),
                              "tangents": len(asked["tangent"])}, variant
 
+    def test_cross_piece_steps_the_axes_not_product_sized_copies(self, asked):
+        # f_xu and its Jacobians on the product take Phi(x, 0) and Phi(0, u), with
+        # their tangents, from the passes on the grid's states and inputs
+        system = discretize(builtin_system("duffing-forced", delta=0.3), 0.05)
+        model = fit_separable(generate_dataset(system, 200, seed=1), monomials(2, 2),
+                              identity(1, var_prefix="u"))
+        grid = default_grid(system, points_per_axis=3)
+        for kind in asked:
+            asked[kind].clear()
+        reports, _ = check_model(system, model, grid)
+        assert {"T4-C3", "T4-C4", "COR4-FXU"} <= {r.condition for r in reports}
+        X, U = np.repeat(grid.states, 3, axis=0), np.tile(grid.inputs, (9, 1))  # state-major
+        product = (X.shape, U.shape, X.tobytes(), U.tobytes())
+        sized = {key for key in asked["step"] | asked["tangent"] if key[0][0] == len(X)}
+        assert sized == {product}
+
 
 class TestCheckModel:
     @staticmethod
@@ -1444,6 +1460,19 @@ class TestCheckModel:
         for shared in (cor4.residuals, cor4.points["x"]):
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = 0.0
+
+    def test_reports_over_one_axis_cannot_change_the_grid(self):
+        system = bilinear_discrete(0.9, 0.1)
+        model = fit_separable(generate_dataset(system, 100, seed=2), monomials(1, 2),
+                              identity(1, var_prefix="u"))
+        states, inputs = np.linspace(-2.0, 2.0, 3)[:, None], np.linspace(-1.0, 1.0, 3)[:, None]
+        grid = EvaluationGrid(states, inputs)
+        states[0] = inputs[0] = 99.0  # the grid holds copies of its points
+        reports = {r.condition: r for r in check_model(system, model, grid)[0]}
+        for cid, role in (("T4-C1", "x"), ("T4-C2", "u"), ("DEF2-CTRL-X", "x")):
+            with pytest.raises(ValueError, match="read-only"):
+                reports[cid].points[role][0] = 99.0
+        assert grid.states[0, 0] == -2.0 and grid.inputs[0, 0] == -1.0
 
     def test_requested_pairwise_id_keeps_its_hypothesis(self):
         # f_xu != 0: requested explicitly, COR2's hypothesis violation raises

@@ -105,14 +105,14 @@ class TestDefinitionLevel:
         for model in (AffineModel(DENSE_X, L, B, "continuous"),
                       AffineModel(DENSE_X, L, None, "continuous", input_dim=1)):
             sub = _Ingredients(DUFFING, grid.autonomous()) if model.B is None else ing
-            X, U = sub.product
-            truth = _mv(sub.per_state(sub.at(model.dict_x.jacobian, "x")),
+            X, U = sub.grid.product
+            truth = _mv(sub.grid.per_state(sub.at(model.dict_x.jacobian, "x")),
                         sub.at(DUFFING.evaluate, "(x,u)"))
             report = check_def1(DUFFING, model, grid)
             assert_fields([report], {report.condition: inline_norms(model.rate(X, U) - truth)})
 
         model = EigenModel(DICT_XU, *operators(2, (DICT_XU.size,)))
-        X, U = ing.product
+        X, U = ing.grid.product
         F = ing.at(DUFFING.evaluate, "(x,u)")
         for u_dot in (np.array([0.3]), lambda x, u: np.array([x[0] * u[0]])):
             Udot = (_stacked(u_dot, (1,))(X, U) if callable(u_dot)
@@ -126,7 +126,7 @@ class TestDefinitionLevel:
         grid, ing = grid_for(DUFFING_MAP)
         K, B = operators(3, (5, 5), (5, 1))
         model = AffineModel(DENSE_X, K, B, "discrete")
-        X, U = ing.product
+        X, U = ing.grid.product
         J = ing.at(model.dict_x.jacobian, "f(x,u)")
         res_x = model.lift_next_jac_x(X, U) - J @ ing.at(DUFFING_MAP.jacobian_x, "(x,u)")
         res_u = model.lift_next_jac_u(X, U) - J @ ing.at(DUFFING_MAP.jacobian_u, "(x,u)")
@@ -135,7 +135,7 @@ class TestDefinitionLevel:
 
         auton = AffineModel(DENSE_X, K, None, "discrete", input_dim=1)
         sub = _Ingredients(DUFFING_MAP, grid.autonomous())
-        X, U = sub.product
+        X, U = sub.grid.product
         J = sub.at(auton.dict_x.jacobian, "f(x,u)")
         res_x = auton.lift_next_jac_x(X, U) - J @ sub.at(DUFFING_MAP.jacobian_x, "(x,u)")
         assert_fields(check_def2(DUFFING_MAP, auton, grid), {"DEF2-AUTON": inline_norms(res_x)})
@@ -146,15 +146,15 @@ class TestDefinitionLevel:
         (K,) = operators(4, (DICT_XU.size, DICT_XU.size))
         u_map, u_jac = lambda u: 0.5 * u - u ** 2, lambda u: np.array([[0.5 - 2.0 * u[0]]])
         input_evolution = (u_map, u_jac) if evolve else None
-        U_next = ing.product[1]
+        U_next = ing.grid.product[1]
         if evolve:
-            U_next = ing.per_input(_stacked(u_map, (1,))(ing.grid.inputs))
+            U_next = ing.grid.per_input(_stacked(u_map, (1,))(ing.grid.inputs))
         X_next = ing.at(DUFFING_MAP.evaluate, "(x,u)")
         J_next = DICT_XU.jacobian_x(X_next, U_next)
         rhs_x = J_next @ ing.at(DUFFING_MAP.jacobian_x, "(x,u)")
         rhs_u = J_next @ ing.at(DUFFING_MAP.jacobian_u, "(x,u)")
         if evolve:
-            rhs_u = rhs_u + DICT_XU.jacobian_u(X_next, U_next) @ ing.per_input(
+            rhs_u = rhs_u + DICT_XU.jacobian_u(X_next, U_next) @ ing.grid.per_input(
                 _stacked(u_jac, (1, 1))(ing.grid.inputs))
         expected = {
             "DEF2-JOINT-X": inline_norms(K @ ing.at(DICT_XU.jacobian_x, "(x,u)") - rhs_x),
@@ -174,8 +174,9 @@ class TestContinuousFamilies:
         J0 = ing.at(dict_x.jacobian, "x=0")
         Fu = ing.at(system.f_u, "u")
         res2 = inline_norms(_mv(J0, Fu) - _mv(L_u, ing.at(DENSE_U.evaluate, "u")))
-        Jp = ing.per_state(ing.at(dict_x.jacobian, "x"))
-        res3 = inline_norms(_mv(Jp - J0, ing.per_input(Fu)) + _mv(Jp, ing.at(system.f_xu, "(x,u)")))
+        Jp = ing.grid.per_state(ing.at(dict_x.jacobian, "x"))
+        res3 = inline_norms(_mv(Jp - J0, ing.grid.per_input(Fu))
+                            + _mv(Jp, ing.at(system.f_xu, "(x,u)")))
         reports = check_theorem2(system, dict_x, DENSE_U, L_x, L_u, grid)
         assert_fields(reports, {"T2-C1": inline_drift(ing, dict_x, L_x),
                                 "T2-C2": res2, "T2-C3": res3})
@@ -198,8 +199,8 @@ class TestContinuousFamilies:
     def test_theorem3(self):
         grid, ing = grid_for(DUFFING)
         L_x, L_xu = operators(8, (5, 5), (5, DICT_XU.size))
-        cross = ing.per_input(ing.at(DUFFING.f_u, "u")) + ing.at(DUFFING.f_xu, "(x,u)")
-        res2 = inline_norms(_mv(ing.per_state(ing.at(DENSE_X.jacobian, "x")), cross)
+        cross = ing.grid.per_input(ing.at(DUFFING.f_u, "u")) + ing.at(DUFFING.f_xu, "(x,u)")
+        res2 = inline_norms(_mv(ing.grid.per_state(ing.at(DENSE_X.jacobian, "x")), cross)
                             - _mv(L_xu, ing.at(DICT_XU.evaluate, "(x,u)")))
         assert_fields(check_theorem3(DUFFING, DENSE_X, DICT_XU, L_x, L_xu, grid),
                       {"T3-C1": inline_drift(ing, DENSE_X, L_x), "T3-C2": res2})
@@ -211,7 +212,8 @@ class TestContinuousFamilies:
         if eigendict is DICT_XU:
             psi, J = ing.at(eigendict.evaluate, "(x,u)"), ing.at(eigendict.jacobian_x, "(x,u)")
         else:
-            psi, J = (ing.per_state(ing.at(f, "x")) for f in (eigendict.evaluate, eigendict.jacobian))
+            psi, J = (ing.grid.per_state(ing.at(f, "x"))
+                      for f in (eigendict.evaluate, eigendict.jacobian))
         res = inline_norms(_mv(J, ing.at(DUFFING.evaluate, "(x,u)")) - lam * psi)
         assert_fields([check_kaiser(DUFFING, eigendict, lam, grid)], {"KAISER": res})
 
@@ -229,9 +231,9 @@ class TestDiscreteFamilies:
         expected = {
             "T4-C1": inline_norms(J_x0 @ Dfx - K_x @ ing.at(DENSE_X.jacobian, "x")),
             "T4-C2": inline_norms(J_0u @ Dfu - K_u @ ing.at(DENSE_U.jacobian, "u")),
-            "T4-C3": inline_norms((J - ing.per_input(J_0u)) @ ing.per_input(Dfu)
+            "T4-C3": inline_norms((J - ing.grid.per_input(J_0u)) @ ing.grid.per_input(Dfu)
                                   + J @ ing.at(system.jacobian_fxu_u, "(x,u)")),
-            "T4-C4": inline_norms((J - ing.per_state(J_x0)) @ ing.per_state(Dfx)
+            "T4-C4": inline_norms((J - ing.grid.per_state(J_x0)) @ ing.grid.per_state(Dfx)
                                   + J @ ing.at(system.jacobian_fxu_x, "(x,u)")),
         }
         assert_fields(check_theorem4(system, DENSE_X, DENSE_U, K_x, K_u, grid), expected)
@@ -254,7 +256,7 @@ class TestDiscreteFamilies:
         grid, ing = grid_for(DUFFING_MAP)
         K, B = operators(12, (7, 7), (7, 1))
         res = inline_norms(ing.at(DICT_X.jacobian, "f(x,u)")
-                           @ ing.per_input(ing.at(DUFFING_MAP.jacobian_fu, "u")) - B)
+                           @ ing.grid.per_input(ing.at(DUFFING_MAP.jacobian_fu, "u")) - B)
         assert_fields(check_corollary6(DUFFING_MAP, DICT_X, K, B, grid), {"COR6-B": res})
 
     @pytest.mark.parametrize("dict_xu", [DICT_XU, CROSSING], ids=["vanishing", "crossing"])
