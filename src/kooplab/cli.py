@@ -11,6 +11,7 @@ for `check`), 1 on computation failures or an inconsistent verdict,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -70,11 +71,11 @@ def _apply_thread_cap(environ=None) -> None:
         n = 0
     if n < 1:
         raise UsageError(f"KOOPLAB_THREADS must be a positive integer, got {raw!r}")
-    if "numpy" in sys.modules:
-        # too late to bind the pool size; say so rather than silently ignore
+    changed = {var: str(n) for var in _THREAD_ENV_VARS if env.get(var) != str(n)}
+    if changed and "numpy" in sys.modules:
+        # too late to bind a changed pool size; say so rather than silently ignore
         print("warning: numpy already imported; thread cap may not bind", file=sys.stderr)
-    for var in _THREAD_ENV_VARS:
-        env[var] = str(n)
+    env.update(changed)
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -131,9 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main's: built on first use, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _apply_thread_cap()
         return _dispatch(args)

@@ -44,6 +44,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -189,7 +190,7 @@ class InapplicableConditionError(ValueError):
     """A condition does not apply to the supplied model or dictionary."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConsistencyReport:
     """Residual field of one condition over its evaluation points.
 
@@ -197,7 +198,10 @@ class ConsistencyReport:
     the condition ("x", "u" for grid conditions, "x1"/"x2"/"u1"/"u2" for
     the pairwise ones). verdict is consistent iff max_residual <= tolerance;
     a non-finite residual, or a tolerance that is not positive and finite,
-    raises ValueError, since such a field has no verdict.
+    raises ValueError, since such a field has no verdict. A report is frozen,
+    and it holds read-only arrays (copies of writable ones), so n_points,
+    argmax_index, max_residual, mean_residual, verdict and the JSON summary
+    are computed once, at construction, and every output reads that result.
     """
 
     condition: str
@@ -212,10 +216,16 @@ class ConsistencyReport:
             raise ValueError(f"unknown condition id {self.condition!r}")
         if not 0 < self.tolerance < np.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
-        self.residuals = np.asarray(self.residuals, dtype=float).ravel()
+        put = partial(object.__setattr__, self)  # frozen: only construction sets attributes
+
+        def owned(a):  # a read-only array is shared as it is, a writable one copied
+            a = np.asarray(a, dtype=float)
+            return _read_only(a.copy() if a.flags.writeable else a)
+
+        put("residuals", owned(np.ravel(self.residuals)))
         if self.residuals.size == 0:
             raise ValueError("a report needs at least one evaluation point")
-        self.points = {k: np.atleast_2d(np.asarray(v, dtype=float)) for k, v in self.points.items()}
+        put("points", {k: owned(np.atleast_2d(v)) for k, v in self.points.items()})
         for role, arr in self.points.items():
             if arr.shape[0] != self.residuals.size:
                 raise ValueError(
@@ -230,45 +240,39 @@ class ConsistencyReport:
                 f"{_format_point({role: arr[i] for role, arr in self.points.items()})}; "
                 "a non-finite field has no verdict"
             )
-
-    @property
-    def n_points(self) -> int:
-        return self.residuals.size
-
-    @property
-    def max_residual(self) -> float:
-        return float(np.max(self.residuals))
-
-    @property
-    def mean_residual(self) -> float:
-        return float(np.mean(self.residuals))
-
-    @property
-    def argmax_index(self) -> int:
-        return int(np.argmax(self.residuals))
-
-    @property
-    def argmax_point(self) -> dict:
-        i = self.argmax_index
-        return {role: arr[i].copy() for role, arr in self.points.items()}
-
-    @property
-    def verdict(self) -> str:
-        return "consistent" if self.max_residual <= self.tolerance else "inconsistent"
-
-    def to_dict(self) -> dict:
-        """The report's JSON summary; the fields themselves go to the sidecar."""
-        return {
+        i = int(np.argmax(self.residuals))  # the first maximum; the field is finite
+        put("n_points", self.residuals.size)
+        put("argmax_index", i)
+        put("max_residual", float(self.residuals[i]))
+        put("mean_residual", float(np.mean(self.residuals)))
+        put("verdict", "consistent" if self.max_residual <= self.tolerance else "inconsistent")
+        put("_summary", {
             "condition": self.condition,
             "tolerance": self.tolerance,
             "verdict": self.verdict,
             "max_residual": self.max_residual,
             "mean_residual": self.mean_residual,
-            "argmax_point": {k: v.tolist() for k, v in self.argmax_point.items()},
+            "argmax_point": {k: v[i].tolist() for k, v in self.points.items()},
             "n_points": self.n_points,
             "note": self.note,
             "details": self.details,
-        }
+        })
+
+    @property
+    def argmax_point(self) -> dict:
+        return {role: arr[self.argmax_index].copy() for role, arr in self.points.items()}
+
+    def to_dict(self) -> dict:
+        """The report's JSON summary; the fields themselves go to the sidecar."""
+        d = self._summary
+        return {**d, "argmax_point": {k: list(v) for k, v in d["argmax_point"].items()}}
+
+    @cached_property
+    def _row(self) -> dict:
+        """The report's summary.csv row, read off its JSON summary."""
+        d = {**self._summary, "argmax": _format_point(self._summary["argmax_point"]),
+             "note": self.note or ""}
+        return {key: d[key] for key in _SUMMARY_FIELDS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConsistencyReport":
@@ -927,26 +931,17 @@ class ConsistencySummary:
 
     def to_rows(self) -> list[dict]:
         """One summary.csv row per report, read off its JSON summary."""
-        rows = [r.to_dict() for r in self.reports]
-        for d in rows:
-            d.update(argmax=_format_point(d["argmax_point"]), note=d["note"] or "")
-        return [{key: d[key] for key in _SUMMARY_FIELDS} for d in rows]
+        return [dict(r._row) for r in self.reports]
 
     def to_text(self) -> str:
         rows = self.to_rows()
-        widths = {
-            "condition": max(9, *(len(r["condition"]) for r in rows)),
-            "verdict": 12,
-        }
-        lines = [
-            f"{'condition':<{widths['condition']}}  {'max':>12}  {'mean':>12}  "
-            f"{'verdict':<{widths['verdict']}}  argmax"
-        ]
+        width = max(9, *(len(r["condition"]) for r in rows))
+        lines = [f"{'condition':<{width}}  {'max':>12}  {'mean':>12}  {'verdict':<12}  argmax"]
         for r in rows:
             lines.append(
-                f"{r['condition']:<{widths['condition']}}  "
+                f"{r['condition']:<{width}}  "
                 f"{r['max_residual']:>12.4e}  {r['mean_residual']:>12.4e}  "
-                f"{r['verdict']:<{widths['verdict']}}  {r['argmax']}"
+                f"{r['verdict']:<12}  {r['argmax']}"
             )
         lines.append(f"overall: {self.overall_verdict}")
         lines.append(self.qualifier)
@@ -1030,11 +1025,13 @@ def write_reports_json(reports, path, skipped=(), provenance=None) -> Path:
                 members[point_members[key]] = arr
             d["points"][role] = point_members[key]
         summaries.append(d)
-    with zipfile.ZipFile(sidecar, "w", zipfile.ZIP_STORED) as zf:
+    archive = io.BytesIO()  # built in memory, written with one call
+    with zipfile.ZipFile(archive, "w", zipfile.ZIP_STORED) as zf:
         for name, arr in members.items():
             buf = io.BytesIO()
             np.lib.format.write_array(buf, np.ascontiguousarray(arr), allow_pickle=False)
             zf.writestr(zipfile.ZipInfo(f"{name}.npy", _ZIP_DATE_TIME), buf.getvalue())
+    sidecar.write_bytes(archive.getbuffer())
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "qualifier": NECESSITY_QUALIFIER,

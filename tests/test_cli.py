@@ -76,6 +76,30 @@ class TestThreadCap:
         with pytest.raises(cli.UsageError, match="KOOPLAB_THREADS"):
             cli._apply_thread_cap({"KOOPLAB_THREADS": bad})
 
+    def test_cap_that_already_binds_is_silent(self, capsys):
+        # numpy is imported here, but every knob already equals the cap
+        env = {"KOOPLAB_THREADS": "2", **{var: "2" for var in cli._THREAD_ENV_VARS}}
+        cli._apply_thread_cap(env)
+        assert capsys.readouterr().err == ""
+        assert env == {"KOOPLAB_THREADS": "2", **{var: "2" for var in cli._THREAD_ENV_VARS}}
+
+    def test_changed_knob_after_numpy_warns_once(self, capsys):
+        env = {"KOOPLAB_THREADS": "2", **{var: "2" for var in cli._THREAD_ENV_VARS},
+               "OMP_NUM_THREADS": "8"}
+        cli._apply_thread_cap(env)
+        assert capsys.readouterr().err.count("thread cap may not bind") == 1
+        assert env["OMP_NUM_THREADS"] == "2"
+        cli._apply_thread_cap(env)  # now bound: nothing left to change
+        assert capsys.readouterr().err == ""
+
+    def test_repeated_main_calls_under_a_bound_cap_are_silent(self, monkeypatch, capsys):
+        for var in ("KOOPLAB_THREADS", *cli._THREAD_ENV_VARS):
+            monkeypatch.setenv(var, "1")
+        for _ in range(3):
+            assert cli.main(["demo", "no-such-demo"]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("unknown demo") == 3 and "thread cap" not in err
+
     def test_cli_module_import_stays_numpy_free(self):
         # the cap can only bind if importing the front end does not pull numpy
         code = (
@@ -130,6 +154,59 @@ class TestMain:
             options = {s for a in parser._actions for s in a.option_strings
                        if s.startswith("--")} - {"--help"}
             assert documented[command] == options, command
+
+
+# every subcommand, with and without each of its optional flags
+PARSER_ARGVS = [
+    ["simulate", "--config", "c.json"],
+    ["simulate", "--config", "c.json", "--out", "o", "--seed", "3"],
+    ["fit", "--config", "c.json", "--dataset", "d.csv"],
+    ["fit", "--config", "c.json", "--dataset", "d.csv", "--ridge", "0.5", "--out", "o"],
+    ["check", "--config", "c.json", "--model", "m.json", "--tolerance", "1e-3", "--seed", "7"],
+    ["check", "--config", "c.json", "--model", "m.json"],
+    ["compare", "--config", "c.json", "--tolerance", "2e-6", "--ridge", "0", "--seed", "1"],
+    ["compare", "--config", "c.json"],
+    ["demo", "kaiser-eigen", "--out", "o", "--seed", "2"],
+    ["demo", "kaiser-eigen"],
+]
+
+
+class TestParserReuse:
+    """main keeps one parser per process; it must parse exactly as a fresh one does."""
+
+    def test_reused_parser_parses_like_a_fresh_one(self):
+        assert cli._parser() is cli._parser()
+        for argv in PARSER_ARGVS * 2:
+            assert cli._parser().parse_args(argv) == cli.build_parser().parse_args(argv), argv
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_omitted_flag_reads_its_default_after_a_call_that_set_it(self):
+        parse = cli._parser().parse_args
+        assert parse(["check", "--config", "c", "--model", "m", "--seed", "3"]).seed == 3
+        assert parse(["check", "--config", "c", "--model", "m"]).seed is None
+
+    def test_usage_error_leaves_the_parser_usable(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["check", "--model", "m.json"])
+        assert excinfo.value.code == 2
+        assert "--config" in capsys.readouterr().err
+        argv = PARSER_ARGVS[4]
+        assert cli._parser().parse_args(argv) == cli.build_parser().parse_args(argv)
+        assert cli.main(["demo", "no-such-demo"]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("command", [[], ["simulate"], ["fit"], ["check"], ["compare"],
+                                         ["demo"]])
+    def test_help_text_is_unchanged(self, command, capsys):
+        def help_text(parse):
+            with pytest.raises(SystemExit) as excinfo:
+                parse([*command, "--help"])
+            assert excinfo.value.code == 0
+            return capsys.readouterr().out
+
+        fresh = help_text(cli.build_parser().parse_args)
+        assert fresh.startswith(f"usage: kooplab {' '.join(command)}".rstrip())
+        assert help_text(cli.main) == fresh
+        assert help_text(cli.main) == fresh
 
 
 class TestSimulate:
@@ -314,6 +391,22 @@ class TestCheck:
         rows = read_summary_csv(tmp_path / "summary.csv")
         cor4 = next(r for r in rows if r["condition"] == "COR4-FXU")
         assert cor4["max_residual"] == pytest.approx(0.2, abs=1e-12)
+
+    def test_consecutive_in_process_calls_repeat_every_byte(self, bilinear_run, tmp_path,
+                                                             capsys):
+        import json
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(bilinear_raw(tmp_path / "out")))
+        argv = ["check", "--config", str(path), "--model", str(bilinear_run / "model-joint.json")]
+        runs = []
+        for _ in range(2):
+            assert cli.main(argv) == cli.EXIT_OK
+            files = [(tmp_path / "out" / name).read_bytes()
+                     for name in ("reports.json", "reports.npz", "summary.csv")]
+            runs.append((capsys.readouterr(), files))
+        assert runs[0] == runs[1]
+        assert "overall: consistent" in runs[0][0].out
 
     def test_summary_csv_round_trips(self, bilinear_run, tmp_path):
         cfg = parse_config(bilinear_raw(tmp_path))

@@ -1,6 +1,9 @@
 """Consistency-condition checkers: exact pairings, known obstructions, reports."""
 
+import dataclasses
+import io
 import json
+import zipfile
 from collections import Counter
 
 import numpy as np
@@ -192,6 +195,46 @@ class TestConsistencyReport:
     def test_empty_residuals_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             ConsistencyReport("COR1-FXU", 1e-6, {}, np.array([]))
+
+    def test_statistics_are_the_fields_reductions(self):
+        residuals = np.random.default_rng(5).random(50)
+        residuals[[7, 31]] = 2.0  # a tie: the first maximum wins, as np.argmax has it
+        pts = {"x": np.arange(50.0)[:, None], "u": -np.arange(50.0)[:, None]}
+        r = ConsistencyReport("COR1-FXU", 1.5, pts, residuals)
+        assert r.argmax_index == 7 == int(np.argmax(residuals))
+        assert r.max_residual == float(np.max(residuals))
+        assert r.mean_residual == float(np.mean(residuals))
+        assert r.verdict == "inconsistent"
+        d = r.to_dict()
+        assert (d["max_residual"], d["mean_residual"], d["verdict"]) == (
+            r.max_residual, r.mean_residual, r.verdict)
+        assert d["argmax_point"] == {"x": [7.0], "u": [-7.0]}
+
+    def test_frozen_with_read_only_arrays(self):
+        pts = {"x": np.array([[0.0], [1.0]])}
+        residuals = np.array([0.5, 1.0])
+        r = ConsistencyReport("COR1-FXU", 1.0, pts, residuals)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.tolerance = 0.1
+        for arr in (r.residuals, r.points["x"]):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 9.0
+        residuals[1] = pts["x"][1, 0] = 9.0  # writable arrays are copied, so no summary goes stale
+        assert (r.residuals[1], r.points["x"][1, 0], r.max_residual) == (1.0, 1.0, 1.0)
+        shared = ConsistencyReport("COR1-FXU", 1.0, {"x": r.points["x"]}, r.residuals)
+        assert np.shares_memory(shared.points["x"], r.points["x"])  # read-only ones are not
+        assert np.shares_memory(shared.residuals, r.residuals)
+
+    def test_to_dict_and_rows_hand_out_copies(self):
+        r = ConsistencyReport("COR1-FXU", 1.0, {"x": np.array([[0.0], [1.0]])}, [0.5, 1.0])
+        first = r.to_dict()
+        first["argmax_point"]["x"].append(5.0)
+        first["verdict"] = "edited"
+        assert r.to_dict() == {**first, "verdict": "consistent", "argmax_point": {"x": [1.0]}}
+        summary = summarize([r])
+        summary.to_rows()[0]["verdict"] = "edited"
+        assert summary.to_rows()[0]["verdict"] == "consistent"
+        assert "edited" not in summary.to_text()
 
 
 class TestDef1:
@@ -1059,6 +1102,37 @@ class TestSerialization:
             assert len(roles) == 3
             first = doc["reports"][0]
             assert np.array_equal(npz[first["residual_field"]], reports[0].residuals)
+
+    @staticmethod
+    def _sidecar_member_by_member(reports, path):
+        """The reference sidecar: each member written into the open file in turn."""
+        members, point_members = {}, {}
+        for i, r in enumerate(reports):
+            members[f"residual_{i}"] = r.residuals
+            for arr in r.points.values():
+                key = (arr.shape, arr.tobytes())
+                if key not in point_members:
+                    point_members[key] = f"points_{len(point_members)}"
+                    members[point_members[key]] = arr
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+            for name, arr in members.items():
+                buf = io.BytesIO()
+                np.lib.format.write_array(buf, np.ascontiguousarray(arr), allow_pickle=False)
+                zf.writestr(zipfile.ZipInfo(f"{name}.npy", (1980, 1, 1, 0, 0, 0)),
+                            buf.getvalue())
+        return len(point_members)
+
+    def test_sidecar_equals_the_member_by_member_reference(self, tmp_path):
+        # the bilinear-fine-grid workload's joint model, on a coarser grid
+        system = bilinear_discrete(0.9, 0.1)
+        model = fit_joint(generate_dataset(system, 200, seed=3),
+                          monomials(1, 3, include_constant=False),
+                          build_joint_dictionary(1, 1, 3, 1))
+        reports, skipped = check_model(system, model, default_grid(system, points_per_axis=12))
+        write_reports_json(reports, tmp_path / "reports.json", skipped)
+        n_points = self._sidecar_member_by_member(reports, tmp_path / "reference.npz")
+        assert n_points < sum(len(r.points) for r in reports)  # reports share points
+        assert (tmp_path / "reports.npz").read_bytes() == (tmp_path / "reference.npz").read_bytes()
 
     def test_v1_document_still_loads(self, tmp_path):
         reports = self._reports()
