@@ -11,17 +11,14 @@ Jacobians, and psi and J_psi at the states, the inputs and the next states
 f(x, u), f(x, 0), f(0, u). One ingredient object per (system, grid) evaluates
 each once, as one read-only stack, and check_model hands one to every family.
 The grid holds read-only copies of its points and lays out the (x, u)
-product state-major. On the product an ingredient comes from its owner's
-grid hook `_on_grid`, which evaluates each factor of x alone on the grid's
-S states and each factor of u alone on its M inputs, then broadcasts them
-onto the S M rows with the stack kernel's arithmetic, so every field is the
-same bit for bit. Such factors are K_x J_psi(x) in the lift derivatives of
-affine, separable and joint models and K_u J_psi_u(u) in separable ones;
-K(u), J_psi(x), K_i psi_x(x) and J_psi_u(u) in those of bilinear models; the
-per-axis monomials of monomial-joint dictionaries; K(u) - K(0), psi_x and
-J_psi_x in the bilinear cross dictionary; and Phi(x, 0), Phi(0, u) with
-their tangents in a discretized map's f_xu and its Jacobians. All other
-ingredients run on the product stacks. Each residual is `_norms` of the
+product state-major. The pair point sets (x, u), (x, 0) and (0, u) are the
+products of the grid, of its autonomous() slice and of the zero state with
+its inputs, and an ingredient on one comes from the one grid hook
+`numerics._on_grid`. The hook runs the owner's kernel, in its one form
+kernel(X, U, ex, eu), on that grid's states and inputs: each factor of x
+alone is evaluated once per state and each factor of u alone once per input,
+then broadcast onto the product rows with the kernel's own arithmetic, so
+every field is the same bit for bit. Each residual is `_norms` of the
 terms of its identity, grouped as in the checker docstring: stacks on the
 product, added left to right, and a point's residual is the max-abs entry
 of its block (the || . ||), one reduction over the blocks laid out (k, P).
@@ -52,8 +49,8 @@ import numpy as np
 
 from .dynamics import ControlledSystem, EvaluationGrid
 from .formulations import VARIANTS, bilinear_to_joint
-from .numerics import (_check_seed, _mv, _read_json_object, _read_only, _rng, _stacked,
-                       _violation)
+from .numerics import (_check_seed, _mv, _on_grid, _read_json_object, _read_only, _rng,
+                       _stacked, _violation)
 from .observables import Dictionary, JointDictionary
 
 __all__ = [
@@ -319,20 +316,19 @@ class _Ingredients:
         self.system, self.grid = system, grid
         self._stacks = {}
         self.xu = dict(zip("xu", grid.product))  # report points; each report copies the dict
+        # the pair point sets, each the product of a grid
+        self.grids = {"(x,u)": grid, "(x,0)": grid.autonomous(),
+                      "(0,u)": EvaluationGrid(np.zeros((1, system.state_dim)), grid.inputs)}
 
     def points(self, where) -> tuple:
         """The stacks of the point set `where`, as `at` passes them to a method."""
         if where.startswith("f("):
             return (self.at(self.system.evaluate, where[1:]),)
-        states, inputs = self.grid.states, self.grid.inputs
-        n, m = self.system.state_dim, self.system.input_dim
-        return {
-            "x": (states,), "u": (inputs,),
-            "x=0": (np.zeros(n),), "u=0": (np.zeros(m),),
-            "(x,u)": self.grid.product,
-            "(x,0)": (states, np.zeros((len(states), m))),
-            "(0,u)": (np.zeros((len(inputs), n)), inputs),
-        }[where]
+        if where in self.grids:
+            return self.grids[where].product
+        return {"x": (self.grid.states,), "u": (self.grid.inputs,),
+                "x=0": (np.zeros(self.system.state_dim),),
+                "u=0": (np.zeros(self.system.input_dim),)}[where]
 
     def _memo(self, key, compute) -> np.ndarray:
         if key not in self._stacks:
@@ -340,10 +336,10 @@ class _Ingredients:
         return self._stacks[key]
 
     def at(self, fn, where) -> np.ndarray:
-        """fn evaluated on the point set `where`; on the product through the grid hook
-        `_on_grid` of the system, dictionary or model that fn is a method of."""
-        if where == "(x,u)":
-            return self._memo((fn, where), lambda: fn.__self__._on_grid(fn, self.grid))
+        """fn evaluated on the point set `where`; on a pair point set through the grid
+        hook `numerics._on_grid`, with fn a method of a system, dictionary or model."""
+        if where in self.grids:
+            return self._memo((fn, where), lambda: _on_grid(fn, self.grids[where]))
         return self._memo((fn, where), lambda: fn(*self.points(where)))
 
     def norms(self, fn, where) -> np.ndarray:

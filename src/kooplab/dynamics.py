@@ -25,6 +25,7 @@ from .numerics import (
     _Broadcast,
     _check_seed,
     _fd_jacobians,
+    _itself,
     _NonFiniteFieldError,
     _point_or_stack,
     _read_json_object,
@@ -115,6 +116,8 @@ class ControlledSystem:
         self._jfxu_u = (_stacked(jac_fxu_u, (n, m)) if jac_fxu_u
                         else lambda X, U: _fd_jacobians(lambda W: fxu(X, W), U))
 
+    _kernels: dict = {}  # no method factors on a grid (`numerics._on_grid`); see _RK4Map
+
     def _describe(self, name, time_kind, state_dim, input_dim, dt):
         if time_kind not in ("continuous", "discrete"):
             raise ValueError(f"time_kind must be continuous or discrete, got {time_kind!r}")
@@ -195,11 +198,6 @@ class ControlledSystem:
     def jacobian_u(self, x, u) -> np.ndarray:
         """d f / d u at (x, u)."""
         return _point_or_stack(lambda X, U: self._tangents(X, U)[1], (x, u), self._dims)
-
-    def _on_grid(self, method, grid: "EvaluationGrid") -> np.ndarray:
-        """method, one of this system's evaluation methods, on grid.product: the
-        consistency checks' one route to the product, which a discretized map overrides."""
-        return method(*grid.product)
 
     def __repr__(self):
         return (
@@ -633,7 +631,7 @@ def _rk4_map_jacobians(system: ControlledSystem, X, U, dt: float):
     """Exact Jacobians (d Phi/dx (P, n, n), d Phi/du (P, n, m)) of one RK4 step at
     aligned stacks X, U: one step that records its stages, then their tangents."""
     stages = []
-    rk4_step(system.field, X, U, 0.0, dt, _stages=stages)
+    rk4_step(lambda X, U, t: system._map(X, U), X, U, 0.0, dt, _stages=stages)
     return _rk4_stage_jacobians(system, stages[0], U, dt)
 
 
@@ -666,7 +664,8 @@ class _RK4Map(ControlledSystem):
         if entry is None:
             stages = []
             try:
-                phi = rk4_step(self._flow.field, X, U, 0.0, self.dt, _stages=stages)
+                phi = rk4_step(lambda X, U, t: self._flow._map(X, U), X, U, 0.0, self.dt,
+                               _stages=stages)
             except _NonFiniteFieldError as exc:  # name the map, not the flow
                 raise _NonFiniteFieldError(f"{self.name}: {exc}") from None
             entry = {"phi": _read_only(phi), "stages": stages[0]}
@@ -706,8 +705,8 @@ class _RK4Map(ControlledSystem):
     def _fu(self, U):  # Phi(0, u) - Phi(0, 0)
         return self._step(*self._at_x0(U)) - self._step(*self._at_x0(np.zeros((1, self.input_dim))))
 
-    def _fxu(self, X, U):
-        return self._step(X, U) - self._step(*self._at_u0(X)) - self._fu(U)
+    def _fxu(self, X, U, ex=_itself, eu=_itself):
+        return self._step(ex(X), eu(U)) - ex(self._step(*self._at_u0(X))) - eu(self._fu(U))
 
     def _jfx(self, X):
         return self._jac(*self._at_u0(X))[0].copy()
@@ -715,26 +714,17 @@ class _RK4Map(ControlledSystem):
     def _jfu(self, U):
         return self._jac(*self._at_x0(U))[1].copy()
 
-    def _jfxu_x(self, X, U):
-        return self._jac(X, U)[0] - self._jac(*self._at_u0(X))[0]
+    def _jfxu_x(self, X, U, ex=_itself, eu=_itself):
+        return self._jac(ex(X), eu(U))[0] - ex(self._jac(*self._at_u0(X))[0])
 
-    def _jfxu_u(self, X, U):
-        return self._jac(X, U)[1] - self._jac(*self._at_x0(U))[1]
+    def _jfxu_u(self, X, U, ex=_itself, eu=_itself):
+        return self._jac(ex(X), eu(U))[1] - eu(self._jac(*self._at_x0(U))[1])
 
-    def _on_grid(self, method, grid):
-        # on the product, Phi(x, 0) and Phi(0, u) with their tangents come from the
-        # passes on the S states and the M inputs, not from passes on S M rows
-        if method == self.f_xu:
-            return (self._step(*grid.product)
-                    - grid.per_state(self._step(*self._at_u0(grid.states)))
-                    - grid.per_input(self._fu(grid.inputs)))
-        if method == self.jacobian_fxu_x:
-            return (self._jac(*grid.product)[0]
-                    - grid.per_state(self._jac(*self._at_u0(grid.states))[0]))
-        if method == self.jacobian_fxu_u:
-            return (self._jac(*grid.product)[1]
-                    - grid.per_input(self._jac(*self._at_x0(grid.inputs))[1]))
-        return super()._on_grid(method, grid)
+    @property
+    def _kernels(self) -> dict:
+        # on a grid, Phi(x, 0), Phi(0, u) and their tangents step its states and inputs
+        return {self.f_xu: self._fxu, self.jacobian_fxu_x: self._jfxu_x,
+                self.jacobian_fxu_u: self._jfxu_u}
 
 
 def discretize(system: ControlledSystem, dt: float) -> ControlledSystem:

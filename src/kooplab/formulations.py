@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import DIVERGENCE_BOUND, SnapshotDataset, _march
-from .numerics import (RankDeficiencyError, _block_least_squares, _check_seed, _magnitude, _mv,
-                       _read_json_object, _row_slices, _typed_field, _violation)
+from .numerics import (RankDeficiencyError, _block_least_squares, _check_seed, _itself, _magnitude,
+                       _mv, _read_json_object, _row_slices, _typed_field, _violation)
 from .observables import (
     Dictionary,
     JointDictionary,
@@ -128,12 +128,12 @@ class KoopmanModel:
 
     # -- represented dynamics -------------------------------------------------
 
-    def _advance(self, z, x, u) -> np.ndarray:
+    def _advance(self, z, x, u, ex=_itself, eu=_itself) -> np.ndarray:
         """Represented next lift (or lift rate) from lifted coordinates z and (x, u)."""
         raise NotImplementedError
 
-    def _apply(self, x, u) -> np.ndarray:
-        return self._advance(self.dict_x.evaluate(x), x, u)
+    def _apply(self, x, u, ex=_itself, eu=_itself) -> np.ndarray:
+        return self._advance(self.dict_x.evaluate(x), x, u, ex, eu)
 
     def lift(self, x) -> np.ndarray:
         """Lifted coordinates psi_x(x)."""
@@ -157,22 +157,13 @@ class KoopmanModel:
         self._require("discrete")
         return self._jac_u(x, u)
 
-    def _on_grid(self, method, grid) -> np.ndarray:
-        """method (this model's rate or a lift_next Jacobian) on grid.product, equal
-        to it there bit for bit. The Jacobians go through _jac_x_on and _jac_u_on,
-        which a model overrides to evaluate each factor of x or of u alone on
-        grid.states or grid.inputs and broadcast it by the grid."""
-        hooks = {self.lift_next_jac_x: self._jac_x_on, self.lift_next_jac_u: self._jac_u_on}
-        if method not in hooks:
-            return method(*grid.product)
-        self._require("discrete")
-        return hooks[method](grid)
-
-    def _jac_x_on(self, grid) -> np.ndarray:
-        return self._jac_x(*grid.product)
-
-    def _jac_u_on(self, grid) -> np.ndarray:
-        return self._jac_u(*grid.product)
+    @property
+    def _kernels(self) -> dict:
+        """The grid kernels of this time kind's methods; the other kind's guards raise."""
+        if self.time_kind == "continuous":
+            return {self.rate: self._apply}
+        return {self.lift_next: self._apply, self.lift_next_jac_x: self._jac_x,
+                self.lift_next_jac_u: self._jac_u}
 
     @property
     def state_inclusive(self) -> bool:
@@ -264,22 +255,19 @@ class AffineModel(KoopmanModel):
         self.K = K
         self.B = B
 
-    def _advance(self, z, x, u):
-        out = _mv(self.K, z)
+    def _advance(self, z, x, u, ex=_itself, eu=_itself):
+        out = ex(_mv(self.K, z))
         if self.B is not None:
-            out = out + _mv(self.B, np.asarray(u, dtype=float))
+            out = out + eu(_mv(self.B, np.asarray(u, dtype=float)))
         return out
 
-    def _jac_x(self, x, u):
-        return self.K @ self.dict_x.jacobian(x)
+    def _jac_x(self, x, u, ex=_itself, eu=_itself):
+        return ex(self.K @ self.dict_x.jacobian(x))
 
-    def _jac_u(self, x, u):
+    def _jac_u(self, x, u, ex=_itself, eu=_itself):
         if self.B is None:
             raise ValueError("autonomous affine model has no input channel")
-        return np.broadcast_to(self.B, np.shape(x)[:-1] + self.B.shape).copy()
-
-    def _jac_x_on(self, grid):
-        return grid.per_state(self._jac_x(grid.states, None))
+        return ex(np.broadcast_to(self.B, np.shape(x)[:-1] + self.B.shape).copy())
 
 
 class SeparableModel(KoopmanModel):
@@ -298,20 +286,14 @@ class SeparableModel(KoopmanModel):
         self.K_x = K_x
         self.K_u = K_u
 
-    def _advance(self, z, x, u):
-        return _mv(self.K_x, z) + _mv(self.K_u, self.dict_u.evaluate(u))
+    def _advance(self, z, x, u, ex=_itself, eu=_itself):
+        return ex(_mv(self.K_x, z)) + eu(_mv(self.K_u, self.dict_u.evaluate(u)))
 
-    def _jac_x(self, x, u):
-        return self.K_x @ self.dict_x.jacobian(x)
+    def _jac_x(self, x, u, ex=_itself, eu=_itself):
+        return ex(self.K_x @ self.dict_x.jacobian(x))
 
-    def _jac_u(self, x, u):
-        return self.K_u @ self.dict_u.jacobian(u)
-
-    def _jac_x_on(self, grid):
-        return grid.per_state(self._jac_x(grid.states, None))
-
-    def _jac_u_on(self, grid):
-        return grid.per_input(self._jac_u(None, grid.inputs))
+    def _jac_u(self, x, u, ex=_itself, eu=_itself):
+        return eu(self.K_u @ self.dict_u.jacobian(u))
 
 
 class JointModel(KoopmanModel):
@@ -332,21 +314,16 @@ class JointModel(KoopmanModel):
         self.K_x = K_x
         self.K_xu = K_xu
 
-    def _advance(self, z, x, u):
-        return _mv(self.K_x, z) + _mv(self.K_xu, self.dict_xu.evaluate(x, u))
+    def _advance(self, z, x, u, ex=_itself, eu=_itself):
+        cross = self.dict_xu._at(self.dict_xu.evaluate, x, u, ex, eu)
+        return ex(_mv(self.K_x, z)) + _mv(self.K_xu, cross)
 
-    def _jac_x(self, x, u):
-        return self.K_x @ self.dict_x.jacobian(x) + self.K_xu @ self.dict_xu.jacobian_x(x, u)
+    def _jac_x(self, x, u, ex=_itself, eu=_itself):
+        cross = self.dict_xu._at(self.dict_xu.jacobian_x, x, u, ex, eu)
+        return ex(self.K_x @ self.dict_x.jacobian(x)) + self.K_xu @ cross
 
-    def _jac_u(self, x, u):
-        return self.K_xu @ self.dict_xu.jacobian_u(x, u)
-
-    def _jac_x_on(self, grid):
-        return (grid.per_state(self.K_x @ self.dict_x.jacobian(grid.states))
-                + self.K_xu @ self.dict_xu._on_grid(self.dict_xu.jacobian_x, grid))
-
-    def _jac_u_on(self, grid):
-        return self.K_xu @ self.dict_xu._on_grid(self.dict_xu.jacobian_u, grid)
+    def _jac_u(self, x, u, ex=_itself, eu=_itself):
+        return self.K_xu @ self.dict_xu._at(self.dict_xu.jacobian_u, x, u, ex, eu)
 
 
 class BilinearModel(KoopmanModel):
@@ -373,22 +350,14 @@ class BilinearModel(KoopmanModel):
         """Input-dependent operator K(u) = sum_i psi_u_i(u) K_i."""
         return _bilinear_operator(self.dict_u, self.K_terms, u)
 
-    def _advance(self, z, x, u):
-        return _mv(self.K_of(u), z)
+    def _advance(self, z, x, u, ex=_itself, eu=_itself):
+        return _mv(eu(self.K_of(u)), ex(z))
 
-    def _jac_x(self, x, u):
-        return self.K_of(u) @ self.dict_x.jacobian(x)
+    def _jac_x(self, x, u, ex=_itself, eu=_itself):
+        return eu(self.K_of(u)) @ ex(self.dict_x.jacobian(x))
 
-    def _jac_u(self, x, u):
-        return _bilinear_jacobian_u(self.dict_x, self.dict_u, self.K_terms, x, u)
-
-    def _jac_x_on(self, grid):
-        return (grid.per_input(self.K_of(grid.inputs))
-                @ grid.per_state(self.dict_x.jacobian(grid.states)))
-
-    def _jac_u_on(self, grid):
-        return _bilinear_jacobian_u(self.dict_x, self.dict_u, self.K_terms, grid.states,
-                                    grid.inputs, grid.per_state, grid.per_input)
+    def _jac_u(self, x, u, ex=_itself, eu=_itself):
+        return _bilinear_jacobian_u(self.dict_x, self.dict_u, self.K_terms, x, u, ex, eu)
 
 
 class EigenModel(KoopmanModel):
@@ -403,6 +372,7 @@ class EigenModel(KoopmanModel):
     variant = "eigen"
     _payload_dictionaries = {"state": "eigendict"}  # written as "eigen", with its kind
     _payload_operators = ("eigenvalues",)
+    _kernels: dict = {}  # its observables do not factor on a grid
 
     def __init__(self, eigendict, eigenvalues, input_dim: int = 0):
         self.joint_observables = isinstance(eigendict, JointDictionary)

@@ -1,5 +1,5 @@
 """Shared numerical kernels: least squares, finite differences, one RK4 step
-over points or stacks, and the point-or-stack plumbing.
+over points or stacks, and the point-or-stack and grid plumbing.
 
 Everything downstream (fitting, Jacobian checks, simulation) funnels through
 the first three routines, so their error behavior is deliberately strict: any
@@ -48,15 +48,21 @@ class _Broadcast:
         self.fn = fn
 
 
+def _itself(a):
+    return a
+
+
 def _stacked(fn, shape):
     """Stack-native form of a callable: as given when marked _Broadcast,
-    otherwise a row adapter calling the per-point fn once per aligned row."""
+    otherwise a row adapter calling the per-point fn once per aligned row. Over
+    a pair the adapter is a kernel (X, U, ex, eu) that cannot factor: it runs
+    on the rows of ex(X) and eu(U)."""
     if isinstance(fn, _Broadcast):
         return fn.fn
 
-    def rows(*cols):
-        out = np.array([fn(*row) for row in zip(*cols)], dtype=float)
-        return out.reshape((len(cols[0]),) + shape)
+    def rows(X, *U, ex=_itself, eu=_itself):
+        out = np.array([fn(*row) for row in zip(ex(X), *map(eu, U))], dtype=float)
+        return out.reshape((len(out),) + shape)
 
     return rows
 
@@ -89,6 +95,17 @@ def _point_or_stack(kernel, args, dims, what: str = "state"):
                        else _as_rows(args[0], dims[0], what))
     out = kernel(*stacks)
     return out[0] if single else out
+
+
+def _on_grid(method, grid) -> np.ndarray:
+    """method(*grid.product), bit for bit, from the kernel kernel(X, U, ex, eu) that
+    method's owner lists in `_kernels`, on the grid's states and inputs with per_state
+    and per_input as ex and eu: a kernel passes each factor of X alone through ex and
+    each of U alone through eu, the identity on aligned stacks. A method with no listed
+    kernel cannot factor and runs on ex(X), eu(U), the product itself (grid.product)."""
+    kernels = method.__self__._kernels
+    return (kernels[method](grid.states, grid.inputs, ex=grid.per_state, eu=grid.per_input)
+            if method in kernels else method(*grid.product))
 
 
 def _require_finite_rows(error, *arrays):

@@ -15,9 +15,10 @@ classes check the argument and call one stack kernel: monomial, rbf,
 composite, combination, shifted and monomial-joint dictionaries and the
 bilinear cross dictionary broadcast over the stack, while the per-point
 callables of custom and callable-joint dictionaries go through the row
-adapter of `numerics`. On an evaluation grid's product, the kernels of the
-monomial-joint and bilinear cross dictionaries evaluate each factor of x or
-of u alone on the grid's states or inputs (JointDictionary._on_grid).
+adapter of `numerics`. Joint kernels take the one form kernel(X, U, ex, eu)
+of the grid hook `numerics._on_grid`: the monomial-joint and bilinear cross
+kernels evaluate each factor of x or of u alone on a grid's states or inputs,
+and a per-point callable runs on the product rows.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .numerics import _Broadcast, _mv, _point_or_stack, _rng, _stacked, _typed_field
+from .numerics import _Broadcast, _itself, _mv, _point_or_stack, _rng, _stacked, _typed_field
 
 __all__ = [
     "Dictionary",
@@ -497,18 +498,12 @@ def build_dictionary(spec: dict) -> Dictionary:
 # -- joint dictionaries over (x, u) -------------------------------------------
 
 
-def _itself(a):
-    return a
-
-
 class JointDictionary:
     """Basis over state-input pairs with separate x- and u-Jacobians; subclasses
-    fill in the stack kernels _values/_jacobians_x/_jacobians_u."""
+    fill in the stack kernels _values/_jacobians_x/_jacobians_u, each of the
+    form kernel(X, U, ex, eu) of `numerics._on_grid`."""
 
     kind = "abstract-joint"
-    # kernels that take (X, U, ex, eu) and pass each factor of X alone through ex
-    # and each factor of U alone through eu; see _on_grid
-    _axis_kernels = False
 
     def __init__(self, state_dim, input_dim, names, spec):
         self.state_dim = int(state_dim)
@@ -523,6 +518,10 @@ class JointDictionary:
     def _call(self, kernel, x, u) -> np.ndarray:
         return _point_or_stack(kernel, (x, u), (self.state_dim, self.input_dim))
 
+    def _at(self, method, x, u, ex, eu) -> np.ndarray:
+        """method at one point or aligned stacks, or its kernel on a grid's axes."""
+        return method(x, u) if ex is _itself else self._kernels[method](x, u, ex=ex, eu=eu)
+
     def evaluate(self, x, u) -> np.ndarray:
         """psi(x, u): (N,) at one point, (P, N) on aligned stacks."""
         return self._call(self._values, x, u)
@@ -535,17 +534,10 @@ class JointDictionary:
         """d psi / d u: (N, m) at one point, (P, N, m) on aligned stacks."""
         return self._call(self._jacobians_u, x, u)
 
-    def _on_grid(self, method, grid) -> np.ndarray:
-        """method (this dictionary's evaluate, jacobian_x or jacobian_u) on
-        grid.product, equal to it there bit for bit. Axis kernels run on grid.states
-        and grid.inputs, with the grid's per_state and per_input as ex and eu, so a
-        factor of one argument is evaluated once per distinct value; other kernels
-        run on the product."""
-        if not self._axis_kernels:
-            return method(*grid.product)
-        kernel = {self.evaluate: self._values, self.jacobian_x: self._jacobians_x,
-                  self.jacobian_u: self._jacobians_u}[method]
-        return kernel(grid.states, grid.inputs, grid.per_state, grid.per_input)
+    @property
+    def _kernels(self) -> dict:
+        return {self.evaluate: self._values, self.jacobian_x: self._jacobians_x,
+                self.jacobian_u: self._jacobians_u}
 
     def __repr__(self):
         return (
@@ -561,7 +553,6 @@ class MonomialJointDictionary(JointDictionary):
     """
 
     kind = "monomial-joint"
-    _axis_kernels = True
 
     def __init__(self, state_dim, input_dim, state_degree, input_degree):
         if input_degree < 1:
@@ -614,7 +605,8 @@ class CallableJointDictionary(JointDictionary):
     """Joint basis defined by callables (used for operator-derived cross terms).
 
     eval_fn, jac_x_fn and jac_u_fn take one point (x, u) and go through the
-    row adapter, unless marked `numerics._Broadcast` as stack kernels.
+    row adapter, unless marked `numerics._Broadcast` as stack kernels of the
+    form kernel(X, U, ex, eu).
     """
 
     kind = "callable-joint"
@@ -641,16 +633,10 @@ def _bilinear_operator(dict_u: Dictionary, K_terms, u) -> np.ndarray:
 def _bilinear_jacobian_u(dict_x: Dictionary, dict_u: Dictionary, K_terms, x, u,
                          ex=_itself, eu=_itself) -> np.ndarray:
     """d/du of K(u) psi_x(x) with K(u) = sum_i psi_u_i(u) K_i: (N_x, m) at one
-    point, (P, N_x, m) on aligned stacks; an axis kernel (JointDictionary._on_grid)."""
+    point, (P, N_x, m) on aligned stacks; a kernel of the form of `numerics._on_grid`."""
     px = dict_x.evaluate(x)
     Ju = eu(dict_u.jacobian(u))  # (..., N_u, m)
     return sum(ex(_mv(K, px))[..., :, None] * Ju[..., i, None, :] for i, K in enumerate(K_terms))
-
-
-class _AxisCallableJointDictionary(CallableJointDictionary):
-    """A callable joint dictionary whose broadcast callables are axis kernels."""
-
-    _axis_kernels = True
 
 
 def bilinear_cross_dictionary(dict_x: Dictionary, dict_u: Dictionary, K_terms) -> CallableJointDictionary:
@@ -677,7 +663,7 @@ def bilinear_cross_dictionary(dict_x: Dictionary, dict_u: Dictionary, K_terms) -
             "k_terms": [K.tolist() for K in K_terms],
         }
     names = [f"cross{i + 1}" for i in range(dict_x.size)]
-    return _AxisCallableJointDictionary(
+    return CallableJointDictionary(
         dict_x.input_dim, dict_u.input_dim, names,
         _Broadcast(eval_fn), _Broadcast(jac_x_fn), _Broadcast(jac_u_fn), spec,
     )

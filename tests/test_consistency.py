@@ -1431,8 +1431,8 @@ class TestOneRK4PassPerPointSet:
         for variant, model in models.items():
             flow = builtin_system("duffing-forced", delta=0.3)
             calls = Counter()
-            field, tangents = flow.field, flow._tangents
-            flow.field = lambda x, u, t: calls.update(["field"]) or field(x, u, t)
+            field, tangents = flow._map, flow._tangents
+            flow._map = lambda X, U: calls.update(["field"]) or field(X, U)
             flow._tangents = lambda X, U: calls.update(["tangents"]) or tangents(X, U)
             for kind in asked:
                 asked[kind].clear()
@@ -1443,6 +1443,24 @@ class TestOneRK4PassPerPointSet:
             assert asked["tangent"] and len(point_sets) <= _RK4Map.MEMO_SIZE, variant
             assert calls == {"field": 4 * len(point_sets),
                              "tangents": len(asked["tangent"])}, variant
+
+    def test_origin_is_stepped_on_one_row(self, asked):
+        # the axis point sets (x,0) and (0,u) are grids of their own, so Phi(0, 0) in
+        # f_u is one row that the grid broadcasts, never a stack of copies of the origin
+        system = discretize(builtin_system("duffing-forced", delta=0.3), 0.05)
+        data = generate_dataset(system, 200, seed=1)
+        dx = monomials(2, 2)
+        models = [fit_affine(data, dx), fit_separable(data, dx, identity(1, var_prefix="u")),
+                  fit_joint(data, dx, build_joint_dictionary(2, 1, 1, 1)),
+                  fit_bilinear(data, dx, monomials(1, 1, var_prefix="u"))]
+        grid = default_grid(system, points_per_axis=3)  # x = 0 and u = 0 are grid points
+        for kind in asked:
+            asked[kind].clear()
+        for model in models:
+            assert check_model(system, model, grid)[0]
+        for X_shape, U_shape, X, U in asked["step"] | asked["tangent"]:
+            X, U = np.frombuffer(X).reshape(X_shape), np.frombuffer(U).reshape(U_shape)
+            assert np.sum(~X.any(axis=1) & ~U.any(axis=1)) <= 1, (X_shape, U_shape)
 
     def test_cross_piece_steps_the_axes_not_product_sized_copies(self, asked):
         # f_xu and its Jacobians on the product take Phi(x, 0) and Phi(0, u), with

@@ -673,8 +673,8 @@ class TestDiscretizedMemo:
         flow = builtin_system("duffing-forced", delta=0.3)
         ds = discretize(flow, 0.05)
         field_calls = []
-        field = flow.field
-        flow.field = lambda x, u, t: field_calls.append(len(x)) or field(x, u, t)
+        field = flow._map
+        flow._map = lambda X, U: field_calls.append(len(X)) or field(X, U)
         rng = np.random.default_rng(8)
         for x, u in zip(rng.uniform(-2.0, 2.0, (1000, 2)), rng.uniform(-1.0, 1.0, (1000, 1))):
             ds.evaluate(x, u)
@@ -685,8 +685,8 @@ class TestDiscretizedMemo:
         flow = builtin_system("duffing-forced", delta=0.3)
         ds = discretize(flow, 0.05)
         calls = Counter()
-        field, tangents = flow.field, flow._tangents
-        flow.field = lambda x, u, t: calls.update(["field"]) or field(x, u, t)
+        field, tangents = flow._map, flow._tangents
+        flow._map = lambda X, U: calls.update(["field"]) or field(X, U)
         flow._tangents = lambda X, U: calls.update(["tangents"]) or tangents(X, U)
         X, U = np.full((4, 2), 0.5), np.full((4, 1), -0.25)
         for _ in range(3):

@@ -1,10 +1,11 @@
 """The grid hooks equal the stack kernels on the grid product, bit for bit.
 
 `_Ingredients` evaluates a system, dictionary or model method on the (x, u)
-product through the owner's `_on_grid`. Overrides evaluate the factors of x
-or of u alone on the grid's states or inputs and broadcast them; each test
-below compares such a hook with the method on `grid.product` by their bytes,
-on grids with S != M, with M = 1, with n and m up to 2 and with -0.0 entries.
+product through the one grid hook `numerics._on_grid`. Kernels evaluate the
+factors of x or of u alone on the grid's states or inputs and broadcast them;
+each test below compares the hook with the method on `grid.product` by their
+bytes, on grids with S != M, with M = 1, with n and m up to 2 and with -0.0
+entries.
 """
 
 import math
@@ -12,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from kooplab.consistency import _norms
+from kooplab.consistency import _norms, check_def1
 from kooplab.dynamics import ControlledSystem, EvaluationGrid, discretize
 from kooplab.formulations import (
     AffineModel,
@@ -22,8 +23,8 @@ from kooplab.formulations import (
     SeparableModel,
     bilinear_to_joint,
 )
-from kooplab.numerics import _Broadcast
-from kooplab.observables import build_joint_dictionary, monomials
+from kooplab.numerics import _Broadcast, _on_grid
+from kooplab.observables import CallableJointDictionary, build_joint_dictionary, monomials
 
 DIMS = [(1, 1), (2, 1), (1, 2), (2, 2)]
 
@@ -45,7 +46,7 @@ def assert_same_bits(hooked, stacked):
 
 
 def hook_equals_stack(method, grid):
-    assert_same_bits(method.__self__._on_grid(method, grid), method(*grid.product))
+    assert_same_bits(_on_grid(method, grid), method(*grid.product))
 
 
 def models(n, m, time_kind):
@@ -105,12 +106,35 @@ class TestEvaluationGrid:
 class TestDictionaryHooks:
     @pytest.mark.parametrize("n,m", DIMS)
     def test_monomial_joint_and_bilinear_cross(self, n, m):
-        cross = models(n, m, "discrete")["bilinear-as-joint"].dict_xu
-        assert cross._axis_kernels
+        bilinear = models(n, m, "discrete")["bilinear"]
+        cross = bilinear_to_joint(bilinear).dict_xu
         for d in (build_joint_dictionary(n, m, 3, 2), cross):
             for grid in grids(n, m).values():
                 for method in (d.evaluate, d.jacobian_x, d.jacobian_u):
                     hook_equals_stack(method, grid)
+        # the cross dictionary evaluates psi_x on the grid's states and psi_u on its inputs
+        grid, rows = grids(n, m)["S!=M"], []
+        for d in (bilinear.dict_x, bilinear.dict_u):
+            for name in ("evaluate", "jacobian"):
+                method = getattr(d, name)
+                setattr(d, name, lambda z, _f=method: rows.append(len(z)) or _f(z))
+        for method in (cross.evaluate, cross.jacobian_x, cross.jacobian_u):
+            rows.clear()
+            _on_grid(method, grid)
+            assert rows and set(rows) <= {len(grid.states), len(grid.inputs)}
+
+    @pytest.mark.parametrize("n,m", DIMS)
+    def test_per_point_callables_run_on_the_broadcast_arguments(self, n, m):
+        rng = np.random.default_rng(5 * n + m)
+        A, B = rng.standard_normal((3, n)), rng.standard_normal((3, m))
+        d = CallableJointDictionary(
+            n, m, ["a", "b", "c"],
+            lambda x, u: np.tanh(A @ x) * (B @ u),
+            lambda x, u: (1.0 - np.tanh(A @ x) ** 2)[:, None] * (B @ u)[:, None] * A,
+            lambda x, u: np.tanh(A @ x)[:, None] * B)
+        for grid in grids(n, m).values():
+            for method in (d.evaluate, d.jacobian_x, d.jacobian_u):
+                hook_equals_stack(method, grid)
 
 
 class TestModelHooks:
@@ -130,11 +154,35 @@ class TestModelHooks:
             for grid in grids(n, m).values():
                 hook_equals_stack(model.rate, grid)
 
+    def test_def1_evaluates_the_state_dictionary_on_the_states(self):
+        # the rate of a continuous affine model factors: psi_x on S rows, never S M
+        system = ControlledSystem("linear", "continuous", 2, 1, lambda x: -x,
+                                  lambda u: np.array([0.0, u[0]]), lambda x, u: np.zeros(2))
+        model = models(2, 1, "continuous")["affine"]
+        grid, rows = grids(2, 1)["S!=M"], []
+        evaluate = model.dict_x.evaluate
+        model.dict_x.evaluate = lambda z: rows.append(len(z)) or evaluate(z)
+        report = check_def1(system, model, grid)
+        assert report.condition == "DEF1-CTRL"
+        assert rows == [len(grid.states)]
+
     def test_time_kind_guard_holds_on_the_grid(self):
         model = models(1, 1, "continuous")["joint"]
         grid = grids(1, 1)["S!=M"]
         with pytest.raises(ValueError, match="needs a discrete-time model"):
-            model._on_grid(model.lift_next_jac_x, grid)
+            _on_grid(model.lift_next_jac_x, grid)
+
+
+class TestSystemHooks:
+    @pytest.mark.parametrize("n,m", DIMS)
+    def test_per_point_callables_run_on_the_broadcast_arguments(self, n, m):
+        system = ControlledSystem("per-point", "continuous", n, m,
+                                  lambda x: np.sin(x), lambda u: np.full(n, u.sum() ** 2),
+                                  lambda x, u: x * u.sum())
+        for grid in grids(n, m).values():
+            for name in ("evaluate", "f_xu", "jacobian_fxu_x", "jacobian_fxu_u",
+                         "jacobian_x", "jacobian_u"):
+                hook_equals_stack(getattr(system, name), grid)
 
 
 def coupled_flow(n, m):
@@ -161,7 +209,7 @@ class TestRK4MapHooks:
             for method in ("f_xu", "jacobian_fxu_x", "jacobian_fxu_u"):
                 # fresh maps, so that neither side reads the other's memo
                 hooked, stacked = (discretize(coupled_flow(n, m), 0.1) for _ in range(2))
-                assert_same_bits(hooked._on_grid(getattr(hooked, method), grid),
+                assert_same_bits(_on_grid(getattr(hooked, method), grid),
                                  getattr(stacked, method)(*grid.product))
 
     def test_other_methods_run_on_the_product(self):
