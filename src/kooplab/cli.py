@@ -193,10 +193,16 @@ def _dispatch(args) -> int:
 # -- shared helpers -------------------------------------------------------------
 
 
-def _out_dir(cfg) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _out_dir(path) -> Path:
+    """The output directory at `path`, made if missing; a usage error if `path` is
+    empty or cannot be a directory."""
+    if not str(path):
+        raise UsageError("the output directory must be a non-empty path")
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot make output directory {str(path)!r}: {exc.strerror}") from None
+    return Path(path)
 
 
 def _require_dataset_section(cfg, command: str):
@@ -263,8 +269,6 @@ def _fit_and_save(variant: str, data, cfg, out: Path, ridge: float = 0.0):
     tagged fit[<variant>]."""
     from . import formulations as F
 
-    if variant not in F.VARIANTS:
-        raise UsageError(f"unknown formulation variant {variant!r}")
     if variant == "eigen" and ridge:
         raise UsageError("the eigen fit solves per-eigenvalue problems and has no ridge parameter")
     dictionaries = [cfg.dictionary(role) for role in F._MODEL_CLASSES[variant]._payload_dictionaries]
@@ -285,7 +289,7 @@ def _write_reports(reports, cfg, system, seed, skipped=()):
     with its grid and tolerance as provenance; returns the summary."""
     from .consistency import report_provenance, summarize, write_reports_json, write_summary_csv
 
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.out_dir)
     summary = summarize(reports)
     write_reports_json(reports, out / "reports.json", skipped,
                        report_provenance(system, cfg.build_grid(), cfg.tolerance, seed))
@@ -309,7 +313,7 @@ def cmd_simulate(cfg) -> int:
 
     _require_dataset_section(cfg, "simulate")
     data = _generate(cfg)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.out_dir)
     csv_path, json_path = save_dataset(data, out / "dataset")
     print(f"wrote {csv_path} and {json_path}")
     print(
@@ -329,17 +333,13 @@ def cmd_fit(cfg, dataset_path) -> int:
 
     if not cfg.formulations:
         raise ConfigError("formulations", "at least one formulation is required for fit")
-    stem = str(dataset_path)
-    for suffix in (".csv", ".json"):
-        if stem.endswith(suffix):
-            stem = stem[: -len(suffix)]
     try:
-        data = load_dataset(stem)
-    except FileNotFoundError:
-        raise UsageError(f"no dataset at {dataset_path!r} (expected {stem}.csv/.json)") from None
+        data = load_dataset(dataset_path)
+    except FileNotFoundError as exc:
+        raise UsageError(f"no dataset at {dataset_path!r} ({exc})") from None
     _check_dims("dataset", data, cfg)
 
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.out_dir)
     rows = [(spec, *_fit_and_save(spec.variant, data, cfg, out, spec.ridge))
             for spec in _ordered_formulations(cfg)]
     print(f"{'formulation':<12} {'ridge':>10} {'train residual':>16}")
@@ -419,8 +419,9 @@ def _compare_pipeline(cfg) -> list[dict]:
     from .consistency import summarize
     from .dynamics import DIVERGENCE_BOUND, _draw_box, _march, save_dataset
     from .formulations import rollout
+    from .numerics import _write_csv
 
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.out_dir)
     if len(cfg.formulations) < 2:
         raise ConfigError("formulations", "compare needs at least two formulations")
     for i, spec in enumerate(cfg.formulations):
@@ -508,24 +509,9 @@ def _compare_pipeline(cfg) -> list[dict]:
         path = out / f"trajectory-{row['formulation']}.dat"
         path.write_text("\n".join(lines) + "\n")
 
-    _write_comparison_csv(rows, out / "comparison.csv")
+    _write_csv(out / "comparison.csv", ["formulation", "train_residual", "rmse_1", "rmse_5",
+                                        "rmse_20", "worst_consistency", "verdict"], rows)
     return rows
-
-
-def _write_comparison_csv(rows, path: Path):
-    import csv
-
-    fields = ["formulation", "train_residual", "rmse_1", "rmse_5", "rmse_20",
-              "worst_consistency", "verdict"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([
-                row["formulation"],
-                *(repr(row[f]) for f in fields[1:-1]),
-                row["verdict"],
-            ])
 
 
 def cmd_compare(cfg) -> int:
@@ -779,8 +765,7 @@ def cmd_demo(name: str, out_dir=None, seed=None) -> int:
     if name not in _DEMOS:
         listing = ", ".join(DEMO_NAMES)
         raise UsageError(f"unknown demo {name!r}; available demos: {listing}")
-    out = Path(out_dir) if out_dir is not None else Path("runs") / name
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir if out_dir is not None else Path("runs") / name)
     paragraph = _DEMOS[name](out, 0 if seed is None else seed)
     (out / "interpretation.txt").write_text(paragraph + "\n")
     print(paragraph)

@@ -8,14 +8,12 @@ and every complaint carries the dotted path of the offending field.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .consistency import CONDITION_IDS, DEFAULT_TOLERANCE
 from .dynamics import INPUT_BOUND, STATE_BOUND, ControlledSystem, EvaluationGrid, builtin_system
 from .formulations import VARIANTS, _MODEL_CLASSES
-from .numerics import _is_int, _is_real
+from .numerics import _is_int, _is_real, _read_json_object
 from .observables import build_dictionary, joint_dictionary_from_spec
 
 __all__ = [
@@ -288,11 +286,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a JSON config file."""
-    path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = _read_json_object(path, "config")
     except FileNotFoundError:
         raise ConfigError("<file>", f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError("<file>", f"invalid JSON in {path.name}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError("<file>", f"invalid JSON in {exc}") from None
     return parse_config(raw)

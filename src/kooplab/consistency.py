@@ -38,7 +38,6 @@ psi_u(u) = u) get COR1, COR2 and COR4 because those rows list them.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -50,7 +49,7 @@ import numpy as np
 from .dynamics import ControlledSystem, EvaluationGrid
 from .formulations import VARIANTS, bilinear_to_joint
 from .numerics import (_check_seed, _mv, _on_grid, _read_json_object, _read_only, _rng,
-                       _stacked, _violation)
+                       _stacked, _violation, _write_csv, _write_json)
 from .observables import Dictionary, JointDictionary
 
 __all__ = [
@@ -819,9 +818,9 @@ def check_theorem5(system: ControlledSystem, dict_x: Dictionary,
 
     reports.extend([
         ConsistencyReport("COR7-C1", tolerance, {"x": states}, res_c7c1),
-        ConsistencyReport("COR7-C2", tolerance, ing.xu, res_t5c2.copy()),
+        ConsistencyReport("COR7-C2", tolerance, ing.xu, res_t5c2),
         ConsistencyReport("COR8-C1", tolerance, {"x": states}, res_c8c1),
-        ConsistencyReport("COR8-C2", tolerance, ing.xu, res_t5c2.copy()),
+        ConsistencyReport("COR8-C2", tolerance, ing.xu, res_t5c2),
     ])
     return reports
 
@@ -854,7 +853,8 @@ _FAMILY_CHECKS = {
     "COR3": lambda s, m, g, tol, seed: check_corollary3_kma(
         s, m.dict_x, m.K, _input_matrix(s, m), g, tolerance=tol),
     "T3": lambda s, m, g, tol, seed: check_theorem3(s, *_joint_operators(m), g, tolerance=tol),
-    "KAISER": lambda s, m, g, tol, seed: [check_kaiser(s, m.eigendict, m.Lam, g, tolerance=tol)],
+    "KAISER": lambda s, m, g, tol, seed: [
+        check_kaiser(s, m.eigendict, m.eigenvalues, g, tolerance=tol)],
     "T4": lambda s, m, g, tol, seed: check_theorem4(
         s, m.dict_x, m.dict_u, m.K_x, m.K_u, g, tolerance=tol),
     "COR4": lambda s, m, g, tol, seed: [check_corollary4(s, m.dict_x, g, tolerance=tol)],
@@ -1036,7 +1036,7 @@ def write_reports_json(reports, path, skipped=(), provenance=None) -> Path:
         "skipped": [[family, reason] for family, reason in skipped],
         "reports": summaries,
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(path, doc)
     return path
 
 
@@ -1075,13 +1075,8 @@ def read_reports_json(path) -> list[ConsistencyReport]:
 
 
 def write_summary_csv(summary: ConsistencySummary, path) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_SUMMARY_FIELDS)
-        writer.writeheader()
-        for row in summary.to_rows():
-            writer.writerow({**row, **{key: repr(row[key]) for key in _SUMMARY_FLOATS}})
-    return path
+    _write_csv(path, _SUMMARY_FIELDS, summary.to_rows())
+    return Path(path)
 
 
 def read_summary_csv(path) -> list[dict]:

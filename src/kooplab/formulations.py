@@ -24,14 +24,12 @@ the sample count.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
 from .dynamics import DIVERGENCE_BOUND, SnapshotDataset, _march
 from .numerics import (RankDeficiencyError, _block_least_squares, _check_seed, _itself, _magnitude,
-                       _mv, _read_json_object, _row_slices, _typed_field, _violation)
+                       _mv, _read_json_object, _row_slices, _typed_field, _violation,
+                       _write_json)
 from .observables import (
     Dictionary,
     JointDictionary,
@@ -896,9 +894,7 @@ def model_from_payload(payload: dict) -> KoopmanModel:
 
 
 def save_model(model: KoopmanModel, path) -> None:
-    Path(path).write_text(
-        json.dumps(model_to_payload(model), indent=2, sort_keys=True) + "\n"
-    )
+    _write_json(path, model_to_payload(model))
 
 
 def load_model(path):

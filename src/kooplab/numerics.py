@@ -15,6 +15,7 @@ one row adapter, `_stacked`, unless it is marked `_Broadcast`.
 
 from __future__ import annotations
 
+import csv
 import json
 import sys
 from numbers import Integral, Real
@@ -212,8 +213,11 @@ def _typed_field(fields: dict, key: str, kind: Callable, *default, what="diction
 
 
 def _read_json_object(path, what: str) -> dict:
-    """The JSON object `what` in the file at path; a ValueError naming the file if it is not."""
+    """The JSON object `what` in the file at path; a ValueError naming the file if it is
+    not, and a FileNotFoundError if path names no file (a directory included)."""
     path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"no such file: {path}")
     try:
         doc = json.loads(path.read_text())
     except ValueError as exc:  # not JSON, or not text
@@ -221,6 +225,20 @@ def _read_json_object(path, what: str) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"{path.name}: {what} must be a JSON object, got {type(doc).__name__}")
     return doc
+
+
+def _write_json(path, doc) -> None:
+    """Write doc as JSON: indent 2, sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path, fields, rows) -> None:
+    """Write the `fields` of each dict row under a header, in the csv module's default
+    dialect, which writes a float as its repr; a row's other keys are ignored."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fields, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _rng(seed) -> np.random.Generator:

@@ -140,6 +140,47 @@ class TestMain:
                        "--tolerance", "-1"])
         assert rc == cli.EXIT_USAGE
 
+    def test_empty_out_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        import json
+
+        (tmp_path / "cfg").mkdir()
+        path = tmp_path / "cfg" / "cfg.json"
+        path.write_text(json.dumps(linear_raw(tmp_path / "runs")))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["simulate", "--config", str(path), "--out", ""]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg"]
+
+    @pytest.mark.parametrize("argv", [["simulate", "--config", "CFG"], ["demo", "kaiser-eigen"]],
+                             ids=["simulate", "demo"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, argv):
+        import json
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(linear_raw(tmp_path)))
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        argv = [str(path) if a == "CFG" else a for a in argv]
+        assert cli.main([*argv, "--out", str(taken)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(taken) in err and "Traceback" not in err
+        assert taken.read_text() == "a file\n"
+
+    def test_config_or_model_naming_a_directory_exits_2(self, tmp_path, capsys):
+        import json
+
+        directory = tmp_path / "a-directory"
+        directory.mkdir()
+        assert cli.main(["simulate", "--config", str(directory)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(directory) in err
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(linear_raw(tmp_path)))
+        rc = cli.main(["check", "--config", str(path), "--model", str(directory)])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(directory) in err
+
     def test_readme_usage_names_each_commands_options(self):
         import argparse
 
@@ -277,6 +318,19 @@ class TestFit:
         cfg = parse_config(linear_raw(tmp_path))
         with pytest.raises(cli.UsageError, match="no dataset"):
             cli.cmd_fit(cfg, tmp_path / "nope.csv")
+
+    def test_dotted_dataset_name_is_found_through_either_file(self, tmp_path, capsys):
+        import json
+        import shutil
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(linear_raw(tmp_path)))
+        assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
+        for suffix in (".csv", ".json"):
+            shutil.move(tmp_path / f"dataset{suffix}", tmp_path / f"data.v2{suffix}")
+        for name in ("data.v2.csv", "data.v2.json"):
+            rc = cli.main(["fit", "--config", str(path), "--dataset", str(tmp_path / name)])
+            assert rc == cli.EXIT_OK, capsys.readouterr().err
 
     def test_dimension_mismatch_names_both_sides(self, tmp_path):
         cfg = parse_config(linear_raw(tmp_path))

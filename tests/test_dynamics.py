@@ -854,6 +854,16 @@ class TestDatasetSerialization:
         save_dataset(load_dataset(s1), s2)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_dotted_stem_keeps_its_dots(self, tmp_path):
+        data = generate_dataset(builtin_system("linear"), 10, seed=7, kind="discrete-pairs")
+        written = save_dataset(data, tmp_path / "run.v3")
+        assert written == (tmp_path / "run.v3.csv", tmp_path / "run.v3.json")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.v3.csv", "run.v3.json"]
+        for name in ("run.v3", "run.v3.csv", "run.v3.json"):
+            back = load_dataset(tmp_path / name)
+            np.testing.assert_array_equal(back.X, data.X)
+            np.testing.assert_array_equal(back.Y, data.Y)
+
     # the rows below as written by the earlier row-at-a-time csv.writer version
     STORED_CSV = (
         b"k,x_1,x_2,u_1,y_1,y_2\r\n"
