@@ -5,17 +5,30 @@ dictionary observables (affine, separable, joint, bilinear, eigen) and
 evaluates the dynamical-consistency conditions each one must satisfy,
 reported as residual fields over an evaluation grid.
 
-Submodules are imported lazily: `kooplab.cli` caps BLAS threading via
-the KOOPLAB_THREADS environment variable, which only works if nothing
-has imported numpy yet, so importing the package must stay side-effect
-free until a numerical name is actually used.
+Importing the package imports its numerical submodules and re-exports
+their main names. The batch front end, `kooplab.cli`, loads on its own:
+`from kooplab import cli`, `python -m kooplab` or the `kooplab` command.
 """
 
 from __future__ import annotations
 
+from . import config, consistency, dynamics, formulations, numerics, observables
+from .config import ExperimentConfig, load_config, parse_config
+from .consistency import (CONDITION_IDS, DEFAULT_TOLERANCE, ConsistencyReport,
+                          HypothesisViolationError, summarize)
+from .dynamics import (ControlledSystem, EvaluationGrid, SnapshotDataset, builtin_system,
+                       default_grid, discretize, generate_dataset, load_dataset, save_dataset,
+                       simulate)
+from .formulations import (VARIANTS, bilinear_to_joint, fit_affine, fit_bilinear, fit_eigen,
+                           fit_joint, fit_separable, load_model, predict_step, rollout,
+                           save_model, williams_to_joint)
+from .observables import (Dictionary, JointDictionary, build_dictionary, build_joint_dictionary,
+                          identity, monomials, rbf)
+
 __version__ = "0.1.0"
 
-_SUBMODULES = (
+__all__ = [
+    "__version__",
     "cli",
     "config",
     "consistency",
@@ -23,62 +36,41 @@ _SUBMODULES = (
     "formulations",
     "numerics",
     "observables",
-)
-
-# top-level convenience names -> defining submodule
-_EXPORTS = {
-    "ControlledSystem": "dynamics",
-    "EvaluationGrid": "dynamics",
-    "SnapshotDataset": "dynamics",
-    "builtin_system": "dynamics",
-    "default_grid": "dynamics",
-    "discretize": "dynamics",
-    "generate_dataset": "dynamics",
-    "load_dataset": "dynamics",
-    "save_dataset": "dynamics",
-    "simulate": "dynamics",
-    "Dictionary": "observables",
-    "JointDictionary": "observables",
-    "build_dictionary": "observables",
-    "build_joint_dictionary": "observables",
-    "identity": "observables",
-    "monomials": "observables",
-    "rbf": "observables",
-    "VARIANTS": "formulations",
-    "fit_affine": "formulations",
-    "fit_bilinear": "formulations",
-    "fit_eigen": "formulations",
-    "fit_joint": "formulations",
-    "fit_separable": "formulations",
-    "bilinear_to_joint": "formulations",
-    "williams_to_joint": "formulations",
-    "load_model": "formulations",
-    "predict_step": "formulations",
-    "rollout": "formulations",
-    "save_model": "formulations",
-    "CONDITION_IDS": "consistency",
-    "ConsistencyReport": "consistency",
-    "DEFAULT_TOLERANCE": "consistency",
-    "HypothesisViolationError": "consistency",
-    "summarize": "consistency",
-    "ExperimentConfig": "config",
-    "load_config": "config",
-    "parse_config": "config",
-}
-
-__all__ = ["__version__", *_SUBMODULES, *_EXPORTS]
-
-
-def __getattr__(name: str):
-    import importlib
-
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    if name in _EXPORTS:
-        module = importlib.import_module(f".{_EXPORTS[name]}", __name__)
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(__all__)
+    "ControlledSystem",
+    "EvaluationGrid",
+    "SnapshotDataset",
+    "builtin_system",
+    "default_grid",
+    "discretize",
+    "generate_dataset",
+    "load_dataset",
+    "save_dataset",
+    "simulate",
+    "Dictionary",
+    "JointDictionary",
+    "build_dictionary",
+    "build_joint_dictionary",
+    "identity",
+    "monomials",
+    "rbf",
+    "VARIANTS",
+    "fit_affine",
+    "fit_bilinear",
+    "fit_eigen",
+    "fit_joint",
+    "fit_separable",
+    "bilinear_to_joint",
+    "williams_to_joint",
+    "load_model",
+    "predict_step",
+    "rollout",
+    "save_model",
+    "CONDITION_IDS",
+    "ConsistencyReport",
+    "DEFAULT_TOLERANCE",
+    "HypothesisViolationError",
+    "summarize",
+    "ExperimentConfig",
+    "load_config",
+    "parse_config",
+]

@@ -1,11 +1,10 @@
 """Batch front end: simulate, fit, check, compare, demo.
 
-The KOOPLAB_THREADS cap must take effect before numpy first initializes
-its BLAS thread pools, so this module imports only the standard library
-at import time and pulls the numerical modules in lazily inside the
-command functions. Exit codes: 0 on success (and a consistent verdict
-for `check`), 1 on computation failures or an inconsistent verdict,
-2 on usage and configuration errors.
+Library functions are called through their modules (`consistency.check_model`,
+`F.rollout`), so a function replaced on its module, by a tracer or a test, is
+the one the commands call. Exit codes: 0 on success (and a consistent verdict
+for `check`), 1 on computation failures or an inconsistent verdict, 2 on usage
+and configuration errors.
 """
 
 from __future__ import annotations
@@ -13,9 +12,12 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from . import config, consistency, dynamics, formulations as F, numerics
 
 __all__ = [
     "EXIT_OK",
@@ -37,15 +39,6 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
-# every knob the common BLAS/OpenMP backends consult at import time
-_THREAD_ENV_VARS = (
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "OMP_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
-
 
 class UsageError(Exception):
     """Bad invocation: wrong flags, wrong file, inapplicable request. Exit 2."""
@@ -57,25 +50,6 @@ class PipelineError(Exception):
     def __init__(self, stage: str, message: str):
         self.stage = stage
         super().__init__(f"{stage}: {message}")
-
-
-def _apply_thread_cap(environ=None) -> None:
-    """Propagate KOOPLAB_THREADS to the BLAS/OpenMP environment knobs."""
-    env = os.environ if environ is None else environ
-    raw = env.get("KOOPLAB_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise UsageError(f"KOOPLAB_THREADS must be a positive integer, got {raw!r}")
-    changed = {var: str(n) for var in _THREAD_ENV_VARS if env.get(var) != str(n)}
-    if changed and "numpy" in sys.modules:
-        # too late to bind a changed pool size; say so rather than silently ignore
-        print("warning: numpy already imported; thread cap may not bind", file=sys.stderr)
-    env.update(changed)
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -138,19 +112,13 @@ _parser = functools.cache(build_parser)  # main's: built on first use, then reus
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _apply_thread_cap()
         return _dispatch(args)
-    except Exception as exc:
-        from .config import ConfigError  # here, so that importing the front end loads no numpy
-
-        if isinstance(exc, (UsageError, ConfigError)):
-            code = EXIT_USAGE
-        elif isinstance(exc, (PipelineError, ValueError)):
-            code = EXIT_FAILURE
-        else:
-            raise
+    except (UsageError, config.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return code
+        return EXIT_USAGE
+    except (PipelineError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 def _dispatch(args) -> int:
@@ -160,9 +128,7 @@ def _dispatch(args) -> int:
     if args.command == "demo":
         return cmd_demo(args.name, out_dir=args.out, seed=seed)
 
-    from .config import load_config
-
-    cfg = load_config(args.config)
+    cfg = config.load_config(args.config)
     if args.out is not None:
         cfg.out_dir = args.out
     if seed is not None and cfg.dataset is not None:
@@ -207,17 +173,13 @@ def _out_dir(path) -> Path:
 
 def _require_dataset_section(cfg, command: str):
     if cfg.dataset is None:
-        from .config import ConfigError
-
-        raise ConfigError("dataset", f"section required for {command}")
+        raise config.ConfigError("dataset", f"section required for {command}")
 
 
 def _generate(cfg, kind=None, system=None):
-    from .dynamics import generate_dataset
-
     ds = cfg.dataset
     state_box, input_box = cfg.sampling_regions()
-    return generate_dataset(
+    return dynamics.generate_dataset(
         system if system is not None else cfg.build_system(),
         ds.n_samples,
         control_kind=ds.control_kind,
@@ -244,8 +206,6 @@ def _checked_system(cfg, time_kind: str, dt=None):
     """The system a model of `time_kind` is checked against: a discrete model of a
     continuous system meets its RK4 map at `dt` (the dataset's dt when None); a
     continuous model of a discrete system is a usage error."""
-    from .dynamics import discretize
-
     system = cfg.build_system()
     if time_kind == "discrete" and system.time_kind == "continuous":
         dt = dt if dt is not None else (cfg.dataset.dt if cfg.dataset else None)
@@ -254,7 +214,7 @@ def _checked_system(cfg, time_kind: str, dt=None):
                 "discrete-time model over a continuous-time system: no dt recorded "
                 "on the model and no dataset section to take one from"
             )
-        return discretize(system, dt)
+        return dynamics.discretize(system, dt)
     if time_kind == "continuous" and system.time_kind == "discrete":
         raise UsageError(
             f"continuous-time model cannot be checked against the discrete-time "
@@ -267,8 +227,6 @@ def _fit_and_save(variant: str, data, cfg, out: Path, ridge: float = 0.0):
     """Fit one formulation on the configured dictionaries it needs and save it as
     model-<variant>.json; returns (model, path). A failed fit is a PipelineError
     tagged fit[<variant>]."""
-    from . import formulations as F
-
     if variant == "eigen" and ridge:
         raise UsageError("the eigen fit solves per-eigenvalue problems and has no ridge parameter")
     dictionaries = [cfg.dictionary(role) for role in F._MODEL_CLASSES[variant]._payload_dictionaries]
@@ -286,22 +244,20 @@ def _fit_and_save(variant: str, data, cfg, out: Path, ridge: float = 0.0):
 
 def _write_reports(reports, cfg, system, seed, skipped=()):
     """Write reports.json (+ reports.npz) and summary.csv into the config's out_dir,
-    with its grid and tolerance as provenance; returns the summary."""
-    from .consistency import report_provenance, summarize, write_reports_json, write_summary_csv
-
-    out = _out_dir(cfg.out_dir)
-    summary = summarize(reports)
-    write_reports_json(reports, out / "reports.json", skipped,
-                       report_provenance(system, cfg.build_grid(), cfg.tolerance, seed))
-    write_summary_csv(summary, out / "summary.csv")
+    which the command made before any work, with its grid and tolerance as
+    provenance; returns the summary."""
+    out = Path(cfg.out_dir)
+    summary = consistency.summarize(reports)
+    consistency.write_reports_json(
+        reports, out / "reports.json", skipped,
+        consistency.report_provenance(system, cfg.build_grid(), cfg.tolerance, seed))
+    consistency.write_summary_csv(summary, out / "summary.csv")
     return summary
 
 
 def _ordered_formulations(cfg):
     """Config formulations in canonical variant order (shows the nesting)."""
-    from .formulations import VARIANTS
-
-    return sorted(cfg.formulations, key=lambda s: VARIANTS.index(s.variant))
+    return sorted(cfg.formulations, key=lambda s: F.VARIANTS.index(s.variant))
 
 
 # -- simulate -------------------------------------------------------------------
@@ -309,12 +265,10 @@ def _ordered_formulations(cfg):
 
 def cmd_simulate(cfg) -> int:
     """Draw the configured dataset and write it as CSV + JSON envelope."""
-    from .dynamics import save_dataset
-
     _require_dataset_section(cfg, "simulate")
-    data = _generate(cfg)
     out = _out_dir(cfg.out_dir)
-    csv_path, json_path = save_dataset(data, out / "dataset")
+    data = _generate(cfg)
+    csv_path, json_path = dynamics.save_dataset(data, out / "dataset")
     print(f"wrote {csv_path} and {json_path}")
     print(
         f"{data.n_samples} samples ({data.kind}, control={cfg.dataset.control_kind}), "
@@ -328,13 +282,10 @@ def cmd_simulate(cfg) -> int:
 
 def cmd_fit(cfg, dataset_path) -> int:
     """Fit every configured formulation to a saved dataset."""
-    from .config import ConfigError
-    from .dynamics import load_dataset
-
     if not cfg.formulations:
-        raise ConfigError("formulations", "at least one formulation is required for fit")
+        raise config.ConfigError("formulations", "at least one formulation is required for fit")
     try:
-        data = load_dataset(dataset_path)
+        data = dynamics.load_dataset(dataset_path)
     except FileNotFoundError as exc:
         raise UsageError(f"no dataset at {dataset_path!r} ({exc})") from None
     _check_dims("dataset", data, cfg)
@@ -354,11 +305,9 @@ def cmd_fit(cfg, dataset_path) -> int:
 
 def _run_checks(system, model, grid, tol, seed, requested) -> tuple[list, list]:
     """consistency.check_model, with an inapplicable explicit request as a usage error."""
-    from .consistency import InapplicableConditionError, check_model
-
     try:
-        return check_model(system, model, grid, tol, seed, requested)
-    except InapplicableConditionError as exc:
+        return consistency.check_model(system, model, grid, tol, seed, requested)
+    except consistency.InapplicableConditionError as exc:
         raise UsageError(str(exc)) from None
 
 
@@ -377,10 +326,8 @@ def cmd_check(cfg, model_path, pairwise_seed=None) -> int:
 
     Exits 0 when every evaluated condition is within tolerance, 1 otherwise.
     """
-    from .formulations import load_model
-
     try:
-        model = load_model(model_path)
+        model = F.load_model(model_path)
     except FileNotFoundError:
         raise UsageError(f"no model file at {model_path!r}") from None
     _check_dims("model", model, cfg)
@@ -390,6 +337,7 @@ def cmd_check(cfg, model_path, pairwise_seed=None) -> int:
     if seed is None:
         seed = cfg.dataset.seed if cfg.dataset is not None else 0
     requested = None if (not cfg.checks or cfg.checks == ["all-applicable"]) else cfg.checks
+    out = _out_dir(cfg.out_dir)
     _, skipped, summary = _check_and_write(cfg, system, model, seed, requested)
 
     if model.variant == "bilinear":
@@ -398,7 +346,6 @@ def cmd_check(cfg, model_path, pairwise_seed=None) -> int:
     for family, reason in skipped:
         print(f"skipped {family}: {reason}")
     print(summary.to_text())
-    out = Path(cfg.out_dir)
     print(f"wrote {out / 'reports.json'} and {out / 'summary.csv'}")
     return EXIT_OK if summary.overall_verdict == "consistent" else EXIT_FAILURE
 
@@ -413,20 +360,12 @@ _HORIZON = 20
 def _compare_pipeline(cfg) -> list[dict]:
     """simulate -> fit -> rollout -> check for every configured formulation, then
     the trajectory files and comparison.csv, all in the config's out_dir."""
-    import numpy as np
-
-    from .config import ConfigError
-    from .consistency import summarize
-    from .dynamics import DIVERGENCE_BOUND, _draw_box, _march, save_dataset
-    from .formulations import rollout
-    from .numerics import _write_csv
-
     out = _out_dir(cfg.out_dir)
     if len(cfg.formulations) < 2:
-        raise ConfigError("formulations", "compare needs at least two formulations")
+        raise config.ConfigError("formulations", "compare needs at least two formulations")
     for i, spec in enumerate(cfg.formulations):
         if spec.variant == "eigen":
-            raise ConfigError(
+            raise config.ConfigError(
                 f"formulations[{i}].variant",
                 "eigen models are continuous-time only and cannot be rolled out; "
                 "compare supports affine, separable, joint, and bilinear",
@@ -438,20 +377,20 @@ def _compare_pipeline(cfg) -> list[dict]:
     try:
         dsystem = _checked_system(cfg, "discrete")
         data = _generate(cfg, kind="discrete-pairs", system=dsystem)
-        save_dataset(data, out / "dataset")
+        dynamics.save_dataset(data, out / "dataset")
         state_box, input_box = cfg.sampling_regions()
         rng = np.random.default_rng(cfg.dataset.seed + 1)
-        x0s = _draw_box(rng, state_box, _N_HELDOUT)
-        controls = _draw_box(rng, input_box, _N_HELDOUT * _HORIZON).reshape(
+        x0s = dynamics._draw_box(rng, state_box, _N_HELDOUT)
+        controls = dynamics._draw_box(rng, input_box, _N_HELDOUT * _HORIZON).reshape(
             _N_HELDOUT, _HORIZON, dsystem.input_dim)
-        true_paths, lengths = _march(lambda k, live, X, u: dsystem.evaluate(X, u),
-                                     x0s, controls, DIVERGENCE_BOUND)
+        true_paths, lengths = dynamics._march(lambda k, live, X, u: dsystem.evaluate(X, u),
+                                              x0s, controls, dynamics.DIVERGENCE_BOUND)
     except ValueError as exc:
         raise PipelineError("simulate", str(exc)) from None
     if (lengths <= _HORIZON).any():
         i = int(np.argmax(lengths <= _HORIZON))
         raise PipelineError("simulate", f"held-out trajectory {i} left the divergence bound "
-                                        f"{DIVERGENCE_BOUND:g} at step {lengths[i]}")
+                                        f"{dynamics.DIVERGENCE_BOUND:g} at step {lengths[i]}")
 
     grid = cfg.build_grid()
     rows = []
@@ -460,7 +399,7 @@ def _compare_pipeline(cfg) -> list[dict]:
 
         # stage: rollout
         try:
-            preds = [result.states for result in rollout(model, x0s, controls)]
+            preds = [result.states for result in F.rollout(model, x0s, controls)]
         except ValueError as exc:
             raise PipelineError(f"rollout[{spec.variant}]", str(exc)) from None
         rmse = {}
@@ -476,7 +415,7 @@ def _compare_pipeline(cfg) -> list[dict]:
         except ValueError as exc:
             raise PipelineError(f"check[{spec.variant}]", str(exc)) from None
         worst = max((r.max_residual for r in reports), default=float("nan"))
-        verdict = summarize(reports).overall_verdict if reports else "not-evaluated"
+        verdict = consistency.summarize(reports).overall_verdict if reports else "not-evaluated"
 
         rows.append({
             "formulation": spec.variant,
@@ -509,8 +448,9 @@ def _compare_pipeline(cfg) -> list[dict]:
         path = out / f"trajectory-{row['formulation']}.dat"
         path.write_text("\n".join(lines) + "\n")
 
-    _write_csv(out / "comparison.csv", ["formulation", "train_residual", "rmse_1", "rmse_5",
-                                        "rmse_20", "worst_consistency", "verdict"], rows)
+    numerics._write_csv(out / "comparison.csv", ["formulation", "train_residual", "rmse_1",
+                                                 "rmse_5", "rmse_20", "worst_consistency",
+                                                 "verdict"], rows)
     return rows
 
 
@@ -534,19 +474,14 @@ def cmd_compare(cfg) -> int:
 def _demo_config(out: Path, seed: int, raw: dict):
     """A demo's validated config, system and grid: its own sections, with the seed
     in its dataset, its artifacts in `out`, and tolerance 1e-8 unless it sets one."""
-    from .config import parse_config
-
     if "dataset" in raw:
         raw["dataset"]["seed"] = seed
-    cfg = parse_config({"schema_version": 1, "tolerance": 1e-8, **raw, "out_dir": str(out)})
+    cfg = config.parse_config({"schema_version": 1, "tolerance": 1e-8, **raw, "out_dir": str(out)})
     return cfg, cfg.build_system(), cfg.build_grid()
 
 
 def _demo_corollary1(out: Path, seed: int) -> str:
     """State-inclusive separable lifting is obstructed by a cross term."""
-    from .consistency import check_corollary1, check_corollary4
-    from .formulations import fit_separable
-
     cfg, system, grid = _demo_config(out, seed, {
         "system": {"name": "bilinear-scalar", "params": {"a": -1.0, "b": 1.0}},
         "dataset": {"n_samples": 400, "kind": "continuous-derivative"},
@@ -557,12 +492,12 @@ def _demo_corollary1(out: Path, seed: int) -> str:
         "tolerance": 1e-6,
     })
     dict_x = cfg.dictionary("state")
-    model = fit_separable(_generate(cfg), dict_x, cfg.dictionary("input"))
-    report = check_corollary1(system, dict_x, grid, tolerance=cfg.tolerance)
+    model = F.fit_separable(_generate(cfg), dict_x, cfg.dictionary("input"))
+    report = consistency.check_corollary1(system, dict_x, grid, tolerance=cfg.tolerance)
     _write_reports([report], cfg, system, seed)
     dt = 0.1
-    discrete = check_corollary4(_checked_system(cfg, "discrete", dt), dict_x, grid,
-                                tolerance=cfg.tolerance)
+    discrete = consistency.check_corollary4(_checked_system(cfg, "discrete", dt), dict_x, grid,
+                                            tolerance=cfg.tolerance)
     x_star, u_star = report.argmax_point["x"][0], report.argmax_point["u"][0]
     return (
         "The scalar system xdot = -x + x u has the cross term f_xu(x, u) = x u. "
@@ -624,10 +559,6 @@ def _demo_joint_rescue(out: Path, seed: int) -> str:
 
 def _demo_kaiser(out: Path, seed: int) -> str:
     """Fit a diagonal eigen model and detect a perturbed eigenvalue."""
-    import numpy as np
-
-    from .consistency import check_kaiser
-
     mu, lam = -0.05, -1.0
     b = lam / (lam - 2.0 * mu)
     cfg, system, grid = _demo_config(out, seed, {
@@ -648,11 +579,11 @@ def _demo_kaiser(out: Path, seed: int) -> str:
     })
     eigendict = cfg.dictionary("state")
     model, _ = _fit_and_save("eigen", _generate(cfg), cfg, out)
-    fitted = check_kaiser(system, eigendict, model.eigenvalues, grid,
-                          tolerance=cfg.tolerance)
-    perturbed = check_kaiser(system, eigendict,
-                             model.eigenvalues + np.array([0.0, 0.1]),
-                             grid, tolerance=cfg.tolerance)
+    fitted = consistency.check_kaiser(system, eigendict, model.eigenvalues, grid,
+                                      tolerance=cfg.tolerance)
+    perturbed = consistency.check_kaiser(system, eigendict,
+                                         model.eigenvalues + np.array([0.0, 0.1]),
+                                         grid, tolerance=cfg.tolerance)
     _write_reports([fitted, perturbed], cfg, system, seed)
     lam1, lam2 = model.eigenvalues
     x1, x2 = perturbed.argmax_point["x"]
@@ -674,10 +605,6 @@ def _demo_kaiser(out: Path, seed: int) -> str:
 
 def _demo_williams(out: Path, seed: int) -> str:
     """An input-parameterized operator family equals a joint-dictionary lift."""
-    from .dynamics import _draw_box
-    from .formulations import bilinear_to_joint, predict_step, save_model
-    from .numerics import _rng
-
     cfg, system, _ = _demo_config(out, seed, {
         "system": {"name": "bilinear-discrete", "params": {"alpha": 0.9, "beta": 0.1}},
         "dataset": {"n_samples": 400, "control_kind": "uniform-random"},
@@ -688,13 +615,13 @@ def _demo_williams(out: Path, seed: int) -> str:
         },
     })
     bil, _ = _fit_and_save("bilinear", _generate(cfg), cfg, out)
-    joint = bilinear_to_joint(bil)
-    save_model(joint, out / "model-joint.json")
+    joint = F.bilinear_to_joint(bil)
+    F.save_model(joint, out / "model-joint.json")
 
     state_box, input_box = cfg.sampling_regions()
-    P = _draw_box(_rng(seed), [*state_box, *input_box], 100)
+    P = dynamics._draw_box(numerics._rng(seed), [*state_box, *input_box], 100)
     x, u = P[:, :1], P[:, 1:]
-    max_dev = float(abs(predict_step(bil, x, u)[0] - predict_step(joint, x, u)[0]).max())
+    max_dev = float(abs(F.predict_step(bil, x, u)[0] - F.predict_step(joint, x, u)[0]).max())
 
     reports, _, summary = _check_and_write(cfg, system, joint, seed)
     worst = max(r.max_residual for r in reports)
@@ -720,8 +647,6 @@ def _demo_williams(out: Path, seed: int) -> str:
 
 def _demo_gxfu(out: Path, seed: int) -> str:
     """Pairwise independence probes a state-dependent input gain."""
-    from .consistency import check_corollary2
-
     cfg, system, grid = _demo_config(out, seed, {
         "system": {"name": "duffing-forced", "params": {"delta": 0.5}},
         "dictionaries": {
@@ -729,8 +654,8 @@ def _demo_gxfu(out: Path, seed: int) -> str:
                       "include_constant": False},
         },
     })
-    report = check_corollary2(system, cfg.dictionary("state"), grid,
-                              seed=seed, tolerance=cfg.tolerance)
+    report = consistency.check_corollary2(system, cfg.dictionary("state"), grid,
+                                          seed=seed, tolerance=cfg.tolerance)
     _write_reports([report], cfg, system, seed)
     return (
         "For systems of the form xdot = f_x(x) + G(x) f_u(u) one might hope to "

@@ -929,7 +929,8 @@ def _dataset_columns(n: int, m: int) -> list:
 
 def load_dataset(stem) -> SnapshotDataset:
     """Read a dataset written by `save_dataset`, named by its stem or by either file; a
-    badly typed envelope field or a header off its dims is a ValueError naming it."""
+    badly typed envelope field or a header off its dims is a ValueError naming it, and
+    a half of the pair that names no file (a directory included) a FileNotFoundError."""
     csv_path, json_path = _dataset_paths(stem)
     env = _read_json_object(json_path, "dataset envelope")
     if env.get("schema_version") != DATASET_SCHEMA_VERSION:
@@ -946,6 +947,8 @@ def load_dataset(stem) -> SnapshotDataset:
     except KeyError as exc:
         raise ValueError(f"dataset envelope field {exc} is missing") from None
     columns = _dataset_columns(n, m)
+    if not csv_path.is_file():
+        raise FileNotFoundError(f"no such file: {csv_path}")
     with open(csv_path) as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         if header != columns:

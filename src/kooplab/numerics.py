@@ -1,5 +1,7 @@
 """Shared numerical kernels: least squares, finite differences, one RK4 step
-over points or stacks, and the point-or-stack and grid plumbing.
+over points or stacks, and the point-or-stack and grid plumbing. The module
+also holds the package's one JSON reader and writer, the CSV writer of summaries
+and comparisons, and the typed-field and seed checks of specs and envelopes.
 
 Everything downstream (fitting, Jacobian checks, simulation) funnels through
 the first three routines, so their error behavior is deliberately strict: any

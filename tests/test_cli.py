@@ -1,8 +1,6 @@
 """Batch command line: round trips, exit codes, applicability, determinism."""
 
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -52,67 +50,6 @@ def bilinear_raw(out_dir, **over):
     }
     raw.update(over)
     return raw
-
-
-class TestThreadCap:
-    def test_absent_variable_is_a_no_op(self):
-        env = {}
-        cli._apply_thread_cap(env)
-        assert env == {}
-
-    def test_sets_every_blas_knob(self):
-        env = {"KOOPLAB_THREADS": "2"}
-        cli._apply_thread_cap(env)
-        for var in cli._THREAD_ENV_VARS:
-            assert env[var] == "2"
-
-    def test_overrides_preexisting_values(self):
-        env = {"KOOPLAB_THREADS": "2", "OMP_NUM_THREADS": "8"}
-        cli._apply_thread_cap(env)
-        assert env["OMP_NUM_THREADS"] == "2"
-
-    @pytest.mark.parametrize("bad", ["zero", "0", "-1", "1.5", ""])
-    def test_rejects_non_positive_integers(self, bad):
-        with pytest.raises(cli.UsageError, match="KOOPLAB_THREADS"):
-            cli._apply_thread_cap({"KOOPLAB_THREADS": bad})
-
-    def test_cap_that_already_binds_is_silent(self, capsys):
-        # numpy is imported here, but every knob already equals the cap
-        env = {"KOOPLAB_THREADS": "2", **{var: "2" for var in cli._THREAD_ENV_VARS}}
-        cli._apply_thread_cap(env)
-        assert capsys.readouterr().err == ""
-        assert env == {"KOOPLAB_THREADS": "2", **{var: "2" for var in cli._THREAD_ENV_VARS}}
-
-    def test_changed_knob_after_numpy_warns_once(self, capsys):
-        env = {"KOOPLAB_THREADS": "2", **{var: "2" for var in cli._THREAD_ENV_VARS},
-               "OMP_NUM_THREADS": "8"}
-        cli._apply_thread_cap(env)
-        assert capsys.readouterr().err.count("thread cap may not bind") == 1
-        assert env["OMP_NUM_THREADS"] == "2"
-        cli._apply_thread_cap(env)  # now bound: nothing left to change
-        assert capsys.readouterr().err == ""
-
-    def test_repeated_main_calls_under_a_bound_cap_are_silent(self, monkeypatch, capsys):
-        for var in ("KOOPLAB_THREADS", *cli._THREAD_ENV_VARS):
-            monkeypatch.setenv(var, "1")
-        for _ in range(3):
-            assert cli.main(["demo", "no-such-demo"]) == cli.EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.count("unknown demo") == 3 and "thread cap" not in err
-
-    def test_cli_module_import_stays_numpy_free(self):
-        # the cap can only bind if importing the front end does not pull numpy
-        code = (
-            "import sys; import kooplab.cli; "
-            "assert 'numpy' not in sys.modules, 'numpy imported eagerly'; "
-            "import kooplab; "
-            "assert 'numpy' not in sys.modules; "
-            "print('clean')"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, cwd=Path(__file__).resolve().parents[1])
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "clean"
 
 
 class TestMain:
@@ -180,6 +117,36 @@ class TestMain:
         assert rc == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(directory) in err
+
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    def test_out_naming_a_file_is_refused_before_any_work(self, bilinear_run, tmp_path,
+                                                           monkeypatch, capsys, command):
+        import json
+
+        from kooplab import consistency, dynamics
+
+        calls = {"check_model": 0, "generate_dataset": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(consistency, "check_model")
+        counted(dynamics, "generate_dataset")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(bilinear_raw(tmp_path)))
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        argv = [command, "--config", str(path), "--out", str(taken)]
+        if command == "check":
+            argv += ["--model", str(bilinear_run / "model-joint.json")]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert calls == {"check_model": 0, "generate_dataset": 0}
+        assert str(taken) in capsys.readouterr().err
 
     def test_readme_usage_names_each_commands_options(self):
         import argparse
@@ -318,6 +285,21 @@ class TestFit:
         cfg = parse_config(linear_raw(tmp_path))
         with pytest.raises(cli.UsageError, match="no dataset"):
             cli.cmd_fit(cfg, tmp_path / "nope.csv")
+
+    def test_dataset_csv_naming_a_directory_exits_2(self, tmp_path, capsys):
+        import json
+        import shutil
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(linear_raw(tmp_path)))
+        assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_OK
+        (tmp_path / "d2" / "x.csv").mkdir(parents=True)
+        shutil.copy(tmp_path / "dataset.json", tmp_path / "d2" / "x.json")
+        stem = tmp_path / "d2" / "x"
+        assert cli.main(["fit", "--config", str(path), "--dataset", str(stem)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: no dataset at {str(stem)!r}")
+        assert str(stem) + ".csv" in err and "Traceback" not in err
 
     def test_dotted_dataset_name_is_found_through_either_file(self, tmp_path, capsys):
         import json
