@@ -284,13 +284,13 @@ def cmd_fit(cfg, dataset_path) -> int:
     """Fit every configured formulation to a saved dataset."""
     if not cfg.formulations:
         raise config.ConfigError("formulations", "at least one formulation is required for fit")
+    out = _out_dir(cfg.out_dir)
     try:
         data = dynamics.load_dataset(dataset_path)
     except FileNotFoundError as exc:
         raise UsageError(f"no dataset at {dataset_path!r} ({exc})") from None
     _check_dims("dataset", data, cfg)
 
-    out = _out_dir(cfg.out_dir)
     rows = [(spec, *_fit_and_save(spec.variant, data, cfg, out, spec.ridge))
             for spec in _ordered_formulations(cfg)]
     print(f"{'formulation':<12} {'ridge':>10} {'train residual':>16}")
@@ -326,6 +326,7 @@ def cmd_check(cfg, model_path, pairwise_seed=None) -> int:
 
     Exits 0 when every evaluated condition is within tolerance, 1 otherwise.
     """
+    out = _out_dir(cfg.out_dir)
     try:
         model = F.load_model(model_path)
     except FileNotFoundError:
@@ -337,7 +338,6 @@ def cmd_check(cfg, model_path, pairwise_seed=None) -> int:
     if seed is None:
         seed = cfg.dataset.seed if cfg.dataset is not None else 0
     requested = None if (not cfg.checks or cfg.checks == ["all-applicable"]) else cfg.checks
-    out = _out_dir(cfg.out_dir)
     _, skipped, summary = _check_and_write(cfg, system, model, seed, requested)
 
     if model.variant == "bilinear":
@@ -360,7 +360,6 @@ _HORIZON = 20
 def _compare_pipeline(cfg) -> list[dict]:
     """simulate -> fit -> rollout -> check for every configured formulation, then
     the trajectory files and comparison.csv, all in the config's out_dir."""
-    out = _out_dir(cfg.out_dir)
     if len(cfg.formulations) < 2:
         raise config.ConfigError("formulations", "compare needs at least two formulations")
     for i, spec in enumerate(cfg.formulations):
@@ -371,6 +370,7 @@ def _compare_pipeline(cfg) -> list[dict]:
                 "compare supports affine, separable, joint, and bilinear",
             )
     _require_dataset_section(cfg, "compare")
+    out = _out_dir(cfg.out_dir)
 
     # stage: simulate: one-step training pairs (so every fit rolls out) and held-out
     # truths from a separate stream, all of the discretized system checked below

@@ -50,7 +50,7 @@ from .dynamics import ControlledSystem, EvaluationGrid
 from .formulations import VARIANTS, bilinear_to_joint
 from .numerics import (_check_seed, _mv, _on_grid, _read_json_object, _read_only, _rng,
                        _stacked, _violation, _write_csv, _write_json)
-from .observables import Dictionary, JointDictionary
+from .observables import Dictionary, JointDictionary, _as_joint
 
 __all__ = [
     "CONDITIONS",
@@ -419,16 +419,15 @@ def check_def1(system: ControlledSystem, model, grid: EvaluationGrid,
     where = "(x,0)" if auton else "(x,u)"  # an autonomous model lives on the u = 0 slice
     X, U = ing.points(where)
     F = ing.at(system.evaluate, where)
-    if joint:
+    # an eigen model's J_psi(x, u) on the product, shared with KAISER
+    J = (ing.at(model._psi.jacobian_x, where) if model.variant == "eigen"
+         else ing.grids[where].per_state(ing.at(model.dict_x.jacobian, "x")))
+    truth, rate = _mv(J, F), ing.at(model.rate, where)
+    if joint:  # the transport term J_u_psi udot, on both sides
         Udot = (_stacked(u_dot, (system.input_dim,))(X, U) if callable(u_dot)
                 else np.broadcast_to(np.asarray(u_dot, dtype=float), U.shape))
-        truth = _mv(model.observe_jac_x(X, U), F) + _mv(model.observe_jac_u(X, U), Udot)
-        rate = model.rate(X, U, u_dot=Udot)
-    else:
-        jac = model.eigendict.jacobian if model.variant == "eigen" else model.dict_x.jacobian
-        J = ing.at(jac, "x")
-        truth = _mv(J if auton else ing.grid.per_state(J), F)
-        rate = ing.at(model.rate, where)
+        transport = _mv(ing.at(model._psi.jacobian_u, where), Udot)
+        truth, rate = truth + transport, rate + transport
     cid = "DEF1-AUTON" if auton else "DEF1-JOINT" if joint else "DEF1-CTRL"
     points = {"x": X} if auton else ing.xu
     return ConsistencyReport(cid, tolerance, points, _norms(rate, -truth))
@@ -649,12 +648,9 @@ def check_kaiser(system: ControlledSystem, eigendict, Lam, grid: EvaluationGrid,
             f"need one eigenvalue per observable ({eigendict.size}), got {lam.shape[0]}"
         )
 
-    if isinstance(eigendict, JointDictionary):
-        psi, J = ing.at(eigendict.evaluate, "(x,u)"), ing.at(eigendict.jacobian_x, "(x,u)")
-    else:
-        psi, J = (ing.grid.per_state(ing.at(f, "x"))
-                  for f in (eigendict.evaluate, eigendict.jacobian))
-    res = _norms(_mv(J, ing.at(system.evaluate, "(x,u)")), -(lam * psi))
+    psi = _as_joint(eigendict, system.input_dim)  # a state dictionary as psi(x, u)
+    res = _norms(_mv(ing.at(psi.jacobian_x, "(x,u)"), ing.at(system.evaluate, "(x,u)")),
+                 -(lam * ing.at(psi.evaluate, "(x,u)")))
     return ConsistencyReport("KAISER", tolerance, ing.xu, res)
 
 
@@ -854,7 +850,7 @@ _FAMILY_CHECKS = {
         s, m.dict_x, m.K, _input_matrix(s, m), g, tolerance=tol),
     "T3": lambda s, m, g, tol, seed: check_theorem3(s, *_joint_operators(m), g, tolerance=tol),
     "KAISER": lambda s, m, g, tol, seed: [
-        check_kaiser(s, m.eigendict, m.eigenvalues, g, tolerance=tol)],
+        check_kaiser(s, m._psi, m.eigenvalues, g, tolerance=tol)],
     "T4": lambda s, m, g, tol, seed: check_theorem4(
         s, m.dict_x, m.dict_u, m.K_x, m.K_u, g, tolerance=tol),
     "COR4": lambda s, m, g, tol, seed: [check_corollary4(s, m.dict_x, g, tolerance=tol)],

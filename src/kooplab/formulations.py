@@ -34,6 +34,7 @@ from .observables import (
     Dictionary,
     JointDictionary,
     bilinear_cross_dictionary,
+    _as_joint,
     _bilinear_jacobian_u,
     _bilinear_operator,
     build_dictionary,
@@ -361,25 +362,20 @@ class BilinearModel(KoopmanModel):
 class EigenModel(KoopmanModel):
     """d/dt psi(x, u) = Lambda psi(x, u) + (d psi/d u) udot, Lambda diagonal.
 
-    The eigenfunction dictionary may be state-only (a Dictionary; the input
-    coordinate is then inert) or genuinely joint (a JointDictionary). Only
-    the diagonal eigenvalues are fitted; the input-rate transport term is
-    carried by the observables themselves, not by an operator.
+    The eigenfunction dictionary may be state-only (a Dictionary, read as
+    psi(x, u) = psi(x): u is checked but inert) or genuinely joint (a
+    JointDictionary). Only the diagonal eigenvalues are fitted; the input-rate
+    transport term is carried by the observables themselves, not by an operator.
     """
 
     variant = "eigen"
     _payload_dictionaries = {"state": "eigendict"}  # written as "eigen", with its kind
     _payload_operators = ("eigenvalues",)
-    _kernels: dict = {}  # its observables do not factor on a grid
 
     def __init__(self, eigendict, eigenvalues, input_dim: int = 0):
-        self.joint_observables = isinstance(eigendict, JointDictionary)
-        if self.joint_observables:
-            state_dim = eigendict.state_dim
-            input_dim = eigendict.input_dim
-        else:
-            state_dim = eigendict.input_dim
-        super().__init__("continuous", state_dim, input_dim)
+        self._psi = _as_joint(eigendict, input_dim)  # the lift over (x, u)
+        self.joint_observables = self._psi is eigendict
+        super().__init__("continuous", self._psi.state_dim, self._psi.input_dim)
         eigenvalues = np.asarray(eigenvalues, dtype=float).ravel()
         if eigenvalues.shape[0] != eigendict.size:
             raise ValueError(
@@ -394,27 +390,22 @@ class EigenModel(KoopmanModel):
         """The diagonal eigenvalue matrix."""
         return np.diag(self.eigenvalues)
 
-    # -- observable dispatch (state-only dictionaries ignore u) ---------------
-
     def observe(self, x, u) -> np.ndarray:
-        if self.joint_observables:
-            return self.eigendict.evaluate(x, u)
-        return self.eigendict.evaluate(x)
+        return self._psi.evaluate(x, u)
 
     def observe_jac_x(self, x, u) -> np.ndarray:
-        if self.joint_observables:
-            return self.eigendict.jacobian_x(x, u)
-        return self.eigendict.jacobian(x)
+        return self._psi.jacobian_x(x, u)
 
     def observe_jac_u(self, x, u) -> np.ndarray:
-        if self.joint_observables:
-            return self.eigendict.jacobian_u(x, u)
-        return np.zeros(np.shape(x)[:-1] + (self.eigendict.size, self.input_dim))
+        return self._psi.jacobian_u(x, u)
+
+    def _apply(self, x, u, ex=_itself, eu=_itself):
+        return self.eigenvalues * self._psi._at(self._psi.evaluate, x, u, ex, eu)
 
     def rate(self, x, u, u_dot=None) -> np.ndarray:
         """Represented d/dt psi; the transport term needs udot when psi
         depends on the input."""
-        out = self.eigenvalues * self.observe(x, u)
+        out = self._apply(x, u)
         if u_dot is not None:
             out = out + _mv(self.observe_jac_u(x, u), np.asarray(u_dot, dtype=float))
         return out
@@ -684,11 +675,9 @@ def fit_eigen(data: SnapshotDataset, eigendict) -> EigenModel:
     """
     if data.kind != "continuous-derivative":
         raise ValueError("eigen fit requires continuous state-derivative data")
-    joint = isinstance(eigendict, JointDictionary)
-    dims = (eigendict.state_dim, eigendict.input_dim) if joint else (eigendict.input_dim,)
-    if dims != (data.state_dim, data.input_dim)[:len(dims)]:
-        raise ValueError("eigenfunction dictionary dimensions do not match the data")
     model = EigenModel(eigendict, np.zeros(eigendict.size), input_dim=data.input_dim)
+    if (model.state_dim, model.input_dim) != (data.state_dim, data.input_dim):
+        raise ValueError("eigenfunction dictionary dimensions do not match the data")
 
     def ratio(num, den):
         return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
@@ -830,19 +819,14 @@ def rollout(model: KoopmanModel, x0, controls, relift: str = "every-step",
 
 def model_residual(model: KoopmanModel, data: SnapshotDataset) -> float:
     """RMS lifted prediction residual of a model on a dataset."""
-    if model.variant == "eigen":
-        if data.kind != "continuous-derivative":
-            raise ValueError("eigen models evaluate on continuous state-derivative data")
-        R = (model.eigenvalues * model.observe(data.X, data.U)
-             - _mv(model.observe_jac_x(data.X, data.U), data.Y))
-        return _rms(R, data.n_samples)
     expected_kind = "discrete-pairs" if model.time_kind == "discrete" else "continuous-derivative"
     if data.kind != expected_kind:
         raise ValueError(
             f"{model.time_kind}-time model evaluates on {expected_kind} data, "
             f"got {data.kind}"
         )
-    T = _lift_targets(data, model.dict_x)
+    T = (_mv(model.observe_jac_x(data.X, data.U), data.Y) if model.variant == "eigen"
+         else _lift_targets(data, model.dict_x))  # an eigen model's are J_psi(x, u) xdot
     return _rms(model._apply(data.X, data.U) - T, data.n_samples)
 
 

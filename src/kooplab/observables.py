@@ -619,6 +619,25 @@ class CallableJointDictionary(JointDictionary):
         self._jacobians_u = _stacked(jac_u_fn, (N, self.input_dim))
 
 
+def _as_joint(d, input_dim: int) -> JointDictionary:
+    """d over (x, u): a joint dictionary as it is, a state one as psi(x, u) = psi(x)
+    with d psi/d u = 0 in R^input_dim, whose grid kernels run on the states alone."""
+    if isinstance(d, JointDictionary):
+        return d
+
+    def values(X, U, ex=_itself, eu=_itself):
+        return ex(d._values(X))
+
+    def jac_x(X, U, ex=_itself, eu=_itself):
+        return ex(d._jacobians(X))
+
+    def jac_u(X, U, ex=_itself, eu=_itself):
+        return ex(np.zeros((len(X), d.size, input_dim)))
+
+    return CallableJointDictionary(d.input_dim, input_dim, d.names, _Broadcast(values),
+                                   _Broadcast(jac_x), _Broadcast(jac_u))
+
+
 def build_joint_dictionary(state_dim, input_dim, state_degree, input_degree) -> MonomialJointDictionary:
     return MonomialJointDictionary(state_dim, input_dim, state_degree, input_degree)
 

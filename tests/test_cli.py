@@ -148,6 +148,29 @@ class TestMain:
         assert calls == {"check_model": 0, "generate_dataset": 0}
         assert str(taken) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "check"])
+    def test_out_naming_a_file_is_refused_before_reading_inputs(self, bilinear_run, tmp_path,
+                                                                monkeypatch, capsys, command):
+        import json
+
+        from kooplab import dynamics, formulations
+
+        module, name, flag, artifact = {
+            "fit": (dynamics, "load_dataset", "--dataset", "dataset.csv"),
+            "check": (formulations, "load_model", "--model", "model-joint.json"),
+        }[command]
+        calls, original = [], getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or original(*a, **k))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(bilinear_raw(tmp_path)))
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        argv = [command, "--config", str(path), "--out", str(taken),
+                flag, str(bilinear_run / artifact)]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert calls == []
+        assert str(taken) in capsys.readouterr().err
+
     def test_readme_usage_names_each_commands_options(self):
         import argparse
 
@@ -522,7 +545,7 @@ class TestCheck:
         import json
 
         cfg_path = tmp_path / "cfg.json"
-        json.dump(linear_raw(tmp_path), open(cfg_path, "w"))
+        cfg_path.write_text(json.dumps(linear_raw(tmp_path)))
         assert cli.main(["simulate", "--config", str(cfg_path)]) == 0
         assert cli.main(["fit", "--config", str(cfg_path),
                          "--dataset", str(tmp_path / "dataset.csv")]) == 0
@@ -771,6 +794,16 @@ class TestCompare:
         raw["dataset"]["dt"] = 50.0
         assert self.compare_main(tmp_path, raw) == cli.EXIT_FAILURE
         assert capsys.readouterr().err.startswith("error: simulate: ")
+
+    def test_config_error_leaves_no_output_directory(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(bilinear_raw(tmp_path, formulations=["joint"])))
+        out = tmp_path / "new"
+        assert cli.main(["compare", "--config", str(path), "--out", str(out)]) == cli.EXIT_USAGE
+        assert "at least two formulations" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_diverging_heldout_truth_is_tagged(self, tmp_path, capsys):
         # at dt = 1.5 the training pairs are redrawn at the guard, but a held-out

@@ -823,6 +823,15 @@ class TestModelStackContract:
         assert eigen.observe_jac_u(X, U).shape == (4, eigen.lifted_dim, 1)
         assert eigen.observe_jac_u(X[0], U[0]).shape == (eigen.lifted_dim, 1)
 
+    def test_state_only_eigen_model_checks_the_input(self):
+        # psi(x, u) = psi(x) ignores the value of u, not its shape
+        eigen = STACK_MODELS["eigen"]
+        for method in (eigen.observe, eigen.observe_jac_x, eigen.observe_jac_u, eigen.rate):
+            with pytest.raises(ValueError, match="input must have shape"):
+                method(np.zeros(2), np.zeros(2))
+            with pytest.raises(ValueError, match="equal row counts"):
+                method(np.zeros((4, 2)), np.zeros((3, 1)))
+
 
 class TestMetadataDefaults:
     @staticmethod

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from kooplab.consistency import _norms, check_def1
+from kooplab.consistency import _norms, check_def1, check_model
 from kooplab.dynamics import ControlledSystem, EvaluationGrid, discretize
 from kooplab.formulations import (
     AffineModel,
@@ -24,7 +24,8 @@ from kooplab.formulations import (
     bilinear_to_joint,
 )
 from kooplab.numerics import _Broadcast, _on_grid
-from kooplab.observables import CallableJointDictionary, build_joint_dictionary, monomials
+from kooplab.observables import (CallableJointDictionary, _as_joint, build_joint_dictionary,
+                                 monomials)
 
 DIMS = [(1, 1), (2, 1), (1, 2), (2, 2)]
 
@@ -124,6 +125,14 @@ class TestDictionaryHooks:
             assert rows and set(rows) <= {len(grid.states), len(grid.inputs)}
 
     @pytest.mark.parametrize("n,m", DIMS)
+    def test_state_dictionary_read_over_the_input(self, n, m):
+        # psi(x, u) = psi(x), as an eigen model reads a state-only dictionary
+        d = _as_joint(monomials(n, 2, include_constant=False), m)
+        for grid in grids(n, m).values():
+            for method in (d.evaluate, d.jacobian_x, d.jacobian_u):
+                hook_equals_stack(method, grid)
+
+    @pytest.mark.parametrize("n,m", DIMS)
     def test_per_point_callables_run_on_the_broadcast_arguments(self, n, m):
         rng = np.random.default_rng(5 * n + m)
         A, B = rng.standard_normal((3, n)), rng.standard_normal((3, m))
@@ -165,6 +174,22 @@ class TestModelHooks:
         report = check_def1(system, model, grid)
         assert report.condition == "DEF1-CTRL"
         assert rows == [len(grid.states)]
+
+    def test_eigen_checks_evaluate_a_state_dictionary_on_the_states(self):
+        # a state-only eigen model reads psi(x) on the S states in DEF1's rate and in
+        # KAISER, never on the S M product rows, and the two share one Jacobian stack
+        system = ControlledSystem("linear", "continuous", 2, 1, lambda x: -x,
+                                  lambda u: np.array([0.0, u[0]]), lambda x, u: np.zeros(2))
+        model = models(2, 1, "continuous")["eigen"]
+        grid, rows = grids(2, 1)["S!=M"], {"_values": [], "_jacobians": []}
+        for name, calls in rows.items():
+            kernel = getattr(model.eigendict, name)
+            setattr(model.eigendict, name,
+                    lambda Z, _k=kernel, _c=calls: _c.append(len(Z)) or _k(Z))
+        reports, skipped = check_model(system, model, grid)
+        assert [r.condition for r in reports] == ["DEF1-CTRL", "KAISER"] and not skipped
+        S = len(grid.states)
+        assert rows == {"_values": [S, S], "_jacobians": [S]}
 
     def test_time_kind_guard_holds_on_the_grid(self):
         model = models(1, 1, "continuous")["joint"]
