@@ -101,7 +101,7 @@ def _autonomous(model) -> bool:
 
 def _controlled(model) -> bool:
     # an input channel, and observables of the state alone
-    return not _autonomous(model) and not getattr(model, "joint_observables", False)
+    return not _autonomous(model) and not model.joint_observables
 
 
 def _row(family, time_kind, variants, what=None, narrow=None) -> Condition:
@@ -123,7 +123,8 @@ CONDITIONS = {
                        "autonomous affine models (no input matrix)", _autonomous),
     "DEF1-CTRL": _row("DEF1", "continuous", VARIANTS,
                       "controlled models with state observables", _controlled),
-    "DEF1-JOINT": _library_only("an input-rate signal; use check_def1 with u_dot directly"),
+    "DEF1-JOINT": _row("DEF1", "continuous", ("eigen",), "eigen models with joint observables",
+                       lambda m: m.joint_observables),
     "DEF2-AUTON": _row("DEF2", "discrete", ("affine",),
                        "autonomous affine models (no input matrix)", _autonomous),
     **dict.fromkeys(("DEF2-CTRL-X", "DEF2-CTRL-U"),
@@ -396,41 +397,27 @@ def _sample_pair_indices(grid, n_pairs, seed, n_index_sets):
 
 
 def check_def1(system: ControlledSystem, model, grid: EvaluationGrid,
-               u_dot=None, tolerance: float = DEFAULT_TOLERANCE) -> ConsistencyReport:
+               tolerance: float = DEFAULT_TOLERANCE) -> ConsistencyReport:
     """Compare a continuous model's represented lift rate with the chain rule.
 
-    The residual is || model rate - J_psi(x) f(x, u) || at each point, with
-    the input-rate transport term J_u_psi udot added to both sides when the
-    model's observables depend on the input (udot must then be supplied as a
-    constant array or a callable (x, u) -> udot).
+    The residual is || model rate - J_x_psi f(x, u) || at each point. When the
+    model's observables depend on the input, the input-rate transport term
+    J_u_psi udot sits on both sides of the identity and cancels for every
+    udot, so it is not part of the residual: DEF1-JOINT is the KAISER field.
     """
     ing = _ingredients(system, grid, "check_def1", "continuous")
     if model.time_kind != "continuous":
         raise ValueError("check_def1 needs a continuous-time model")
-    joint = model.variant == "eigen" and model.joint_observables
-    if joint and u_dot is None:
-        raise ValueError(
-            "model observables depend on the input: supply u_dot "
-            "(a constant array or a callable (x, u) -> udot) to evaluate "
-            "the transport term"
-        )
 
     auton = _autonomous(model)
     where = "(x,0)" if auton else "(x,u)"  # an autonomous model lives on the u = 0 slice
-    X, U = ing.points(where)
-    F = ing.at(system.evaluate, where)
-    # an eigen model's J_psi(x, u) on the product, shared with KAISER
+    # an eigen model's J_x_psi(x, u) on the product, shared with KAISER
     J = (ing.at(model._psi.jacobian_x, where) if model.variant == "eigen"
          else ing.grids[where].per_state(ing.at(model.dict_x.jacobian, "x")))
-    truth, rate = _mv(J, F), ing.at(model.rate, where)
-    if joint:  # the transport term J_u_psi udot, on both sides
-        Udot = (_stacked(u_dot, (system.input_dim,))(X, U) if callable(u_dot)
-                else np.broadcast_to(np.asarray(u_dot, dtype=float), U.shape))
-        transport = _mv(ing.at(model._psi.jacobian_u, where), Udot)
-        truth, rate = truth + transport, rate + transport
-    cid = "DEF1-AUTON" if auton else "DEF1-JOINT" if joint else "DEF1-CTRL"
-    points = {"x": X} if auton else ing.xu
-    return ConsistencyReport(cid, tolerance, points, _norms(rate, -truth))
+    truth = _mv(J, ing.at(system.evaluate, where))
+    cid = "DEF1-AUTON" if auton else "DEF1-JOINT" if model.joint_observables else "DEF1-CTRL"
+    points = {"x": ing.grid.states} if auton else ing.xu
+    return ConsistencyReport(cid, tolerance, points, _norms(ing.at(model.rate, where), -truth))
 
 
 def check_def2(system: ControlledSystem, model, grid: EvaluationGrid,
@@ -792,7 +779,7 @@ def check_theorem5(system: ControlledSystem, dict_x: Dictionary,
         ing.require_vanishing("psi_xu(x, 0) = 0", dict_xu.evaluate, "(x,0)", states)
     except HypothesisViolationError as exc:
         note = ("COR7/COR8 variants skipped: hypothesis psi_xu(x, 0) = 0 fails "
-                f"(max |psi_xu(x, 0)| = {exc.max_violation:.3g} at x = {exc.where})")
+                f"(max |psi_xu(x, 0)| = {exc.max_violation:.3g} at x = {_fmt_where(exc.where)})")
 
     J_x0 = ing.at(dict_x.jacobian, "f(x,0)")
     lhs_full = J_x0 @ ing.at(system.jacobian_x, "(x,0)")
@@ -900,8 +887,6 @@ def check_model(system: ControlledSystem, model, grid: EvaluationGrid,
             if strict:
                 raise
             skipped.append((family, str(exc)))
-    if not strict and getattr(model, "joint_observables", False):
-        skipped.append(("DEF1", "input-rate signal unavailable in batch mode"))
     return [reports[cid] for cid in ids if cid in reports], skipped
 
 

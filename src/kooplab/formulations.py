@@ -104,6 +104,7 @@ class KoopmanModel:
     """
 
     variant = "abstract"
+    joint_observables = False  # whether the observables depend on the input
     # role -> dictionary attribute, in a fit's argument order, and operator attributes
     _payload_dictionaries: dict = {}
     _payload_operators: tuple = ()

@@ -555,6 +555,31 @@ class TestCheck:
                        "--tolerance", "1e-18"])
         assert rc == cli.EXIT_FAILURE  # even roundoff fails at 1e-18
 
+    def test_joint_eigen_model_runs_def1(self, tmp_path, capsys):
+        import json
+
+        from kooplab.formulations import fit_eigen, save_model
+        from kooplab.observables import build_joint_dictionary
+
+        system = builtin_system("linear")
+        model = fit_eigen(generate_dataset(system, 300, seed=5), build_joint_dictionary(2, 1, 1, 1))
+        model_path = str(tmp_path / "model-eigen.json")
+        save_model(model, model_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(linear_raw(tmp_path / "all")))
+        argv = ["check", "--config", str(cfg_path), "--model", model_path]
+        assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_FAILURE)
+        assert "skipped DEF1" not in capsys.readouterr().out
+        reports = read_reports_json(tmp_path / "all" / "reports.json")
+        assert [r.condition for r in reports] == ["DEF1-JOINT", "KAISER"]
+
+        # an explicit DEF1-JOINT request runs, and exits by its verdict
+        cfg_path.write_text(json.dumps(linear_raw(tmp_path / "one", checks=["DEF1-JOINT"])))
+        rc = cli.main(argv)
+        (report,) = read_reports_json(tmp_path / "one" / "reports.json")
+        assert report.condition == "DEF1-JOINT"
+        assert rc == (cli.EXIT_OK if report.verdict == "consistent" else cli.EXIT_FAILURE)
+
 
 class TestApplicabilityResolution:
     def continuous_fit(self, variant):
@@ -599,7 +624,7 @@ _APPLICABLE_IDS = {
     ("continuous", "joint"): {"DEF1-CTRL", "T3-C1", "T3-C2"},
     ("continuous", "bilinear"): {"DEF1-CTRL", "T3-C1", "T3-C2"},
     ("continuous", "eigen-state"): {"DEF1-CTRL", "KAISER"},
-    ("continuous", "eigen-joint"): {"KAISER"},
+    ("continuous", "eigen-joint"): {"DEF1-JOINT", "KAISER"},
     ("discrete", "affine-autonomous"): {"DEF2-AUTON", "COR4-FXU", "COR6-B"},
     ("discrete", "affine"): {"DEF2-CTRL-X", "DEF2-CTRL-U", "COR4-FXU", "COR6-B"},
     ("discrete", "separable"): {

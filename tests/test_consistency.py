@@ -310,13 +310,11 @@ class TestDef1:
         )
         model = EigenModel(eigendict, [0.0, MU])
         grid = default_grid(system)
-        r1 = check_def1(system, model, grid, u_dot=np.array([0.3]))
+        r1 = check_def1(system, model, grid)
         assert r1.condition == "DEF1-JOINT"
         assert r1.max_residual <= 1e-13
-        r2 = check_def1(system, model, grid, u_dot=lambda x, u: np.array([0.3]))
-        assert r2.max_residual <= 1e-13
 
-    def test_joint_eigendict_requires_udot(self):
+    def test_joint_eigendict_takes_no_udot(self):
         system = builtin_system("bilinear-scalar", a=MU, b=0.0)
         eigendict = CallableJointDictionary(
             1, 1, ["u1"],
@@ -325,8 +323,46 @@ class TestDef1:
             lambda x, u: np.array([[1.0]]),
         )
         model = EigenModel(eigendict, [0.0])
-        with pytest.raises(ValueError, match="u_dot"):
-            check_def1(system, model, default_grid(system))
+        grid = default_grid(system)
+        # the transport term J_u_psi udot cancels: no input rate is asked for
+        report = check_def1(system, model, grid)
+        assert report.condition == "DEF1-JOINT"
+        assert report.max_residual == 0.0
+        with pytest.raises(TypeError, match="u_dot"):
+            check_def1(system, model, grid, u_dot=np.array([0.3]))
+
+    @pytest.mark.parametrize("joint", [False, True], ids=["monomials", "monomial-joint"])
+    @pytest.mark.parametrize("system", [
+        builtin_system("linear"), builtin_system("duffing-forced", delta=0.3),
+        builtin_system("slow-manifold", mu=MU, lam=LAM),
+        builtin_system("bilinear-scalar", a=-1.0, b=1.0),
+    ], ids=lambda system: system.name)
+    def test_eigen_def1_field_is_the_kaiser_field(self, system, joint):
+        # the transport term cancels, so DEF1 of an eigen model is KAISER's identity
+        n, m = system.state_dim, system.input_dim
+        eigendict = build_joint_dictionary(n, m, 1, 1) if joint else monomials(n, 2)
+        model = fit_eigen(generate_dataset(system, 200, seed=0), eigendict)
+        reports, skipped = check_model(system, model, default_grid(system, points_per_axis=5))
+        assert [r.condition for r in reports] == [
+            "DEF1-JOINT" if joint else "DEF1-CTRL", "KAISER"]
+        assert skipped == []
+        assert reports[0].residuals.tobytes() == reports[1].residuals.tobytes()
+
+    def test_joint_eigen_model_with_a_wrong_eigenvalue_is_inconsistent(self):
+        system = builtin_system("bilinear-scalar", a=MU, b=0.0)  # xdot = mu*x
+        eigendict = CallableJointDictionary(
+            1, 1, ["u1", "x1*u1"],
+            lambda x, u: np.array([u[0], x[0] * u[0]]),
+            lambda x, u: np.array([[0.0], [u[0]]]),
+            lambda x, u: np.array([[1.0], [x[0]]]),
+        )
+        model = EigenModel(eigendict, [0.0, -MU])  # x1*u1 has eigenvalue mu, not -mu
+        reports, skipped = check_model(system, model, default_grid(system))
+        assert [r.condition for r in reports] == ["DEF1-JOINT", "KAISER"]
+        assert skipped == []
+        for report in reports:  # || 2 mu x u || peaks at |x| = 2, |u| = 1
+            assert report.max_residual == pytest.approx(0.2, abs=1e-12)
+            assert report.verdict == "inconsistent"
 
     def test_time_kind_mismatches_rejected(self):
         dsys = bilinear_discrete(0.9, 0.1)
@@ -978,6 +1014,22 @@ class TestTheorem5:
         for r in reports:
             assert "COR7/COR8" in r.note
             assert "psi_xu(x, 0)" in r.note
+
+    def test_skip_note_names_the_point_whatever_the_print_options(self):
+        bad = CallableJointDictionary(
+            1, 1, ["x1*u1+x1"],
+            lambda x, u: np.array([x[0] * u[0] + x[0]]),
+            lambda x, u: np.array([[u[0] + 1.0]]),
+            lambda x, u: np.array([[x[0]]]),
+        )
+        grid = EvaluationGrid(np.array([[1.0 / 3.0], [-2.0 / 3.0]]), np.array([[-1.0], [1.0]]))
+        notes = []
+        for precision in (8, 2):
+            with np.printoptions(precision=precision):
+                reports = check_theorem5(self.system, self.dict_x, bad, [[0.9]], [[0.1]], grid)
+            notes.append(reports[0].note)
+        assert notes[0] == notes[1]
+        assert notes[0].endswith("at x = [-0.666667])")
 
     def test_continuous_system_rejected(self):
         csys = builtin_system("bilinear-scalar", a=-1.0, b=1.0)
